@@ -12,9 +12,10 @@
 //! 2. **The block cache serves hot gets from memory.** The same hot-key
 //!    sweep runs against one store with the cache enabled and one
 //!    without; the report carries both throughputs and the speedup.
-//! 3. **Group commit batches fsyncs.** The same put workload runs with
-//!    the commit window on and off (both `sync`), and the WAL counters
-//!    show how many fsync batches covered how many appends.
+//! 3. **Group commit batches fsyncs without slowing a lone writer.**
+//!    The same `sync` put workload runs with one writer thread and with
+//!    `commit_threads`, and the WAL counters of the concurrent run show
+//!    how many fsync batches covered how many appends.
 
 use dnacomp_algos::{Algorithm, CompressedBlob};
 use dnacomp_seq::PackedSeq;
@@ -22,7 +23,7 @@ use dnacomp_store::{SequenceStore, StoreConfig, StoreError};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Knobs for the store benchmark.
 #[derive(Clone, Debug)]
@@ -38,9 +39,9 @@ pub struct StoreBenchConfig {
     pub hot_records: usize,
     /// Hot-get passes over the whole key set.
     pub hot_passes: usize,
-    /// Records put per writer thread in the group-commit comparison.
+    /// Records put per writer thread in the commit phase.
     pub commit_puts: usize,
-    /// Writer threads in the group-commit comparison.
+    /// Writer threads in the concurrent commit run.
     pub commit_threads: usize,
     /// Scratch directory; a unique subdirectory is created per phase.
     pub dir: PathBuf,
@@ -110,11 +111,13 @@ pub struct StoreBenchReport {
     pub hot_get_speedup: f64,
     /// Block-cache hit rate over the cached sweep.
     pub cache_hit_rate: f64,
-    /// Puts per second with group commit (sync, 2 ms window).
-    pub put_grouped_per_sec: f64,
-    /// Puts per second with one inline fsync per append (sync).
-    pub put_inline_per_sec: f64,
-    /// Manifest appends in the grouped run.
+    /// Sync puts per second from one writer thread.
+    pub put_sync_1_thread_per_sec: f64,
+    /// Writer threads in the concurrent run.
+    pub commit_threads: usize,
+    /// Sync puts per second from `commit_threads` writer threads.
+    pub put_sync_concurrent_per_sec: f64,
+    /// Manifest appends in the concurrent run.
     pub wal_appends: u64,
     /// Fsync batches covering them — the gap to `wal_appends` is the
     /// group-commit batching win.
@@ -248,23 +251,19 @@ pub fn run_store_bench(cfg: &StoreBenchConfig) -> Result<StoreBenchReport, Strin
     }
     let [hot_get_cached_mb_s, hot_get_uncached_mb_s] = hot;
 
-    // Phase 3: put throughput, group commit vs inline fsync. Both runs
-    // fsync for real — that is the thing being batched.
+    // Phase 3: sync put throughput from one writer and from several.
+    // Both runs fsync for real — that is the thing being batched.
     let mut put_rates = [0.0f64; 2];
     let mut wal = (0u64, 0u64);
-    for (slot, window) in [
-        (0usize, Some(Duration::from_millis(2))),
-        (1usize, None),
-    ] {
+    for (slot, writers) in [(0usize, 1usize), (1usize, cfg.commit_threads)] {
         let dir = bench_dir(&cfg.dir, &format!("commit-{slot}"));
         let config = StoreConfig {
             sync: true,
-            group_commit_window: window,
             ..StoreConfig::default()
         };
         let store = Arc::new(SequenceStore::open(&dir, config).map_err(fail("commit open"))?);
         let started = Instant::now();
-        let threads: Vec<_> = (0..cfg.commit_threads)
+        let threads: Vec<_> = (0..writers)
             .map(|t| {
                 let store = Arc::clone(&store);
                 let puts = cfg.commit_puts;
@@ -284,16 +283,15 @@ pub fn run_store_bench(cfg: &StoreBenchConfig) -> Result<StoreBenchReport, Strin
                 .map_err(fail("commit put"))?;
         }
         let secs = started.elapsed().as_secs_f64().max(1e-9);
-        let total = (cfg.commit_threads * cfg.commit_puts) as f64;
-        put_rates[slot] = total / secs;
-        if slot == 0 {
+        put_rates[slot] = (writers * cfg.commit_puts) as f64 / secs;
+        if slot == 1 {
             let snap = store.snapshot();
             wal = (snap.wal_appends, snap.wal_batches);
         }
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
-    let [put_grouped_per_sec, put_inline_per_sec] = put_rates;
+    let [put_sync_1_thread_per_sec, put_sync_concurrent_per_sec] = put_rates;
 
     Ok(StoreBenchReport {
         host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -307,8 +305,9 @@ pub fn run_store_bench(cfg: &StoreBenchConfig) -> Result<StoreBenchReport, Strin
             0.0
         },
         cache_hit_rate,
-        put_grouped_per_sec,
-        put_inline_per_sec,
+        put_sync_1_thread_per_sec,
+        commit_threads: cfg.commit_threads,
+        put_sync_concurrent_per_sec,
         wal_appends: wal.0,
         wal_batches: wal.1,
     })
@@ -341,7 +340,9 @@ mod tests {
         assert!(report.hot_get_cached_mb_s > 0.0);
         assert!(report.hot_get_uncached_mb_s > 0.0);
         assert!(report.cache_hit_rate > 0.5, "{report:?}");
-        assert!(report.wal_appends > 0);
+        assert!(report.put_sync_1_thread_per_sec > 0.0);
+        assert!(report.put_sync_concurrent_per_sec > 0.0);
+        assert_eq!(report.wal_appends, 8);
         assert!(report.wal_batches > 0);
         assert!(report.wal_batches <= report.wal_appends);
         let json = report.to_json();

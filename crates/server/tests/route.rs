@@ -30,6 +30,10 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Acknowledged writes: each content key with the sequence it must read
+/// back as.
+type AckedPuts = Vec<([u8; 16], PackedSeq)>;
+
 /// One running shard: its service, front-end, store and ring spec.
 struct Shard {
     service: Arc<CompressionService>,
@@ -168,7 +172,7 @@ fn gets_via_router_are_byte_identical_to_direct_shard_gets() {
     let mut client = connect(router.local_addr());
 
     // Compress a batch through the router; remember every acked key.
-    let mut acked: Vec<([u8; 16], PackedSeq)> = Vec::new();
+    let mut acked: AckedPuts = Vec::new();
     for i in 0..12usize {
         let seq = GenomeModel::random_only(0.5).generate(1_200 + i * 311, i as u64);
         match client
@@ -541,7 +545,7 @@ fn quorum_acked_puts_survive_one_shard_down_and_self_heal() {
 
     // Writers: every op MUST be acked — with W=2 and two shards always
     // healthy, a dead third replica never blocks the quorum.
-    let acked: Arc<Mutex<Vec<([u8; 16], PackedSeq)>>> = Arc::new(Mutex::new(Vec::new()));
+    let acked: Arc<Mutex<AckedPuts>> = Arc::new(Mutex::new(Vec::new()));
     let threads: Vec<_> = (0..CLIENTS)
         .map(|i| {
             let acked = Arc::clone(&acked);

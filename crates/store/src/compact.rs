@@ -3,9 +3,14 @@
 //!
 //! Every transition follows the same commit discipline:
 //!
-//! 1. Write the output run to `run-NNNNNN.sst.tmp`, fsync, rename to
-//!    its final name. An orphan at either stage is deleted on reopen —
-//!    the manifest does not know it yet.
+//! 1. Stream the output run to `run-NNNNNN.sst.tmp`, fsync, rename to
+//!    its final name. A seal reads its victims' records one at a time
+//!    in key order; a merge is a k-way merge over per-input cursors
+//!    that each hold one data block. Inputs are validated as they
+//!    stream, so a damaged input can fail the build after part of the
+//!    output is written: the temp file is then removed and every input
+//!    stays in place. An orphan left by a crash at either stage is
+//!    deleted on reopen — the manifest does not know it yet.
 //! 2. Append **one** manifest entry carrying the new run's meta *and*
 //!    the full list of source files it replaces, then fsync the
 //!    manifest inline. One entry means one commit point: replay either
@@ -17,13 +22,15 @@
 //! over more sources than that simply runs as several full transitions,
 //! never by splitting one entry.
 
-use crate::manifest::{self, Entry};
-use crate::record::ContentKey;
-use crate::sstable::{self, BuiltRun, RunHandle, RunMeta};
+use crate::manifest::{self, Entry, Location};
+use crate::record::{ContentKey, Record};
+use crate::sstable::{self, corrupt, RunCursor, RunHandle, RunMeta, RunWriter};
 use crate::store::{lock_plain, CompactReport, SequenceStore, Tombstone, Writer};
-use crate::StoreError;
-use std::collections::{HashMap, HashSet};
-use std::fs;
+use crate::{segment, StoreError};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::fs::{self, File};
+use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -156,36 +163,36 @@ impl SequenceStore {
             .filter_map(|id| w.segments.get(id))
             .map(|info| info.bytes)
             .sum();
-        // Validate-first: read every live record out of the victims
-        // before touching anything. A read failure aborts the seal with
-        // the store fully intact.
-        let mut moves: Vec<(ContentKey, Vec<u8>)> = Vec::new();
-        for (key, loc) in self.index.snapshot() {
-            if !victim_set.contains(&loc.segment) {
-                continue;
-            }
-            let bytes =
-                crate::segment::read_at(&self.dir, loc.segment, loc.offset, loc.len as usize)?;
-            let (record, _) = crate::record::Record::decode(&bytes)?;
-            if record.key != key {
-                return Err(StoreError::Corrupt {
-                    what: "record key",
-                    source: dnacomp_codec::CodecError::Corrupt(
-                        "stored record carries a different key",
-                    ),
-                });
-            }
-            moves.push((key, bytes));
-        }
-        moves.sort_unstable_by_key(|a| a.0);
+        // The victims' live records, sorted by key. Only the locations
+        // are held; the run build reads one record at a time.
+        let mut live: Vec<(ContentKey, Location)> = self
+            .index
+            .snapshot()
+            .into_iter()
+            .filter(|(_, loc)| victim_set.contains(&loc.segment))
+            .collect();
+        live.sort_unstable_by_key(|(key, _)| *key);
 
-        let run = if moves.is_empty() {
+        let run = if live.is_empty() {
             None // all-dead segments: the Seal entry just drops them
         } else {
-            Some(self.install_run(w, 1, &moves)?)
+            Some(self.install_run(w, 1, live.len() as u64, |out| {
+                for (key, loc) in &live {
+                    let bytes =
+                        segment::read_at(&self.dir, loc.segment, loc.offset, loc.len as usize)?;
+                    let (record, _) = Record::decode(&bytes)?;
+                    if record.key != *key {
+                        return Err(corrupt(
+                            "record key",
+                            "stored record carries a different key",
+                        ));
+                    }
+                    out.add(*key, &bytes)?;
+                }
+                Ok(())
+            })?)
         };
         let out_bytes = run.map_or(0, |m| m.bytes);
-        let records_moved = moves.len() as u64;
         let entry = Entry::Seal {
             run,
             segments: victims.clone(),
@@ -196,17 +203,17 @@ impl SequenceStore {
         if let Some(meta) = run {
             w.next_run = meta.id + 1;
             lock_plain(&self.runs).insert(meta.id, Arc::new(RunHandle::new(meta)));
-            for (key, _) in &moves {
+            for (key, _) in &live {
                 self.index.remove(key);
             }
         }
         for id in &victims {
             w.segments.remove(id);
-            let _ = fs::remove_file(crate::segment::segment_path(&self.dir, *id));
+            let _ = fs::remove_file(segment::segment_path(&self.dir, *id));
         }
         report.segments_removed += victims.len() as u64;
         report.bytes_reclaimed += victim_bytes.saturating_sub(out_bytes);
-        report.records_moved += records_moved;
+        report.records_moved += live.len() as u64;
         self.seals.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
@@ -237,26 +244,23 @@ impl SequenceStore {
             .map(|(k, _)| *k)
             .collect();
         let input_bytes: u64 = inputs.iter().map(|h| h.meta.bytes).sum();
-        // Validate-first again: a damaged input aborts the merge with
-        // every input still in place.
-        let mut moves: Vec<(ContentKey, Vec<u8>)> = Vec::new();
-        for h in &inputs {
-            h.for_each_record(&self.dir, |key, bytes| {
-                if !dead.contains(&key) {
-                    moves.push((key, bytes.to_vec()));
-                }
-                Ok(())
-            })?;
-        }
-        moves.sort_unstable_by_key(|a| a.0);
+        // Every input record survives except the tombstoned ones: each
+        // dead key lives in exactly one input run.
+        let expected = inputs
+            .iter()
+            .map(|h| h.meta.records)
+            .sum::<u64>()
+            .checked_sub(dead.len() as u64)
+            .ok_or_else(|| corrupt("run merge", "more tombstones than input records"))?;
 
-        let run = if moves.is_empty() {
+        let run = if expected == 0 {
             None
         } else {
-            Some(self.install_run(w, level + 1, &moves)?)
+            Some(self.install_run(w, level + 1, expected, |out| {
+                merge_into(out, &inputs, &self.dir, &dead)
+            })?)
         };
         let out_bytes = run.map_or(0, |m| m.bytes);
-        let records_moved = moves.len() as u64;
         let mut sorted_ids: Vec<u64> = input_ids.iter().copied().collect();
         sorted_ids.sort_unstable();
         let entry = Entry::Merge {
@@ -285,52 +289,80 @@ impl SequenceStore {
         }
         report.segments_removed += inputs.len() as u64;
         report.bytes_reclaimed += input_bytes.saturating_sub(out_bytes);
-        report.records_moved += records_moved;
+        report.records_moved += expected;
         self.merges.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
 
-    /// Build a run from sorted `moves`, write it through the fault
-    /// machinery to a temp file, fsync, and rename into place. The run
-    /// exists on disk but is NOT yet committed — the caller's manifest
-    /// entry does that.
+    /// Stream a run of exactly `expected` records, fed in key order by
+    /// `feed`, to a temp file through the fault machinery (every chunk
+    /// spends the crash budget), fsync it, and rename it into place.
+    /// The run exists on disk but is NOT yet committed — the caller's
+    /// manifest entry does that. If the build fails, the temp file is
+    /// removed, unless the failure was a simulated crash: a killed
+    /// process leaves its partial file for reopen to delete.
     fn install_run(
         &self,
         w: &mut Writer,
         level: u32,
-        moves: &[(ContentKey, Vec<u8>)],
+        expected: u64,
+        feed: impl FnOnce(&mut RunWriter<'_>) -> Result<(), StoreError>,
     ) -> Result<RunMeta, StoreError> {
         let id = w.next_run;
-        let BuiltRun {
-            bytes,
-            records,
-            min_key,
-            max_key,
-        } = sstable::build_run(moves, self.config.run_block_bytes, self.config.bloom_bits_per_key);
-        let meta = RunMeta {
+        let tmp = sstable::run_path(&self.dir, id).with_extension("sst.tmp");
+        let footer = self
+            .write_run(w, id, &tmp, expected, feed)
+            .inspect_err(|_| {
+                if !w.dead {
+                    let _ = fs::remove_file(&tmp);
+                }
+            })?;
+        Ok(RunMeta {
             id,
             level,
-            records,
-            bytes: bytes.len() as u64,
-            min_key,
-            max_key,
-        };
-        let final_path = sstable::run_path(&self.dir, id);
-        let tmp = final_path.with_extension("sst.tmp");
-        let file = self.write_new_file(w, &sstable::run_name(id), &tmp, &bytes)?;
+            records: footer.records,
+            bytes: footer.data_len
+                + footer.index_len
+                + footer.bloom_len
+                + sstable::FOOTER_LEN as u64,
+            min_key: footer.min_key,
+            max_key: footer.max_key,
+        })
+    }
+
+    fn write_run(
+        &self,
+        w: &mut Writer,
+        id: u64,
+        tmp: &Path,
+        expected: u64,
+        feed: impl FnOnce(&mut RunWriter<'_>) -> Result<(), StoreError>,
+    ) -> Result<sstable::Footer, StoreError> {
+        let name = sstable::run_name(id);
+        let mut file = File::create(tmp).map_err(|e| StoreError::io("creating new run", e))?;
+        let mut sink = |chunk: &[u8]| self.faulted_write_file(w, &name, &mut file, chunk);
+        let mut out = RunWriter::new(
+            &mut sink,
+            expected,
+            self.config.run_block_bytes,
+            self.config.bloom_bits_per_key,
+        );
+        feed(&mut out)?;
+        let footer = out.finish()?;
         if self.config.sync {
             file.sync_all()
                 .map_err(|e| StoreError::io("syncing new run", e))?;
         }
         drop(file);
-        fs::rename(&tmp, &final_path).map_err(|e| StoreError::io("installing new run", e))?;
+        fs::rename(tmp, sstable::run_path(&self.dir, id))
+            .map_err(|e| StoreError::io("installing new run", e))?;
         if self.config.sync {
             // Make the rename itself durable where the platform needs it.
-            if let Ok(d) = fs::File::open(&self.dir) {
+            if let Ok(d) = File::open(&self.dir) {
                 let _ = d.sync_all();
             }
         }
-        Ok(meta)
+        Ok(footer)
     }
 
     /// Rewrite the manifest to exactly the live state (temp file +
@@ -366,7 +398,9 @@ impl SequenceStore {
         }
         let buf = manifest::encode_all(&entries);
         let tmp = self.dir.join("manifest.tmp");
-        let file = self.write_new_file(w, "manifest.tmp", &tmp, &buf)?;
+        let mut file =
+            File::create(&tmp).map_err(|e| StoreError::io("creating manifest checkpoint", e))?;
+        self.faulted_write_file(w, "manifest.tmp", &mut file, &buf)?;
         if self.config.sync {
             file.sync_all()
                 .map_err(|e| StoreError::io("syncing manifest checkpoint", e))?;
@@ -375,7 +409,7 @@ impl SequenceStore {
         fs::rename(&tmp, manifest::manifest_path(&self.dir))
             .map_err(|e| StoreError::io("installing manifest checkpoint", e))?;
         if self.config.sync {
-            if let Ok(d) = fs::File::open(&self.dir) {
+            if let Ok(d) = File::open(&self.dir) {
                 let _ = d.sync_all();
             }
         }
@@ -390,4 +424,34 @@ impl SequenceStore {
         }
         Ok(())
     }
+}
+
+/// K-way merge of `inputs` into `out` in key order, skipping `dead`
+/// keys. Each input is read through a cursor holding one data block.
+fn merge_into(
+    out: &mut RunWriter<'_>,
+    inputs: &[Arc<RunHandle>],
+    dir: &Path,
+    dead: &HashSet<ContentKey>,
+) -> Result<(), StoreError> {
+    let mut cursors = inputs
+        .iter()
+        .map(|h| RunCursor::open(h, dir))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut heap: BinaryHeap<Reverse<(ContentKey, usize)>> = cursors
+        .iter()
+        .enumerate()
+        .filter_map(|(i, c)| c.key().map(|key| Reverse((key, i))))
+        .collect();
+    while let Some(Reverse((key, i))) = heap.pop() {
+        let cursor = &mut cursors[i];
+        if !dead.contains(&key) {
+            out.add(key, cursor.record())?;
+        }
+        cursor.advance()?;
+        if let Some(next) = cursor.key() {
+            heap.push(Reverse((next, i)));
+        }
+    }
+    Ok(())
 }

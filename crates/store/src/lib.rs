@@ -28,8 +28,9 @@
 //!   deletes orphans, recovering every committed record bit-exact after
 //!   a kill at any write point (the chaos tests sweep literally every
 //!   byte, including mid-seal and mid-merge).
-//! * **Group-committed** — concurrent puts share fsync batches inside a
-//!   configurable commit window instead of paying one fsync each.
+//! * **Group-committed** — a put's fsync starts at once, and puts that
+//!   arrive while one is in flight share the next fsync batch instead
+//!   of paying one fsync each; no commit window, no timer.
 //! * **Read-optimised** — per-run bloom filters answer negative gets
 //!   from memory; a sharded, byte-budgeted LRU block cache serves hot
 //!   gets without touching disk.
@@ -39,7 +40,8 @@
 //!   background, and the payload's own `DX` container checksum still
 //!   guards the decompressed sequence end-to-end.
 //! * **Self-compacting** — background maintenance seals full L0
-//!   segments into sorted runs and merges runs level by level;
+//!   segments into sorted runs and merges runs level by level,
+//!   streaming one block at a time;
 //!   [`SequenceStore::compact`] forces the whole cascade and atomically
 //!   checkpoints the manifest (temp-file + rename).
 //!

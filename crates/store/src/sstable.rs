@@ -25,6 +25,12 @@
 //! searches the block index in memory, and reads exactly one block
 //! (usually straight from the block cache) to scan for the key.
 //!
+//! Runs are written by streaming: a `RunWriter` emits each data block
+//! as it closes, then the index, the bloom and the footer, and a
+//! `RunCursor` reads a run back one block at a time. A seal or merge
+//! therefore buffers one block per input and one for the output, never
+//! the records it moves.
+//!
 //! Every decoder here refuses forged lengths/counts by an affordability
 //! check against the bytes actually present *before* allocating.
 
@@ -50,7 +56,7 @@ pub const INDEX_MAGIC: [u8; 2] = *b"IX";
 /// Smallest possible encoded index entry (affordability divisor).
 const MIN_INDEX_ENTRY: usize = 19;
 
-fn corrupt(what: &'static str, detail: &'static str) -> StoreError {
+pub(crate) fn corrupt(what: &'static str, detail: &'static str) -> StoreError {
     StoreError::Corrupt {
         what,
         source: CodecError::Corrupt(detail),
@@ -316,66 +322,145 @@ pub fn decode_index(bytes: &[u8]) -> Result<Vec<BlockEntry>, StoreError> {
     Ok(blocks)
 }
 
-/// A fully built (not yet named) run, ready to hit disk.
-pub struct BuiltRun {
-    /// The complete file image: data ++ index ++ bloom ++ footer.
-    pub bytes: Vec<u8>,
-    /// Records encoded.
-    pub records: u64,
-    /// Smallest key.
-    pub min_key: ContentKey,
-    /// Largest key.
-    pub max_key: ContentKey,
+/// Streams a run file out in key order: each data block as it closes
+/// (at `block_bytes`), then the index, the bloom and the footer, every
+/// chunk through `sink`. Only the open block, the block index and the
+/// bloom stay in memory.
+///
+/// The writer is told up front how many records the run holds, and the
+/// bloom is sized from that count. A key that is not strictly above its
+/// predecessor, or a final count that differs from the expected one, is
+/// a typed [`StoreError::Corrupt`]: the input broke the store's
+/// one-home-per-key invariant and must not be committed.
+pub(crate) struct RunWriter<'a> {
+    sink: &'a mut dyn FnMut(&[u8]) -> Result<(), StoreError>,
+    block_bytes: usize,
+    expected: u64,
+    bloom: Bloom,
+    blocks: Vec<BlockEntry>,
+    /// The open data block.
+    block: Vec<u8>,
+    /// Bytes of the closed blocks already handed to the sink.
+    data_len: u64,
+    records: u64,
+    last_key: Option<ContentKey>,
 }
 
-/// Assemble a run file image from `records` — `(key, encoded record)`
-/// pairs already sorted by key, at least one. Blocks close at
-/// `block_bytes`; the bloom gets `bits_per_key` bits per record.
-pub fn build_run(records: &[(ContentKey, Vec<u8>)], block_bytes: usize, bits_per_key: u32) -> BuiltRun {
-    assert!(!records.is_empty(), "a run holds at least one record");
-    debug_assert!(records.windows(2).all(|w| w[0].0 < w[1].0), "sorted, distinct keys");
-    let mut data = Vec::new();
-    let mut blocks: Vec<BlockEntry> = Vec::new();
-    let mut bloom = Bloom::sized_for(records.len(), bits_per_key);
-    for (key, bytes) in records {
-        bloom.insert(key);
-        let start_new = match blocks.last() {
-            None => true,
-            Some(last) => (data.len() as u64 - last.offset) >= block_bytes as u64,
-        };
-        if start_new {
-            blocks.push(BlockEntry {
-                first_key: *key,
-                offset: data.len() as u64,
+impl<'a> RunWriter<'a> {
+    /// A writer for a run of exactly `expected` records; the bloom gets
+    /// `bits_per_key` bits per record.
+    pub(crate) fn new(
+        sink: &'a mut dyn FnMut(&[u8]) -> Result<(), StoreError>,
+        expected: u64,
+        block_bytes: usize,
+        bits_per_key: u32,
+    ) -> RunWriter<'a> {
+        RunWriter {
+            sink,
+            block_bytes,
+            expected,
+            bloom: Bloom::sized_for(expected as usize, bits_per_key),
+            blocks: Vec::new(),
+            block: Vec::new(),
+            data_len: 0,
+            records: 0,
+            last_key: None,
+        }
+    }
+
+    /// Append one encoded record, emitting the open block first if it
+    /// has reached the block size.
+    pub(crate) fn add(&mut self, key: ContentKey, record: &[u8]) -> Result<(), StoreError> {
+        if self.last_key.is_some_and(|last| key <= last) {
+            return Err(corrupt("run build", "run keys are not strictly increasing"));
+        }
+        if self.records == self.expected {
+            return Err(corrupt("run build", "more records than the run expects"));
+        }
+        if self.blocks.is_empty() || self.block.len() >= self.block_bytes {
+            self.emit_block()?;
+            self.blocks.push(BlockEntry {
+                first_key: key,
+                offset: self.data_len,
                 len: 0,
                 records: 0,
             });
         }
-        data.extend_from_slice(bytes);
-        let last = blocks.last_mut().expect("block just ensured");
-        last.len = data.len() as u64 - last.offset;
-        last.records += 1;
+        self.bloom.insert(&key);
+        self.block.extend_from_slice(record);
+        let entry = self.blocks.last_mut().expect("block just ensured");
+        entry.len = self.block.len() as u64;
+        entry.records += 1;
+        self.records += 1;
+        self.last_key = Some(key);
+        Ok(())
     }
-    let index = encode_index(&blocks);
-    let bloom_bytes = bloom.encode();
-    let footer = Footer {
-        records: records.len() as u64,
-        data_len: data.len() as u64,
-        index_len: index.len() as u64,
-        bloom_len: bloom_bytes.len() as u64,
-        min_key: records[0].0,
-        max_key: records[records.len() - 1].0,
+
+    fn emit_block(&mut self) -> Result<(), StoreError> {
+        if !self.block.is_empty() {
+            (self.sink)(&self.block)?;
+            self.data_len += self.block.len() as u64;
+            self.block.clear();
+        }
+        Ok(())
+    }
+
+    /// Emit the last block, the index, the bloom and the footer, and
+    /// return the footer. The file is `footer.data_len + index_len +
+    /// bloom_len + FOOTER_LEN` bytes long.
+    pub(crate) fn finish(mut self) -> Result<Footer, StoreError> {
+        if self.records != self.expected {
+            return Err(corrupt("run build", "record count disagrees with the expected count"));
+        }
+        let (Some(first), Some(max_key)) = (self.blocks.first(), self.last_key) else {
+            return Err(corrupt("run build", "a run holds at least one record"));
+        };
+        let min_key = first.first_key;
+        self.emit_block()?;
+        let index = encode_index(&self.blocks);
+        let bloom = self.bloom.encode();
+        let footer = Footer {
+            records: self.records,
+            data_len: self.data_len,
+            index_len: index.len() as u64,
+            bloom_len: bloom.len() as u64,
+            min_key,
+            max_key,
+        };
+        for part in [&index, &bloom, &footer.encode()] {
+            (self.sink)(part)?;
+        }
+        Ok(footer)
+    }
+}
+
+/// A run image built in memory.
+pub struct BuiltRun {
+    /// The complete file image: data ++ index ++ bloom ++ footer.
+    pub bytes: Vec<u8>,
+    /// Its footer.
+    pub footer: Footer,
+}
+
+/// Assemble a run image from `records` — `(key, encoded record)` pairs
+/// sorted by key, at least one — by driving the streaming run encoder
+/// the store writes runs with into a `Vec<u8>`.
+///
+/// # Panics
+///
+/// If `records` is empty or its keys are not strictly increasing.
+pub fn build_run(records: &[(ContentKey, Vec<u8>)], block_bytes: usize, bits_per_key: u32) -> BuiltRun {
+    let mut bytes = Vec::new();
+    let mut sink = |chunk: &[u8]| {
+        bytes.extend_from_slice(chunk);
+        Ok(())
     };
-    let mut bytes = data;
-    bytes.extend_from_slice(&index);
-    bytes.extend_from_slice(&bloom_bytes);
-    bytes.extend_from_slice(&footer.encode());
-    BuiltRun {
-        bytes,
-        records: records.len() as u64,
-        min_key: footer.min_key,
-        max_key: footer.max_key,
+    let mut writer = RunWriter::new(&mut sink, records.len() as u64, block_bytes, bits_per_key);
+    for (key, record) in records {
+        writer.add(*key, record).expect("sorted, distinct keys");
     }
+    let footer = writer.finish().expect("at least one record");
+    BuiltRun { bytes, footer }
 }
 
 /// The lazily loaded in-memory side of a run: sparse index + bloom.
@@ -487,27 +572,100 @@ impl RunHandle {
     }
 
     /// Decode every record in order, handing `(key, encoded bytes)` to
-    /// `f`. Used by merges, verify, scrub and key listing — always from
-    /// disk, never through the cache, so bit rot cannot hide behind a
-    /// cached copy.
+    /// `f`. Used by verify and key listing — always from disk, never
+    /// through the cache, so bit rot cannot hide behind a cached copy.
     pub fn for_each_record(
         &self,
         dir: &Path,
         mut f: impl FnMut(ContentKey, &[u8]) -> Result<(), StoreError>,
     ) -> Result<(), StoreError> {
-        let idx = self.load(dir)?;
-        for entry in &idx.blocks {
-            let block = self.read_block(dir, entry)?;
-            let mut pos = 0usize;
-            for _ in 0..entry.records {
-                let (record, used) = Record::decode(&block[pos..])?;
-                f(record.key, &block[pos..pos + used])?;
-                pos += used;
-            }
-            if pos != block.len() {
+        let mut cursor = RunCursor::open(self, dir)?;
+        while let Some(key) = cursor.key() {
+            f(key, cursor.record())?;
+            cursor.advance()?;
+        }
+        Ok(())
+    }
+}
+
+/// A forward cursor over one run's records in key order, holding one
+/// data block at a time. Blocks come from disk, never through the
+/// cache, so bit rot cannot hide behind a cached copy; each record is
+/// checksum-validated as the cursor reaches it.
+pub(crate) struct RunCursor<'a> {
+    handle: &'a RunHandle,
+    dir: &'a Path,
+    index: Arc<RunIndex>,
+    next_block: usize,
+    block: Vec<u8>,
+    /// Offset of the current record in `block`.
+    pos: usize,
+    /// Encoded length of the current record.
+    len: usize,
+    /// Records of `block` after the current one.
+    left: u64,
+    key: Option<ContentKey>,
+}
+
+impl<'a> RunCursor<'a> {
+    /// A cursor on the first record of `handle`'s run.
+    pub(crate) fn open(
+        handle: &'a RunHandle,
+        dir: &'a Path,
+    ) -> Result<RunCursor<'a>, StoreError> {
+        let mut cursor = RunCursor {
+            handle,
+            dir,
+            index: handle.load(dir)?,
+            next_block: 0,
+            block: Vec::new(),
+            pos: 0,
+            len: 0,
+            left: 0,
+            key: None,
+        };
+        cursor.settle()?;
+        Ok(cursor)
+    }
+
+    /// Key of the current record; `None` once the run is exhausted.
+    pub(crate) fn key(&self) -> Option<ContentKey> {
+        self.key
+    }
+
+    /// Encoded bytes of the current record (empty once exhausted).
+    pub(crate) fn record(&self) -> &[u8] {
+        &self.block[self.pos..self.pos + self.len]
+    }
+
+    /// Step to the next record, reading the next block when this one is
+    /// used up.
+    pub(crate) fn advance(&mut self) -> Result<(), StoreError> {
+        self.pos += self.len;
+        self.len = 0;
+        self.settle()
+    }
+
+    /// Decode the record at `pos`, first moving to the next block if the
+    /// current one has no records left.
+    fn settle(&mut self) -> Result<(), StoreError> {
+        while self.left == 0 {
+            if self.pos != self.block.len() {
                 return Err(corrupt("run block", "trailing bytes after the block's records"));
             }
+            let Some(entry) = self.index.blocks.get(self.next_block).copied() else {
+                self.key = None;
+                return Ok(());
+            };
+            self.block = self.handle.read_block(self.dir, &entry)?;
+            self.next_block += 1;
+            self.pos = 0;
+            self.left = entry.records;
         }
+        let (record, used) = Record::decode(&self.block[self.pos..])?;
+        self.left -= 1;
+        self.len = used;
+        self.key = Some(record.key);
         Ok(())
     }
 }
@@ -618,15 +776,15 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let recs = sorted_records(100);
         let built = build_run(&recs, 256, 10);
-        assert_eq!(built.records, 100);
+        assert_eq!(built.footer.records, 100);
         std::fs::write(run_path(&dir, 1), &built.bytes).unwrap();
         let handle = RunHandle::new(RunMeta {
             id: 1,
             level: 1,
             records: 100,
             bytes: built.bytes.len() as u64,
-            min_key: built.min_key,
-            max_key: built.max_key,
+            min_key: built.footer.min_key,
+            max_key: built.footer.max_key,
         });
         let idx = handle.load(&dir).unwrap();
         assert!(idx.blocks.len() > 1, "256-byte blocks must split 100 records");
@@ -668,10 +826,119 @@ mod tests {
             level: 1,
             records: 10,
             bytes: built.bytes.len() as u64 - 1,
-            min_key: built.min_key,
-            max_key: built.max_key,
+            min_key: built.footer.min_key,
+            max_key: built.footer.max_key,
         });
         assert!(handle.load(&dir).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// FNV-1a digests of run images made from `sorted_records(100)` by
+    /// the collect-then-encode `build_run` that preceded `RunWriter`.
+    /// The streamed encoder must reproduce them byte for byte, so stores
+    /// written before it reopen unchanged.
+    #[test]
+    fn run_images_are_byte_identical_to_the_pinned_format() {
+        let recs = sorted_records(100);
+        // 110 bytes is exactly the first two records: a block that ends
+        // on the boundary closes there.
+        assert_eq!(recs[0].1.len() + recs[1].1.len(), 110);
+        for (block_bytes, bits_per_key, len, digest) in [
+            (256, 10, 6343, 0x962f_16fd_7221_98ff_u64),
+            (4096, 10, 5965, 0xc7db_dd67_2718_316c),
+            (110, 10, 6905, 0xde15_d963_d6a8_161f),
+            (1, 7, 7881, 0x28f0_e0f0_1365_edaf),
+        ] {
+            let built = build_run(&recs, block_bytes, bits_per_key);
+            let mut h = Fnv1a::new();
+            h.update(&built.bytes);
+            assert_eq!(built.bytes.len(), len, "block {block_bytes}");
+            assert_eq!(h.digest(), digest, "block {block_bytes}");
+        }
+    }
+
+    fn index_of(built: &BuiltRun) -> Vec<BlockEntry> {
+        let start = built.footer.data_len as usize;
+        decode_index(&built.bytes[start..start + built.footer.index_len as usize]).unwrap()
+    }
+
+    #[test]
+    fn writer_emits_each_block_as_it_closes() {
+        let recs = sorted_records(40);
+        let built = build_run(&recs, 256, 10);
+        let blocks = index_of(&built);
+        let mut chunks: Vec<Vec<u8>> = Vec::new();
+        let mut sink = |chunk: &[u8]| {
+            chunks.push(chunk.to_vec());
+            Ok(())
+        };
+        let mut writer = RunWriter::new(&mut sink, recs.len() as u64, 256, 10);
+        for (key, bytes) in &recs {
+            writer.add(*key, bytes).unwrap();
+        }
+        writer.finish().unwrap();
+        // One chunk per data block, then index, bloom and footer — and
+        // together they are exactly the in-memory image.
+        assert_eq!(chunks.len(), blocks.len() + 3);
+        for (chunk, entry) in chunks.iter().zip(&blocks) {
+            assert_eq!(chunk.len() as u64, entry.len);
+        }
+        assert_eq!(chunks.concat(), built.bytes);
+    }
+
+    #[test]
+    fn writer_refuses_disorder_and_miscounts() {
+        let recs = sorted_records(3);
+        let mut sink = |_: &[u8]| Ok(());
+        let corrupt = |r: Result<(), StoreError>| matches!(r, Err(StoreError::Corrupt { .. }));
+        // A repeated or falling key.
+        let mut w = RunWriter::new(&mut sink, 3, 256, 10);
+        w.add(recs[1].0, &recs[1].1).unwrap();
+        assert!(corrupt(w.add(recs[1].0, &recs[1].1)));
+        assert!(corrupt(w.add(recs[0].0, &recs[0].1)));
+        // Fewer records than expected.
+        let mut w = RunWriter::new(&mut sink, 3, 256, 10);
+        w.add(recs[0].0, &recs[0].1).unwrap();
+        assert!(corrupt(w.finish().map(|_| ())));
+        // More records than expected.
+        let mut w = RunWriter::new(&mut sink, 1, 256, 10);
+        w.add(recs[0].0, &recs[0].1).unwrap();
+        assert!(corrupt(w.add(recs[1].0, &recs[1].1)));
+        // An empty run.
+        let w = RunWriter::new(&mut sink, 0, 256, 10);
+        assert!(corrupt(w.finish().map(|_| ())));
+    }
+
+    #[test]
+    fn cursor_rejects_bytes_the_index_does_not_count() {
+        let dir = std::env::temp_dir().join(format!("dnacomp-sst-trail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // One record per block; then re-encode the index claiming the
+        // last block holds none (same length, fresh checksum).
+        let built = build_run(&sorted_records(4), 1, 10);
+        let mut blocks = index_of(&built);
+        blocks.last_mut().unwrap().records = 0;
+        let mut image = built.bytes.clone();
+        let start = built.footer.data_len as usize;
+        let index = encode_index(&blocks);
+        image[start..start + index.len()].copy_from_slice(&index);
+        std::fs::write(run_path(&dir, 3), &image).unwrap();
+        let handle = RunHandle::new(RunMeta {
+            id: 3,
+            level: 1,
+            records: 4,
+            bytes: image.len() as u64,
+            min_key: built.footer.min_key,
+            max_key: built.footer.max_key,
+        });
+        let mut seen = 0;
+        let walk = handle.for_each_record(&dir, |_, _| {
+            seen += 1;
+            Ok(())
+        });
+        assert!(matches!(walk, Err(StoreError::Corrupt { .. })), "{walk:?}");
+        assert_eq!(seen, 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -35,13 +35,14 @@
 //!
 //! ## Durability: group commit
 //!
-//! With [`StoreConfig::group_commit_window`] set (the default), appends
-//! do not fsync individually. A committing thread waits on the group
-//! scheduler; the first waiter sleeps the window, then fsyncs every
-//! dirty segment *then* the manifest on behalf of the whole batch (see
-//! [`crate::wal`]). Level transitions fsync inline before any source
-//! file is deleted, so the manifest never references bytes that are
-//! gone. `group_commit_window: None` restores one-fsync-per-append.
+//! With [`StoreConfig::sync`] on, appends only *write*; a committing
+//! thread then waits on the group scheduler. If no batch is in flight
+//! it leads one at once: under the writer lock it fsyncs every dirty
+//! segment *then* the manifest on behalf of every append made so far.
+//! Appends that land during that fsync wait and form the next batch
+//! (see [`crate::wal`]). Level transitions fsync inline before any
+//! source file is deleted, so the manifest never references bytes that
+//! are gone.
 //!
 //! Maintenance (sealing, merging) piggybacks on `put` after its commit
 //! point and swallows its own failures into a counter — a put whose
@@ -55,7 +56,7 @@ use crate::manifest::{self, Entry, Location};
 use crate::record::{ContentKey, Record};
 use crate::segment::{self, SegmentInfo};
 use crate::sstable::{self, RunHandle};
-use crate::wal::GroupCommit;
+use crate::wal::{GroupCommit, Queued};
 use dnacomp_algos::CompressedBlob;
 use dnacomp_cloud::FaultPlan;
 use dnacomp_seq::PackedSeq;
@@ -65,7 +66,6 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 /// Store tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -99,11 +99,6 @@ pub struct StoreConfig {
     pub run_block_bytes: usize,
     /// Block cache budget in bytes; `0` disables the cache.
     pub cache_bytes: u64,
-    /// Group-commit window: how long a batch leader waits for fellow
-    /// committers before fsyncing for all of them. `None` restores the
-    /// legacy one-fsync-per-append behaviour. Ignored when `sync` is
-    /// off.
-    pub group_commit_window: Option<Duration>,
 }
 
 impl Default for StoreConfig {
@@ -119,7 +114,6 @@ impl Default for StoreConfig {
             bloom_bits_per_key: 10,
             run_block_bytes: 4096,
             cache_bytes: 32 << 20,
-            group_commit_window: Some(Duration::from_millis(2)),
         }
     }
 }
@@ -533,7 +527,7 @@ impl SequenceStore {
             runs: Mutex::new(runs),
             tombstones: Mutex::new(tombs),
             cache: BlockCache::new(config.cache_bytes),
-            gc: GroupCommit::new(config.group_commit_window),
+            gc: GroupCommit::new(),
             scrub_pos: Mutex::new((0, 0)),
             dir,
             config,
@@ -613,6 +607,7 @@ impl SequenceStore {
         };
         let bytes = record.encode();
 
+        let queued = self.gc.queue();
         let mut w = self.lock_writer();
         if w.dead {
             return Err(StoreError::Crashed);
@@ -629,7 +624,7 @@ impl SequenceStore {
             lock_plain(&self.tombstones).remove(&key);
             self.dedup_hits.fetch_add(1, Ordering::Relaxed);
             drop(w);
-            self.wait_durable(seq_no)?;
+            self.wait_durable(queued, seq_no)?;
             return deduped;
         }
         // Authoritative run-level dedup check. An error here is a real
@@ -651,7 +646,7 @@ impl SequenceStore {
         // turn a committed put into an error.
         self.maybe_maintain(&mut w);
         drop(w);
-        self.wait_durable(seq_no)?;
+        self.wait_durable(queued, seq_no)?;
         Ok(PutOutcome {
             key,
             deduped: false,
@@ -802,6 +797,7 @@ impl SequenceStore {
     /// tombstone (`RemoveRun`) and its bytes stay until the next merge
     /// of that run reclaims them.
     pub fn remove(&self, key: &ContentKey) -> Result<bool, StoreError> {
+        let queued = self.gc.queue();
         let mut w = self.lock_writer();
         if w.dead {
             return Err(StoreError::Crashed);
@@ -815,7 +811,7 @@ impl SequenceStore {
             }
             self.removes.fetch_add(1, Ordering::Relaxed);
             drop(w);
-            self.wait_durable(seq_no)?;
+            self.wait_durable(queued, seq_no)?;
             return Ok(true);
         }
         if self.tombstone_of(key).is_some() {
@@ -838,7 +834,7 @@ impl SequenceStore {
                 );
                 self.removes.fetch_add(1, Ordering::Relaxed);
                 drop(w);
-                self.wait_durable(seq_no)?;
+                self.wait_durable(queued, seq_no)?;
                 Ok(true)
             }
             None => Ok(false),
@@ -1026,9 +1022,9 @@ impl SequenceStore {
     }
 
     /// Append encoded record bytes to the active segment (rolling it if
-    /// full) and return the committed-to-be location. Under group
-    /// commit the bytes are only *written* here; the batch leader
-    /// fsyncs them (segments always before manifest).
+    /// full) and return the committed-to-be location. The bytes are
+    /// only *written* here; the batch leader fsyncs them (segments
+    /// always before manifest).
     pub(crate) fn append_record(
         &self,
         w: &mut Writer,
@@ -1062,15 +1058,7 @@ impl SequenceStore {
         let sink = Sink::Segment(w.active);
         self.faulted_write(w, sink, bytes)?;
         if self.config.sync {
-            if self.config.group_commit_window.is_some() {
-                w.active_dirty = true;
-            } else {
-                w.active_file
-                    .as_ref()
-                    .expect("active segment just opened")
-                    .sync_all()
-                    .map_err(|e| StoreError::io("syncing segment", e))?;
-            }
+            w.active_dirty = true;
         }
         w.active_end = offset + len;
         Ok(Location {
@@ -1087,24 +1075,18 @@ impl SequenceStore {
     pub(crate) fn append_manifest(&self, w: &mut Writer, entry: &Entry) -> Result<u64, StoreError> {
         let bytes = entry.encode();
         self.faulted_write(w, Sink::Manifest, &bytes)?;
-        let seq_no = self.gc.note_append();
         if self.config.sync {
-            if self.config.group_commit_window.is_some() {
-                w.manifest_dirty = true;
-            } else {
-                w.manifest
-                    .sync_all()
-                    .map_err(|e| StoreError::io("syncing manifest", e))?;
-                self.gc.note_synced(seq_no);
-            }
+            w.manifest_dirty = true;
         }
-        Ok(seq_no)
+        Ok(self.gc.note_append())
     }
 
-    /// Block until `seq_no` is durable (group-commit mode only; inline
-    /// and no-sync modes made it durable — or chose not to — already).
-    pub(crate) fn wait_durable(&self, seq_no: u64) -> Result<(), StoreError> {
-        if self.config.sync && self.config.group_commit_window.is_some() {
+    /// Leave the append queue, then block until `seq_no` is durable,
+    /// leading an fsync batch if none is in flight and no writer is
+    /// queued behind this one (a no-op when `sync` is off).
+    fn wait_durable(&self, queued: Queued<'_>, seq_no: u64) -> Result<(), StoreError> {
+        drop(queued);
+        if self.config.sync {
             self.gc.wait_durable(seq_no, || self.sync_dirty())
         } else {
             Ok(())
@@ -1186,64 +1168,56 @@ impl SequenceStore {
     fn faulted_write(&self, w: &mut Writer, sink: Sink, buf: &[u8]) -> Result<(), StoreError> {
         let name = sink.name();
         let cut = self.faulted_cut(w, &name, buf.len());
-        let kept = cut.unwrap_or(buf.len());
-        let write = |w: &mut Writer, data: &[u8]| -> std::io::Result<()> {
-            match sink {
-                Sink::Segment(_) => w
-                    .active_file
-                    .as_mut()
-                    .expect("segment writes follow an open")
-                    .write_all(data),
-                Sink::Manifest => w.manifest.write_all(data),
-            }
+        let file = match sink {
+            Sink::Segment(_) => w
+                .active_file
+                .as_mut()
+                .expect("segment writes follow an open"),
+            Sink::Manifest => &mut w.manifest,
         };
-        write(w, &buf[..kept]).map_err(|e| StoreError::io("appending store file", e))?;
-        match cut {
-            None => Ok(()),
-            Some(kept) => {
-                // Even the surviving prefix is flushed, so reopening
-                // this very directory sees exactly the torn state.
-                let _ = match sink {
-                    Sink::Segment(_) => w.active_file.as_ref().map(|f| f.sync_all()),
-                    Sink::Manifest => Some(w.manifest.sync_all()),
-                };
-                w.dead = true;
-                Err(StoreError::TornWrite {
-                    file: name,
-                    kept,
-                    asked: buf.len(),
-                })
-            }
-        }
+        let written = write_or_tear(file, &name, buf, cut);
+        w.dead |= cut.is_some();
+        written
     }
 
-    /// Create `path` with `bytes`, through the same fault machinery as
-    /// appends (run files and manifest checkpoints get byte-granular
-    /// kill points too). Returns the open handle for the caller to
-    /// fsync before renaming into place.
-    pub(crate) fn write_new_file(
+    /// Append `buf` to a file the store is creating — a run or a
+    /// manifest checkpoint — through the same fault machinery as
+    /// segment and manifest appends, so every chunk of those files is a
+    /// byte-granular kill point too.
+    pub(crate) fn faulted_write_file(
         &self,
         w: &mut Writer,
-        fault_name: &str,
-        path: &Path,
-        bytes: &[u8],
-    ) -> Result<File, StoreError> {
-        let cut = self.faulted_cut(w, fault_name, bytes.len());
-        let kept = cut.unwrap_or(bytes.len());
-        let mut f = File::create(path).map_err(|e| StoreError::io("creating store file", e))?;
-        f.write_all(&bytes[..kept])
-            .map_err(|e| StoreError::io("writing store file", e))?;
-        match cut {
-            None => Ok(f),
-            Some(kept) => {
-                let _ = f.sync_all();
-                w.dead = true;
-                Err(StoreError::TornWrite {
-                    file: fault_name.to_owned(),
-                    kept,
-                    asked: bytes.len(),
-                })
-            }
+        name: &str,
+        file: &mut File,
+        buf: &[u8],
+    ) -> Result<(), StoreError> {
+        let cut = self.faulted_cut(w, name, buf.len());
+        let written = write_or_tear(file, name, buf, cut);
+        w.dead |= cut.is_some();
+        written
+    }
+}
+
+/// Write `buf`, or only its first `cut` bytes. A torn prefix is flushed
+/// so that reopening this very directory sees exactly the torn state.
+fn write_or_tear(
+    file: &mut File,
+    name: &str,
+    buf: &[u8],
+    cut: Option<usize>,
+) -> Result<(), StoreError> {
+    let kept = cut.unwrap_or(buf.len());
+    file.write_all(&buf[..kept])
+        .map_err(|e| StoreError::io("appending store file", e))?;
+    match cut {
+        None => Ok(()),
+        Some(kept) => {
+            let _ = file.sync_all();
+            Err(StoreError::TornWrite {
+                file: name.to_owned(),
+                kept,
+                asked: buf.len(),
+            })
         }
     }
 }
@@ -1478,11 +1452,13 @@ mod tests {
         let dir = tmp_dir("gc");
         let config = StoreConfig {
             sync: true,
-            group_commit_window: Some(Duration::from_millis(2)),
             ..StoreConfig::default()
         };
         let store = Arc::new(SequenceStore::open(&dir, config).unwrap());
-        let threads: Vec<_> = (0..4u8)
+        // Each leader fsyncs at once. Writers that arrive during its
+        // fsync queue on the writer lock, append once it is released,
+        // and the last of them leads one batch for them all.
+        let threads: Vec<_> = (0..8u8)
             .map(|t| {
                 let store = Arc::clone(&store);
                 std::thread::spawn(move || {
@@ -1497,17 +1473,101 @@ mod tests {
             t.join().unwrap();
         }
         let snap = store.snapshot();
-        assert_eq!(snap.records, 32);
-        assert_eq!(snap.wal_appends, 32);
+        assert_eq!(snap.records, 64);
+        assert_eq!(snap.wal_appends, 64);
         assert!(snap.wal_batches > 0);
         assert!(
             snap.wal_batches < snap.wal_appends,
-            "4 threads in a 2 ms window must share fsync batches: {snap:?}"
+            "8 concurrent writers must share fsync batches: {snap:?}"
         );
         drop(store);
         let store = SequenceStore::open(&dir, StoreConfig::default()).unwrap();
-        assert_eq!(store.len(), 32);
+        assert_eq!(store.len(), 64);
         assert!(store.verify().is_clean());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A merge validates its inputs as it streams them, so a damaged
+    /// input can fail it after part of the output run is written. The
+    /// failure must still leave the store exactly as it was.
+    #[test]
+    fn merge_failing_mid_stream_leaves_every_input_in_place() {
+        let dir = tmp_dir("merge-fail");
+        // Three level-1 runs from explicit seals (automatic maintenance
+        // off), with one record per data block.
+        let build = StoreConfig {
+            l0_seal_segments: 0,
+            run_block_bytes: 1,
+            ..small_segments()
+        };
+        let store = SequenceStore::open(&dir, build).unwrap();
+        for i in 0..18u8 {
+            let s = seq(format!("GATC{}", "A".repeat(i as usize + 1)).as_bytes());
+            store.put(&s, &blob(&s, &[i; 24])).unwrap();
+            if i % 6 == 5 {
+                store.compact_level(0).unwrap();
+            }
+        }
+        let victim = lock_plain(&store.runs).values().next().cloned().unwrap();
+        assert_eq!(store.snapshot().runs, 3);
+        // Its last record follows at least two others in key order, so
+        // the merge has emitted output blocks before it reaches it.
+        assert!(victim.meta.records >= 3, "{:?}", victim.meta);
+        let last = *victim.load(&dir).unwrap().blocks.last().unwrap();
+        drop(store);
+        let path = sstable::run_path(&dir, victim.meta.id);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[(last.offset + last.len / 2) as usize] ^= 0x01;
+        fs::write(&path, &bytes).unwrap();
+
+        let files = |dir: &Path| -> BTreeMap<String, Vec<u8>> {
+            fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap())
+                .map(|e| (e.file_name().into_string().unwrap(), fs::read(e.path()).unwrap()))
+                .collect()
+        };
+        let runs_before: Vec<_> = files(&dir)
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("run-"))
+            .collect();
+        let manifest_before = fs::read(manifest::manifest_path(&dir)).unwrap();
+        // Reopen so that the next put's maintenance merges level 1.
+        let store = SequenceStore::open(
+            &dir,
+            StoreConfig {
+                l0_seal_segments: 1000,
+                level_fanout: 3,
+                ..build
+            },
+        )
+        .unwrap();
+        let s = seq(b"TTTTCCCCGGGGAAAA");
+        let key = store.put(&s, &blob(&s, &[99; 24])).unwrap().key;
+        let snap = store.snapshot();
+        assert_eq!(snap.maintenance_failures, 1, "{snap:?}");
+        assert_eq!(snap.merges, 0);
+        // Inputs untouched, no temp file, and the manifest gained only
+        // the put's own entry.
+        let check_untouched = |store: &SequenceStore| {
+            let now = files(&dir);
+            assert!(!now.keys().any(|n| n.ends_with(".tmp")), "{:?}", now.keys());
+            let runs_now: Vec<_> = now
+                .into_iter()
+                .filter(|(name, _)| name.starts_with("run-"))
+                .collect();
+            assert!(runs_now == runs_before, "input runs changed");
+            let location = store.index.get(&key).unwrap();
+            let added = Entry::Add { key, location }.encode();
+            let manifest_now = fs::read(manifest::manifest_path(&dir)).unwrap();
+            assert!(manifest_now == [manifest_before.as_slice(), &added].concat());
+        };
+        check_untouched(&store);
+        // Asked directly, the merge reports the damage as typed.
+        let err = store.compact_level(1).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+        check_untouched(&store);
+        assert_eq!(store.len(), 19);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -161,9 +161,10 @@ LSM engine with bloom-filtered sorted runs, a block cache, and a
 group-committed manifest WAL (`stat` prints the engine counters and
 per-level occupancy; `compact --level` reclaims one level surgically;
 `scrub` audits run records from disk). bench-store measures open time
-vs object count, hot-get throughput with the cache on and off, and put
-throughput with and without group commit, writing BENCH_store.json
-(--quick is the CI gate).";
+vs object count, hot-get throughput with the cache on and off, and sync
+put throughput from one writer and from several (with the fsync
+batching group commit achieves), writing BENCH_store.json (--quick is
+the CI gate).";
 
 fn run(args: &[String]) -> Result<(), CliError> {
     match args.first().map(String::as_str) {
@@ -1349,8 +1350,9 @@ fn cmd_bench_algos(args: &[String]) -> Result<(), CliError> {
 /// `dnacomp bench-store` — the LSM engine numbers behind
 /// BENCH_store.json: open time vs object count (manifest-cost
 /// sub-linearity), hot-get throughput with the block cache on vs off,
-/// and put throughput with group commit vs inline fsync. `--quick` is
-/// the CI smoke shape and asserts the headline claims hold.
+/// and sync put throughput from one writer and from several, with the
+/// group-commit batching of the latter. `--quick` is the CI smoke shape
+/// and asserts the headline claims hold.
 fn cmd_bench_store(args: &[String]) -> Result<(), CliError> {
     let (flags, _) = parse_flags(args);
     let quick = flags.get("quick").map(String::as_str) == Some("true");
@@ -1412,10 +1414,11 @@ fn cmd_bench_store(args: &[String]) -> Result<(), CliError> {
             report.cache_hit_rate * 100.0
         );
         println!(
-            "puts (sync): {:.0}/s group-committed vs {:.0}/s inline fsync; \
+            "puts (sync): {:.0}/s from 1 writer vs {:.0}/s from {} writers; \
              {} appends in {} fsync batches",
-            report.put_grouped_per_sec,
-            report.put_inline_per_sec,
+            report.put_sync_1_thread_per_sec,
+            report.put_sync_concurrent_per_sec,
+            report.commit_threads,
             report.wal_appends,
             report.wal_batches
         );
