@@ -4,12 +4,23 @@
 //!
 //! ```text
 //! 0..2   magic  b"DX"
-//! 2      format version (1)
+//! 2      format version (1, 2 or 3)
 //! 3      algorithm tag
 //! 4..    uvarint: original length in bases
 //! ..     u64 LE: FNV-1a checksum of the original packed words
-//! ..     payload (algorithm-specific bit stream)
+//! ..     payload
 //! ```
+//!
+//! A container is **flat** or **framed**. A flat container (version 1,
+//! arithmetic-coded, or 2, the rANS speed tier) carries one
+//! algorithm-specific bit stream as its payload. A framed container
+//! ([`VERSION_FRAMED`]) carries the block size followed by one flat
+//! container per fixed-size block (layout and checks in
+//! [`crate::frame`]); its header's length and checksum cover the whole
+//! sequence. Both decode through [`crate::Compressor::decompress`],
+//! and every codec's `decompress_with_stats` refuses a framed container
+//! through [`CompressedBlob::expect_algorithm`], so block records are
+//! never read as a flat payload.
 //!
 //! The checksum lets the decompressor prove integrity end-to-end — the
 //! paper's scenario ships blobs through a cloud blob store, and silent
@@ -28,6 +39,9 @@ pub const VERSION: u8 = 1;
 /// branch on the version byte, so every v1 blob ever written still
 /// decodes bit-exactly through the legacy arithmetic path.
 pub const VERSION_SPEED: u8 = 2;
+/// Framed container version: the payload is a block size followed by
+/// per-block flat containers ([`crate::frame`]).
+pub const VERSION_FRAMED: u8 = 3;
 
 /// Upper bound on any allocation a decoder makes *up front* from the
 /// container header, in bases (4 Mi ≈ one bacterial chromosome).
@@ -199,9 +213,10 @@ impl std::fmt::Display for Algorithm {
 /// A compressed sequence: container metadata plus algorithm payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompressedBlob {
-    /// Container format version ([`VERSION`] or [`VERSION_SPEED`]).
-    /// Decoders branch on this to pick the legacy arithmetic path (v1)
-    /// or the rANS speed-tier path (v2).
+    /// Container format version ([`VERSION`], [`VERSION_SPEED`] or
+    /// [`VERSION_FRAMED`]). Decoders branch on this to pick the legacy
+    /// arithmetic path (v1), the rANS speed-tier path (v2) or the
+    /// block-by-block frame decoder (v3).
     pub version: u8,
     /// Which algorithm produced the payload.
     pub algorithm: Algorithm,
@@ -209,7 +224,8 @@ pub struct CompressedBlob {
     pub original_len: usize,
     /// FNV-1a of the original packed words (tail bits zeroed).
     pub checksum: u64,
-    /// Algorithm-specific payload.
+    /// Algorithm-specific payload, or the frame body of a framed
+    /// container.
     pub payload: Vec<u8>,
 }
 
@@ -266,19 +282,31 @@ impl CompressedBlob {
         out
     }
 
-    /// Parse from the wire format.
+    /// `true` for a framed container ([`VERSION_FRAMED`]).
+    pub fn is_framed(&self) -> bool {
+        self.version == VERSION_FRAMED
+    }
+
+    /// Parse from the wire format. A framed container's header must
+    /// also pass the frame's length, block-size and affordability
+    /// checks ([`crate::frame::parse_header`]); its block records are
+    /// checked when it is decoded.
     pub fn from_bytes(bytes: &[u8]) -> Result<CompressedBlob, CodecError> {
         if bytes.len() < 4 || bytes[0..2] != MAGIC {
             return Err(CodecError::Corrupt("bad container magic"));
         }
         let version = bytes[2];
-        if version != VERSION && version != VERSION_SPEED {
+        if !matches!(version, VERSION | VERSION_SPEED | VERSION_FRAMED) {
             return Err(CodecError::UnknownFormat(version));
         }
         let algorithm = Algorithm::from_tag(bytes[3])?;
         let mut pos = 4;
-        let original_len = read_uvarint(bytes, &mut pos)? as usize;
+        let original_len = read_uvarint(bytes, &mut pos)?;
         let checksum = read_u64_le(bytes, &mut pos)?;
+        if version == VERSION_FRAMED {
+            crate::frame::parse_header(original_len, &bytes[pos..])?;
+        }
+        let original_len = original_len as usize;
         Ok(CompressedBlob {
             version,
             algorithm,
@@ -310,8 +338,13 @@ impl CompressedBlob {
         self.original_len.min(MAX_PREALLOC_BASES)
     }
 
-    /// Check the blob belongs to `algorithm` and carries a plausible
-    /// header (decoders call this first).
+    /// Check the blob belongs to `algorithm` and is a flat container
+    /// with a plausible header (decoders call this first).
+    ///
+    /// A framed container is refused with
+    /// `UnknownFormat(VERSION_FRAMED)`: its payload is block records,
+    /// not this algorithm's bit stream, and it decodes through
+    /// [`crate::Compressor::decompress`] instead.
     ///
     /// Rejecting `original_len > MAX_PREALLOC_BASES` here bounds not
     /// just decoder *memory* but decoder *work*: decode loops run
@@ -324,6 +357,9 @@ impl CompressedBlob {
     pub fn expect_algorithm(&self, algorithm: Algorithm) -> Result<(), CodecError> {
         if self.algorithm != algorithm {
             return Err(CodecError::UnknownFormat(self.algorithm.tag()));
+        }
+        if self.is_framed() {
+            return Err(CodecError::UnknownFormat(VERSION_FRAMED));
         }
         if self.original_len > MAX_PREALLOC_BASES {
             return Err(CodecError::Corrupt("declared length exceeds container limit"));
@@ -380,7 +416,9 @@ mod tests {
     fn from_bytes_rejects_garbage() {
         assert!(CompressedBlob::from_bytes(b"").is_err());
         assert!(CompressedBlob::from_bytes(b"XY\x01\x00").is_err());
-        assert!(CompressedBlob::from_bytes(b"DX\x03\x00").is_err()); // bad version
+        assert!(CompressedBlob::from_bytes(b"DX\x04\x00").is_err()); // bad version
+        // A framed version whose header is cut off before the frame body:
+        assert!(CompressedBlob::from_bytes(b"DX\x03\x00\x10").is_err());
         assert!(CompressedBlob::from_bytes(b"DX\x01\x63").is_err()); // bad algo
         // Truncated after header start:
         assert!(CompressedBlob::from_bytes(b"DX\x01\x03\x10").is_err());
@@ -415,5 +453,13 @@ mod tests {
         let blob = CompressedBlob::new(Algorithm::Dnax, &sample_seq(), vec![]);
         assert!(blob.expect_algorithm(Algorithm::Dnax).is_ok());
         assert!(blob.expect_algorithm(Algorithm::Ctw).is_err());
+        let framed = CompressedBlob {
+            version: VERSION_FRAMED,
+            ..blob
+        };
+        assert_eq!(
+            framed.expect_algorithm(Algorithm::Dnax),
+            Err(CodecError::UnknownFormat(VERSION_FRAMED))
+        );
     }
 }

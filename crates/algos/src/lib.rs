@@ -96,10 +96,13 @@ pub trait Compressor: Send + Sync {
         seq: &PackedSeq,
     ) -> Result<(CompressedBlob, ResourceStats), CodecError>;
 
-    /// Decompress a blob produced by this algorithm, with statistics.
+    /// Decompress a flat blob produced by this algorithm, with
+    /// statistics.
     ///
     /// Implementations must verify the container checksum and reject
-    /// blobs from other algorithms with [`CodecError::UnknownFormat`].
+    /// blobs from other algorithms, and framed containers, with
+    /// [`CodecError::UnknownFormat`] (both through
+    /// [`CompressedBlob::expect_algorithm`]).
     fn decompress_with_stats(
         &self,
         blob: &CompressedBlob,
@@ -110,8 +113,16 @@ pub trait Compressor: Send + Sync {
         self.compress_with_stats(seq).map(|(b, _)| b)
     }
 
-    /// Decompress, discarding statistics.
+    /// Decompress a flat or framed container, discarding statistics.
+    ///
+    /// A flat container goes to
+    /// [`decompress_with_stats`](Self::decompress_with_stats); a framed
+    /// one ([`blob::VERSION_FRAMED`]) is decoded block by block with
+    /// this codec, and its whole-sequence checksum is verified.
     fn decompress(&self, blob: &CompressedBlob) -> Result<PackedSeq, CodecError> {
+        if blob.is_framed() {
+            return frame::decompress_framed(self, blob);
+        }
         self.decompress_with_stats(blob).map(|(s, _)| s)
     }
 

@@ -1,9 +1,10 @@
 //! Block-parallel compression over the shared [`TaskPool`].
 //!
-//! [`ParallelCompressor`] adapts any [`Compressor`] to the framed block
-//! container: it splits the sequence into fixed-size blocks (cheap —
-//! [`PackedSeq::slice`] is a word copy), compresses/decompresses the
-//! blocks as one pool batch, and assembles the results in order.
+//! [`ParallelCompressor`] adapts any [`Compressor`] to the framed `DX`
+//! container ([`crate::frame`]): it splits the sequence into fixed-size
+//! blocks (cheap — [`PackedSeq::slice`] is a word copy),
+//! compresses/decompresses the blocks as one pool batch, and assembles
+//! the results in order.
 //!
 //! **Determinism contract:** the frame bytes are a pure function of
 //! `(algorithm, block_size, sequence)` — identical for any pool size,
@@ -13,7 +14,7 @@
 //! `tests/blocks.rs` proves both directions bit-exact for every
 //! algorithm.
 
-use crate::blob::Algorithm;
+use crate::blob::{Algorithm, MAX_PREALLOC_BASES};
 use crate::frame::{self, FramedBlob};
 use crate::pool::TaskPool;
 use crate::stats::ResourceStats;
@@ -93,6 +94,7 @@ impl ParallelCompressor {
         }
         Ok((
             FramedBlob {
+                algorithm: self.algorithm,
                 block_size: self.block_size,
                 total_len: seq.len(),
                 checksum: fnv1a(seq.as_words()),
@@ -103,9 +105,14 @@ impl ParallelCompressor {
     }
 
     /// Decompress a frame, one pool task per block. Accepts frames from
-    /// any encoder and any block algorithm mix; per-block and
-    /// whole-frame checksums are both verified.
+    /// any encoder; per-block and whole-frame checksums are both
+    /// verified.
     pub fn decompress(&self, frame: &FramedBlob) -> Result<PackedSeq, CodecError> {
+        let codec: Arc<dyn Compressor> = if frame.algorithm == self.algorithm {
+            Arc::clone(&self.inner)
+        } else {
+            Arc::from(compressor_for(frame.algorithm))
+        };
         let jobs: Vec<_> = frame
             .blocks
             .iter()
@@ -113,13 +120,9 @@ impl ParallelCompressor {
             .map(|(index, block)| {
                 let block = block.clone();
                 let expected = frame.block_len(index);
-                let codec: Arc<dyn Compressor> = if block.algorithm == self.algorithm {
-                    Arc::clone(&self.inner)
-                } else {
-                    Arc::from(compressor_for(block.algorithm))
-                };
+                let codec = Arc::clone(&codec);
                 move || {
-                    let decoded = codec.decompress(&block)?;
+                    let (decoded, _) = codec.decompress_with_stats(&block)?;
                     if decoded.len() != expected {
                         return Err(CodecError::Corrupt("frame block decoded to wrong length"));
                     }
@@ -127,7 +130,7 @@ impl ParallelCompressor {
                 }
             })
             .collect();
-        let mut out = PackedSeq::with_capacity(frame.total_len);
+        let mut out = PackedSeq::with_capacity(frame.total_len.min(MAX_PREALLOC_BASES));
         for decoded in self.pool.run_batch(jobs) {
             out.extend_from_seq(&decoded?);
         }

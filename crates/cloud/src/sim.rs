@@ -22,13 +22,13 @@
 //! legacy totals, and `retries`, `wasted_ms` and `integrity_failures`
 //! stay zero.
 
-use crate::blobstore::BlobStore;
+use crate::blobstore::{BlobHandle, BlobStore};
 use crate::error::{ExchangeError, ExchangePhase};
 use crate::fault::FaultPlan;
 use crate::machine::{ClientContext, MachineSpec};
 use crate::perf::PerfModel;
 use crate::retry::RetryPolicy;
-use dnacomp_algos::{Algorithm, Compressor};
+use dnacomp_algos::{Algorithm, CompressedBlob, Compressor};
 use dnacomp_codec::checksum::fnv1a;
 use dnacomp_codec::CodecError;
 use dnacomp_seq::PackedSeq;
@@ -233,7 +233,7 @@ impl CloudSim {
         let nominal_up = self
             .perf
             .upload_ms(ctx, alg, file, bytes.len(), cstats.peak_heap_bytes);
-        let blob_name = format!("{file}.{}.dx", alg.name().to_ascii_lowercase());
+        let blob_name = blob_name(file, alg);
         let total_bytes = bytes.len().max(1) as f64;
         let n_blocks = self.store.blocks_for(bytes.len());
         let mut upload_ms = 0.0;
@@ -341,7 +341,7 @@ impl CloudSim {
             }
         }
         // 4. Decompress at the cloud VM and verify the roundtrip.
-        let parsed = dnacomp_algos::CompressedBlob::from_bytes(&fetched)?;
+        let parsed = CompressedBlob::from_bytes(&fetched)?;
         let (decoded, dstats) = compressor.decompress_with_stats(&parsed)?;
         if &decoded != seq {
             return Err(CodecError::Corrupt("roundtrip mismatch").into());
@@ -366,6 +366,26 @@ impl CloudSim {
             degraded_from: Vec::new(),
         })
     }
+
+    /// The container the last successful exchange of `file` with `alg`
+    /// committed to the storage account: the exact bytes it uploaded
+    /// and verified.
+    pub fn shipped(&self, file: &str, alg: Algorithm) -> Result<CompressedBlob, CodecError> {
+        let handle = BlobHandle {
+            container: self.container.clone(),
+            name: blob_name(file, alg),
+        };
+        let bytes = self
+            .store
+            .download(&handle)
+            .ok_or(CodecError::Corrupt("exchanged blob missing from the store"))?;
+        CompressedBlob::from_bytes(&bytes)
+    }
+}
+
+/// Storage-account name of `file`'s blob compressed with `alg`.
+fn blob_name(file: &str, alg: Algorithm) -> String {
+    format!("{file}.{}.dx", alg.name().to_ascii_lowercase())
 }
 
 #[cfg(test)]
@@ -398,8 +418,12 @@ mod tests {
         assert_eq!(r.wasted_ms, 0.0);
         assert_eq!(r.integrity_failures, 0);
         assert!(r.degraded_from.is_empty());
-        // Blob actually stored.
+        // Blob actually stored, and it is the container that shipped.
         assert_eq!(sim.store.list("sequences").len(), 1);
+        let shipped = sim.shipped("f1", Algorithm::Dnax).unwrap();
+        assert_eq!(shipped, Dnax::default().compress(&seq).unwrap());
+        assert_eq!(shipped.total_bytes(), r.compressed_bytes);
+        assert!(sim.shipped("f1", Algorithm::Ctw).is_err());
     }
 
     #[test]

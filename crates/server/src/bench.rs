@@ -32,7 +32,15 @@
 //! numbers that genuinely reflect the run are the **wall-clock**
 //! per-job latencies (`wall_latency_*_ms`): submission→completion
 //! times of real jobs on real threads, aggregated as *exact* sample
-//! percentiles, not histogram-bucket upper bounds.
+//! percentiles, not histogram-bucket upper bounds. Each row also
+//! reports `cpu_ms_per_job`: the process's user+system CPU over the
+//! replay divided by the completed jobs.
+//!
+//! With [`BenchConfig::store`] set, every replayed service persists
+//! each result into a fresh store of its own, so a row prices the
+//! whole write path; with [`BenchConfig::block_size`] as well, the
+//! framed containers the block-parallel path builds are what the store
+//! keeps.
 
 use crate::metrics::MetricsSnapshot;
 use crate::queue::Priority;
@@ -45,7 +53,10 @@ use dnacomp_cloud::context_grid;
 use dnacomp_ml::TreeMethod;
 use dnacomp_seq::corpus::CorpusBuilder;
 use dnacomp_seq::PackedSeq;
+use dnacomp_store::{SequenceStore, StoreConfig};
 use serde::{Deserialize, Serialize};
+use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Train a framework on a synthetic labelled grid in milliseconds.
@@ -113,8 +124,14 @@ pub struct BenchConfig {
     /// Run full exchanges instead of compress-only jobs.
     pub exchange: bool,
     /// Block-parallel threshold for the replayed service
-    /// ([`ServiceConfig::block_size`]); `None` keeps flat blobs.
+    /// ([`ServiceConfig::block_size`]); `None` frames only jobs too long
+    /// for one flat blob.
     pub block_size: Option<usize>,
+    /// Persist-on-complete: each replay opens a fresh store at
+    /// `<dir>/workers-<n>` and attaches it to its service
+    /// ([`ServiceConfig::store`]). The directory must be empty or
+    /// absent. `None` keeps the service stateless.
+    pub store: Option<PathBuf>,
 }
 
 impl Default for BenchConfig {
@@ -128,6 +145,7 @@ impl Default for BenchConfig {
             max_len: 64 * 1024,
             exchange: false,
             block_size: None,
+            store: None,
         }
     }
 }
@@ -159,6 +177,11 @@ pub struct SweepPoint {
     pub wall_latency_p95_ms: f64,
     /// Mean per-job wall latency, ms.
     pub wall_latency_mean_ms: f64,
+    /// Process user+system CPU over the replay per completed job, ms
+    /// (every thread: workers, block pool, store, and the submitter,
+    /// whose `yield_now` spin while the queue is full weighs most with
+    /// one worker).
+    pub cpu_ms_per_job: f64,
     /// Final metrics snapshot of this run. Its `latency_*` fields are
     /// **simulated** (pure per-job costs, identical across sweep rows
     /// by construction — see the module docs).
@@ -180,6 +203,8 @@ pub struct BenchReport {
     pub exchange: bool,
     /// Block-parallel threshold the replayed service used, if any.
     pub block_size: Option<usize>,
+    /// Whether each replayed service persisted into a store.
+    pub store: bool,
     /// One entry per worker count.
     pub sweep: Vec<SweepPoint>,
 }
@@ -189,6 +214,38 @@ impl BenchReport {
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("report serialisation cannot fail")
     }
+}
+
+/// One named [`BenchReport`]; `BENCH_serve.json` is a JSON array of
+/// these (`bench-serve --section <name> --out <path>`).
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct BenchSection {
+    /// Section name.
+    pub name: String,
+    /// The sweep.
+    pub report: BenchReport,
+}
+
+/// Set section `name` of a sectioned artifact to `report`. `existing`
+/// is the artifact's current JSON, if it exists; the other sections
+/// keep their order. Returns the new artifact's JSON.
+pub fn with_section(
+    existing: Option<&str>,
+    name: &str,
+    report: BenchReport,
+) -> Result<String, String> {
+    let mut sections: Vec<BenchSection> = match existing {
+        Some(text) => serde_json::from_str(text).map_err(|e| e.to_string())?,
+        None => Vec::new(),
+    };
+    match sections.iter_mut().find(|s| s.name == name) {
+        Some(section) => section.report = report,
+        None => sections.push(BenchSection {
+            name: name.to_owned(),
+            report,
+        }),
+    }
+    Ok(serde_json::to_string(&sections).expect("report serialisation cannot fail"))
 }
 
 /// Pre-generated workload: every (file, context) pair, `repeats` times.
@@ -247,6 +304,24 @@ fn exact_quantile_ms(samples: &mut [f64], q: f64) -> f64 {
     samples[rank - 1]
 }
 
+/// Process user+system CPU time so far, ms, from `/proc/self/stat`
+/// (clock ticks at the Linux `USER_HZ` of 100). 0 where that file does
+/// not exist.
+fn process_cpu_ms() -> f64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
+    let after = stat.rsplit_once(')').map_or("", |(_, rest)| rest);
+    let fields: Vec<&str> = after.split_whitespace().collect();
+    // utime and stime are fields 14 and 15, i.e. 11 and 12 after the
+    // command name.
+    let ticks = |i: usize| {
+        fields
+            .get(i)
+            .and_then(|f| f.parse::<u64>().ok())
+            .unwrap_or(0)
+    };
+    (ticks(11) + ticks(12)) as f64 * 10.0
+}
+
 /// Replay `jobs` through a fresh service with `workers` threads.
 ///
 /// Submission applies backpressure by blocking the producer loop when
@@ -258,15 +333,17 @@ pub fn replay(
     jobs: &[CompressRequest],
     workers: usize,
 ) -> (SweepPoint, Vec<f64>) {
-    replay_with(framework, jobs, workers, None)
+    replay_with(framework, jobs, workers, None, None)
 }
 
-/// [`replay`] with an explicit block-parallel threshold.
+/// [`replay`] with an explicit block-parallel threshold and,
+/// optionally, a store every result is persisted into.
 pub fn replay_with(
     framework: FrameworkHandle,
     jobs: &[CompressRequest],
     workers: usize,
     block_size: Option<usize>,
+    store: Option<Arc<SequenceStore>>,
 ) -> (SweepPoint, Vec<f64>) {
     let service = CompressionService::start(
         framework,
@@ -274,10 +351,12 @@ pub fn replay_with(
             workers,
             queue_capacity: 256,
             block_size,
+            store,
             ..ServiceConfig::default()
         },
     );
     let t0 = Instant::now();
+    let cpu0 = process_cpu_ms();
     let mut tickets = Vec::with_capacity(jobs.len());
     for job in jobs {
         loop {
@@ -295,6 +374,7 @@ pub fn replay_with(
     }
     let (completed, costs, mut wall_lats) = drain(tickets);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let cpu_ms = process_cpu_ms() - cpu0;
     let metrics = service.shutdown();
     let sim_makespan_ms = makespan_ms(&costs, workers);
     let wall_latency_mean_ms = if wall_lats.is_empty() {
@@ -322,19 +402,40 @@ pub fn replay_with(
         wall_latency_p50_ms: exact_quantile_ms(&mut wall_lats, 0.50),
         wall_latency_p95_ms: exact_quantile_ms(&mut wall_lats, 0.95),
         wall_latency_mean_ms,
+        cpu_ms_per_job: if completed > 0 {
+            cpu_ms / completed as f64
+        } else {
+            0.0
+        },
         metrics,
     };
     (point, costs)
 }
 
-/// Run the full sweep: one replay per worker count.
-pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
+/// Run the full sweep: one replay per worker count. Fails only when a
+/// store is requested and its directory is not empty or cannot be
+/// opened.
+pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport, String> {
+    if let Some(dir) = &cfg.store {
+        if std::fs::read_dir(dir).is_ok_and(|mut entries| entries.next().is_some()) {
+            return Err(format!("store directory {} is not empty", dir.display()));
+        }
+    }
     let jobs = build_workload(cfg);
     let framework = synthetic_framework(cfg.seed);
     let mut sweep = Vec::new();
     let mut one_worker_throughput = None;
     for &workers in &cfg.worker_counts {
-        let (mut point, _) = replay_with(framework.clone(), &jobs, workers, cfg.block_size);
+        let store = match &cfg.store {
+            Some(dir) => {
+                let dir = dir.join(format!("workers-{workers}"));
+                let store = SequenceStore::open(&dir, StoreConfig::default())
+                    .map_err(|e| format!("opening store {}: {e}", dir.display()))?;
+                Some(Arc::new(store))
+            }
+            None => None,
+        };
+        let (mut point, _) = replay_with(framework.clone(), &jobs, workers, cfg.block_size, store);
         if workers == 1 {
             one_worker_throughput = Some(point.jobs_per_sim_sec);
         }
@@ -345,15 +446,16 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         }
         sweep.push(point);
     }
-    BenchReport {
+    Ok(BenchReport {
         corpus_files: cfg.files,
         contexts: cfg.contexts,
         repeats: cfg.repeats,
         jobs: jobs.len(),
         exchange: cfg.exchange,
         block_size: cfg.block_size,
+        store: cfg.store.is_some(),
         sweep,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -392,6 +494,46 @@ mod tests {
         };
         assert_eq!(fw.decide(&ctx(10)), Algorithm::GenCompress);
         assert_eq!(fw.decide(&ctx(800)), Algorithm::Dnax);
+    }
+
+    #[test]
+    fn store_rows_persist_every_completed_job_framed() {
+        let dir = std::env::temp_dir().join(format!("dnacomp-bench-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = BenchConfig {
+            files: 4,
+            contexts: 2,
+            repeats: 1,
+            worker_counts: vec![2],
+            max_len: 6_000,
+            block_size: Some(1_024),
+            store: Some(dir.clone()),
+            ..BenchConfig::default()
+        };
+        let report = run_bench(&cfg).unwrap();
+        assert!(report.store);
+        let row = &report.sweep[0];
+        assert_eq!(row.completed as usize, report.jobs);
+        assert_eq!(row.metrics.store_puts, row.completed);
+        assert!(row.metrics.block_parallel_jobs > 0);
+        assert!(row.cpu_ms_per_job >= 0.0);
+        // A second sweep into the same, now non-empty, directory is refused.
+        assert!(run_bench(&cfg).unwrap_err().contains("not empty"));
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // Sections: set, add, replace in place.
+        let one = with_section(None, "store_framed", report.clone()).unwrap();
+        let two = with_section(Some(&one), "flat", report.clone()).unwrap();
+        let flat = BenchReport {
+            store: false,
+            ..report
+        };
+        let three = with_section(Some(&two), "store_framed", flat.clone()).unwrap();
+        let sections: Vec<BenchSection> = serde_json::from_str(&three).unwrap();
+        let names: Vec<&str> = sections.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["store_framed", "flat"]);
+        assert_eq!(sections[0].report, flat);
+        assert!(with_section(Some("{}"), "x", flat).is_err());
     }
 
     #[test]

@@ -57,8 +57,8 @@ pub(crate) mod supervisor;
 pub(crate) mod worker;
 
 pub use bench::{
-    build_workload, makespan_ms, run_bench, synthetic_framework, BenchConfig, BenchReport,
-    SweepPoint,
+    build_workload, makespan_ms, run_bench, synthetic_framework, with_section, BenchConfig,
+    BenchReport, BenchSection, SweepPoint,
 };
 pub use bench_algos::{
     run_algo_bench, AlgoBenchConfig, AlgoBenchReport, AlgoBenchRow, KernelBench,

@@ -46,7 +46,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Bases per chunk the client uses for streamed uploads: 64 KiB of
-/// packed words per chunk, the same order as the "DF" container's
+/// packed words per chunk, the same order as the framed container's
 /// default block so a streamed upload maps 1:1 onto frame blocks.
 pub const STREAM_CHUNK_BASES: u64 = 1 << 18;
 

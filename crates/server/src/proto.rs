@@ -4,7 +4,7 @@
 //! Frame layout (bytes):
 //!
 //! ```text
-//! 0..2   magic  b"DW"  ("DX" is the flat blob, "DF" the block frame)
+//! 0..2   magic  b"DW"  ("DX" is the flat or framed container)
 //! 2      protocol version (1)
 //! 3      frame type byte
 //! 4..    uvarint: payload length in bytes
@@ -32,7 +32,7 @@
 //! Large sequences travel as [`Request::CompressBegin`] → N ×
 //! [`Request::CompressChunk`] → [`Request::CompressEnd`]: chunk
 //! boundaries are the same pure function of `(chunk_bases, total_len)`
-//! the framed "DF" container uses, so a streamed upload maps 1:1 onto
+//! the framed `DX` container uses, so a streamed upload maps 1:1 onto
 //! frame blocks and the server never needs a reassembly side channel
 //! beyond the declared geometry.
 
@@ -250,8 +250,8 @@ pub enum Request {
         total_len: u64,
         /// Bases per chunk (must be a positive multiple of 4 so packed
         /// words concatenate without bit shifts); chunk count is
-        /// `total_len.div_ceil(chunk_bases)`, exactly the "DF" frame
-        /// geometry.
+        /// `total_len.div_ceil(chunk_bases)`, exactly the framed `DX`
+        /// container's geometry.
         chunk_bases: u64,
     },
     /// One chunk of a streamed upload, in order.

@@ -98,7 +98,7 @@ pub struct CompressResponse {
     /// Serialised container size in bytes.
     pub compressed_bytes: usize,
     /// Frame blocks the compressed container holds: `1` for a flat
-    /// blob, the block count when the block-parallel frame path ran
+    /// blob, the block count when the job was framed
     /// ([`ServiceConfig::block_size`]).
     pub blocks: usize,
     /// Simulated cost of the job, ms: compression time in compress-only
@@ -284,21 +284,27 @@ pub struct ServiceConfig {
     /// frame boundaries.
     pub block_bytes: Option<usize>,
     /// Block-parallel threshold, bases. `Some(n)`: compress-only jobs
-    /// longer than `n` are compressed as a framed container
+    /// longer than `n` are compressed as a framed `DX` container
     /// ([`dnacomp_algos::FramedBlob`]), one block task per `n` bases,
     /// on the service-wide shared [`TaskPool`] — block tasks from
     /// concurrent jobs interleave FIFO instead of head-of-line
-    /// blocking. `None` (default): every job is one flat blob.
+    /// blocking. The framed container is what the response sizes and
+    /// the store keeps. `None` (default): jobs up to
+    /// [`MAX_PREALLOC_BASES`](dnacomp_algos::blob::MAX_PREALLOC_BASES)
+    /// bases are one flat blob. Either way, a longer job is framed in
+    /// blocks of at most that many bases, so every stored container
+    /// decodes.
     pub block_size: Option<usize>,
     /// Consecutive failures before a worker's circuit breaker opens a
     /// ladder rung. Use `u32::MAX` to disable breaker skipping, which
     /// makes every job's outcome a pure function of the job (full
     /// determinism even under faults).
     pub breaker_threshold: u32,
-    /// Persist-on-complete: every successful job's compressed result is
-    /// `put` into this shared store before the ticket resolves, and the
-    /// response carries the [`PutOutcome`]. `None` (the default) keeps
-    /// the service stateless, as in earlier revisions.
+    /// Persist-on-complete: every successful job's container — the one
+    /// its response describes — is `put` into this shared store before
+    /// the ticket resolves, and the response carries the
+    /// [`PutOutcome`]. `None` (the default) keeps the service
+    /// stateless, as in earlier revisions.
     pub store: Option<Arc<SequenceStore>>,
     /// Load shedding / admission control. `Some(depth)`: once the queue
     /// holds ≥ `depth` jobs, low-priority submissions are shed (ticket

@@ -8,6 +8,15 @@
 //! the LRU decision cache, the metrics registry, and the supervision
 //! state (its [`WorkerSlot`], the quarantine registry and the DLQ).
 //!
+//! ## One container per job
+//!
+//! A job builds exactly one container, and that container is what its
+//! response sizes and what the attached store keeps: a flat blob, a
+//! framed container from the block-parallel path (a job longer than one
+//! block, or than [`MAX_PREALLOC_BASES`]), or in exchange mode the
+//! container the ladder uploaded and verified. Nothing is compressed
+//! twice.
+//!
 //! ## Panic containment
 //!
 //! Job execution runs inside [`dnacomp_core::contain_panic`]: a panic
@@ -37,6 +46,7 @@ use crate::service::{
     lock_cache, CompressResponse, Job, JobError, JobResult, LruMap, ServiceConfig,
 };
 use crate::supervisor::{InFlight, WorkerSlot};
+use dnacomp_algos::blob::MAX_PREALLOC_BASES;
 use dnacomp_algos::{compressor_for, Algorithm, CompressedBlob, ParallelCompressor, TaskPool};
 use dnacomp_cloud::{BlobStore, CloudSim};
 use dnacomp_core::{contain_panic, run_ladder, CircuitBreaker, FrameworkHandle};
@@ -140,30 +150,17 @@ pub(crate) fn run(ctx: WorkerContext) {
     }
 }
 
-/// Persist-on-complete: `put` the job's compressed result into the
-/// attached store (no-op when the service is stateless) and roll the
-/// outcome into the metrics registry. In exchange mode the ladder does
-/// not hand the blob back, so the worker recompresses with the
-/// algorithm the exchange actually used — deterministic, and the store
-/// dedupes by content key anyway.
+/// Persist-on-complete: `put` the container the job produced — the
+/// bytes its response describes — into the attached store (no-op when
+/// the service is stateless) and roll the outcome into the metrics
+/// registry. Nothing is compressed here.
 fn persist(
     ctx: &WorkerContext,
     job: &Job,
-    used: Algorithm,
-    blob: Option<&CompressedBlob>,
+    blob: &CompressedBlob,
 ) -> Result<Option<PutOutcome>, JobError> {
     let Some(store) = &ctx.config.store else {
         return Ok(None);
-    };
-    let rebuilt;
-    let blob = match blob {
-        Some(b) => b,
-        None => {
-            rebuilt = compressor_for(used)
-                .compress(&job.req.sequence)
-                .map_err(|e| JobError::Exchange(e.into()))?;
-            &rebuilt
-        }
     };
     let outcome = store
         .put(&job.req.sequence, blob)
@@ -211,86 +208,78 @@ fn execute(
         }
     };
     if req.exchange {
-        match run_ladder(decided, breaker, sim, &req.context, &req.file, &req.sequence) {
-            Ok((used, report)) => Ok(CompressResponse {
-                file: req.file.clone(),
-                algorithm: used,
-                original_len: req.sequence.len(),
-                compressed_bytes: report.compressed_bytes,
-                blocks: 1,
-                sim_ms: report.total_ms(),
-                wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-                wall_latency_ms: job.submitted.elapsed().as_secs_f64() * 1e3,
-                cache_hit,
-                worker: ctx.slot.id,
-                retries: report.retries,
-                degraded_from: report.degraded_from,
-                persisted: persist(ctx, job, used, None)?,
-            }),
-            Err(e) => Err(JobError::Exchange(e)),
-        }
-    } else if framed_threshold(ctx, decided).is_some_and(|bs| req.sequence.len() > bs) {
+        let (used, report) =
+            run_ladder(decided, breaker, sim, &req.context, &req.file, &req.sequence)
+                .map_err(JobError::Exchange)?;
+        // The container the ladder uploaded and verified is the one kept.
+        let shipped = sim
+            .shipped(&req.file, used)
+            .map_err(|e| JobError::Exchange(e.into()))?;
+        return Ok(CompressResponse {
+            file: req.file.clone(),
+            algorithm: used,
+            original_len: req.sequence.len(),
+            compressed_bytes: report.compressed_bytes,
+            blocks: 1,
+            sim_ms: report.total_ms(),
+            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+            wall_latency_ms: job.submitted.elapsed().as_secs_f64() * 1e3,
+            cache_hit,
+            worker: ctx.slot.id,
+            retries: report.retries,
+            degraded_from: report.degraded_from,
+            persisted: persist(ctx, job, &shipped)?,
+        });
+    }
+    let compressed = match frame_block_size(ctx, decided, req.sequence.len()) {
         // Block-parallel path: frame the sequence on the service-wide
         // shared pool. The frame bytes are a pure function of
         // (algorithm, block size, sequence), so this job's output is
         // identical to the serial encoder's no matter how many threads
-        // or concurrent jobs share the pool.
-        let block_size = ctx.config.block_size.expect("checked by framed_threshold");
-        let pc = ParallelCompressor::new(decided, block_size, Arc::clone(&ctx.block_pool));
-        match pc.compress_with_stats(&req.sequence) {
-            Ok((frame, stats)) => {
+        // or concurrent jobs share the pool. The framed container is
+        // what the store keeps and `Get` serves.
+        Some(block_size) => {
+            let pc = ParallelCompressor::new(decided, block_size, Arc::clone(&ctx.block_pool));
+            pc.compress_with_stats(&req.sequence).map(|(frame, stats)| {
                 ctx.metrics.record_block_parallel(frame.blocks.len() as u64);
                 ctx.metrics.set_pool_stats(ctx.block_pool.stats());
-                Ok(CompressResponse {
-                    file: req.file.clone(),
-                    algorithm: decided,
-                    original_len: req.sequence.len(),
-                    compressed_bytes: frame.total_bytes(),
-                    blocks: frame.blocks.len(),
-                    sim_ms: sim
-                        .perf
-                        .compress_ms(&req.context.client(), decided, &req.file, &stats),
-                    wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-                    wall_latency_ms: job.submitted.elapsed().as_secs_f64() * 1e3,
-                    cache_hit,
-                    worker: ctx.slot.id,
-                    retries: 0,
-                    degraded_from: Vec::new(),
-                    // The store speaks flat blobs; passing `None` makes
-                    // persist() rebuild one (deduped by content key).
-                    persisted: persist(ctx, job, decided, None)?,
-                })
-            }
-            Err(e) => Err(JobError::Exchange(e.into())),
+                (frame.to_blob(), frame.blocks.len(), stats)
+            })
         }
-    } else {
-        match compressor_for(decided).compress_with_stats(&req.sequence) {
-            Ok((blob, stats)) => Ok(CompressResponse {
-                file: req.file.clone(),
-                algorithm: decided,
-                original_len: req.sequence.len(),
-                compressed_bytes: blob.total_bytes(),
-                blocks: 1,
-                sim_ms: sim
-                    .perf
-                    .compress_ms(&req.context.client(), decided, &req.file, &stats),
-                wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-                wall_latency_ms: job.submitted.elapsed().as_secs_f64() * 1e3,
-                cache_hit,
-                worker: ctx.slot.id,
-                retries: 0,
-                degraded_from: Vec::new(),
-                persisted: persist(ctx, job, decided, Some(&blob))?,
-            }),
-            Err(e) => Err(JobError::Exchange(e.into())),
-        }
-    }
+        None => compressor_for(decided)
+            .compress_with_stats(&req.sequence)
+            .map(|(blob, stats)| (blob, 1, stats)),
+    };
+    let (blob, blocks, stats) = compressed.map_err(|e| JobError::Exchange(e.into()))?;
+    Ok(CompressResponse {
+        file: req.file.clone(),
+        algorithm: decided,
+        original_len: req.sequence.len(),
+        compressed_bytes: blob.total_bytes(),
+        blocks,
+        sim_ms: sim
+            .perf
+            .compress_ms(&req.context.client(), decided, &req.file, &stats),
+        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+        wall_latency_ms: job.submitted.elapsed().as_secs_f64() * 1e3,
+        cache_hit,
+        worker: ctx.slot.id,
+        retries: 0,
+        degraded_from: Vec::new(),
+        persisted: persist(ctx, job, &blob)?,
+    })
 }
 
-/// The frame threshold for this job, if the block-parallel path is
-/// enabled and `decided` can run standalone per block.
-fn framed_threshold(ctx: &WorkerContext, decided: Algorithm) -> Option<usize> {
-    ctx.config
+/// The frame block size for a `len`-base compress-only job, or `None`
+/// to compress it flat. A job is framed when it is longer than
+/// [`ServiceConfig::block_size`], or longer than one flat container may
+/// hold ([`MAX_PREALLOC_BASES`]) whatever that knob says, so every
+/// acknowledged put decodes. Blocks never exceed that limit either.
+/// Only an algorithm that runs standalone per block is framed.
+fn frame_block_size(ctx: &WorkerContext, decided: Algorithm, len: usize) -> Option<usize> {
+    let block_size = ctx
+        .config
         .block_size
-        .filter(|_| Algorithm::HORIZONTAL.contains(&decided))
+        .map_or(MAX_PREALLOC_BASES, |bs| bs.min(MAX_PREALLOC_BASES));
+    (len > block_size && Algorithm::HORIZONTAL.contains(&decided)).then_some(block_size)
 }

@@ -1,6 +1,6 @@
 //! Integration tests for the TCP front-end: loopback chaos soak,
 //! malformed-frame fuzzing, frame-length edge cases (shared with the
-//! "DF" container's varint), connection-cap / idle / shutdown
+//! framed container's varint), connection-cap / idle / shutdown
 //! behaviour, and byte-identical round-trips of block-framed payloads.
 //!
 //! The acceptance bar these encode: concurrent clients at 0/5/25 %
@@ -21,7 +21,7 @@ use dnacomp_server::{
     Priority, ProtoError, Request, Response, ServiceConfig, IO_TICK, MAX_WIRE_PAYLOAD, WIRE_MAGIC,
     WIRE_VERSION,
 };
-use dnacomp_store::{SequenceStore, StoreConfig};
+use dnacomp_store::{ContentKey, SequenceStore, StoreConfig};
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -129,7 +129,7 @@ fn temp_store(tag: &str) -> (Arc<SequenceStore>, std::path::PathBuf) {
 }
 
 // ---------------------------------------------------------------------------
-// Frame-length edge cases, shared with the DF container's varint
+// Frame-length edge cases, shared with the framed container's varint
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -233,7 +233,7 @@ fn cap_plus_one_is_refused_on_the_declaration_alone() {
     );
 }
 
-/// Bytes `write_uvarint` spends on `v` — shared with the DF container.
+/// Bytes `write_uvarint` spends on `v` — shared with the framed container.
 fn varint_byte_len(v: u64) -> usize {
     let mut buf = Vec::new();
     write_uvarint(&mut buf, v);
@@ -295,10 +295,16 @@ fn block_framed_payload_roundtrips_byte_identical_at_any_thread_count() {
                 1 << 16,
             )
             .unwrap();
-        let key = match resp {
-            Response::CompressOk { blocks, key, .. } => {
+        let (key, compressed_bytes) = match resp {
+            Response::CompressOk {
+                blocks,
+                key,
+                compressed_bytes,
+                ..
+            } => {
                 assert!(blocks >= 2, "block-parallel path must have framed the job");
-                key.expect("service has a store, so the key is set")
+                let key = key.expect("service has a store, so the key is set");
+                (key, compressed_bytes as usize)
             }
             other => panic!("expected CompressOk, got {other:?}"),
         };
@@ -314,8 +320,15 @@ fn block_framed_payload_roundtrips_byte_identical_at_any_thread_count() {
             other => panic!("expected CompressOk, got {other:?}"),
         }
 
+        // One container: the frame the reply described is the one the
+        // store keeps and `Get` serves.
         let bytes = client.get(key).unwrap();
+        assert_eq!(bytes.len(), compressed_bytes, "Get bytes vs CompressOk");
+        let kept = store.get(&ContentKey(key)).unwrap();
+        assert_eq!(kept.total_bytes(), compressed_bytes, "stored vs CompressOk");
+        assert_eq!(kept.to_bytes(), bytes);
         let blob = CompressedBlob::from_bytes(&bytes).unwrap();
+        assert!(blob.is_framed(), "a framed job is stored framed");
         let back = compressor_for(blob.algorithm).decompress(&blob).unwrap();
         assert_eq!(back, seq, "decompressed sequence differs from the upload");
         stored.push(bytes);

@@ -47,6 +47,12 @@ impl Shard {
     /// Start shard `id` on an ephemeral loopback port with its own
     /// store, all shards sharing the deterministic framework.
     fn start(id: u32, tag: &str) -> Shard {
+        Shard::start_framed(id, tag, None)
+    }
+
+    /// [`Shard::start`] with a block-parallel threshold: a put longer
+    /// than `block_size` bases is stored as a framed container.
+    fn start_framed(id: u32, tag: &str, block_size: Option<usize>) -> Shard {
         let dir = std::env::temp_dir().join(format!(
             "dnacomp-route-{tag}-s{id}-{}",
             std::process::id()
@@ -57,6 +63,7 @@ impl Shard {
             synthetic_framework(42),
             ServiceConfig {
                 workers: 2,
+                block_size,
                 store: Some(Arc::clone(&store)),
                 ..ServiceConfig::default()
             },
@@ -466,8 +473,14 @@ fn rebalance_resumes_from_a_persisted_cursor_with_exact_accounting() {
 
 #[test]
 fn read_repair_restores_a_divergent_replica() {
-    let (shards, router) = start_cluster(3, "readrep");
+    // 512-base blocks: the 2,048-base put is stored framed, so the
+    // repair ships a framed container.
+    let shards: Vec<Shard> = (1..=3)
+        .map(|id| Shard::start_framed(id, "readrep", Some(512)))
+        .collect();
     let ring = Ring::new(shards.iter().map(|s| s.spec.clone()).collect(), 64, 7).unwrap();
+    let router =
+        RouterServer::start("127.0.0.1:0", ring.clone(), quick_router()).expect("bind router");
 
     let mut client = connect(router.local_addr());
     let seq = GenomeModel::random_only(0.5).generate(2_048, 99);
@@ -475,7 +488,14 @@ fn read_repair_restores_a_divergent_replica() {
         .compress("readrep.fa", &seq, Priority::Normal, ctx_for(&seq))
         .expect("compress via router")
     {
-        Response::CompressOk { key: Some(key), .. } => key,
+        Response::CompressOk {
+            key: Some(key),
+            blocks,
+            ..
+        } => {
+            assert_eq!(blocks, 4, "the put must be framed");
+            key
+        }
         other => panic!("expected stored CompressOk, got {other:?}"),
     };
 
@@ -492,6 +512,7 @@ fn read_repair_restores_a_divergent_replica() {
     // synchronously repairs the stale one before replying.
     let bytes = client.get(key).expect("get via router with a divergent owner");
     let blob = CompressedBlob::from_bytes(&bytes).expect("served blob parses");
+    assert!(blob.is_framed(), "the served container is the stored frame");
     let back = compressor_for(blob.algorithm).decompress(&blob).expect("decompress");
     assert_eq!(back, seq, "read-repair path altered bytes");
     assert_eq!(
@@ -529,7 +550,11 @@ fn quorum_acked_puts_survive_one_shard_down_and_self_heal() {
     ));
     let _ = std::fs::remove_dir_all(&hint_dir);
 
-    let mut shards: Vec<Shard> = (1..=3).map(|id| Shard::start(id, "heal")).collect();
+    // 1 Ki-base blocks: most puts (700–2,872 bases) are stored framed,
+    // so hints and repair ship framed containers; the rest stay flat.
+    let mut shards: Vec<Shard> = (1..=3)
+        .map(|id| Shard::start_framed(id, "heal", Some(1_024)))
+        .collect();
     let ring = Ring::new(shards.iter().map(|s| s.spec.clone()).collect(), 64, 7).unwrap();
     let router = RouterServer::start(
         "127.0.0.1:0",
@@ -593,6 +618,7 @@ fn quorum_acked_puts_survive_one_shard_down_and_self_heal() {
         std::thread::sleep(Duration::from_millis(20));
     }
     let mut reader = connect(addr);
+    let mut served = std::collections::HashMap::new();
     for (key, seq) in &acked {
         let bytes = reader
             .get(*key)
@@ -600,8 +626,11 @@ fn quorum_acked_puts_survive_one_shard_down_and_self_heal() {
         let blob = CompressedBlob::from_bytes(&bytes).expect("acked blob parses");
         let back = compressor_for(blob.algorithm).decompress(&blob).expect("decompress");
         assert_eq!(&back, seq, "round-trip mismatch for {key:02x?} with shard down");
+        served.insert(*key, (blob.is_framed(), bytes));
     }
     reader.bye().unwrap();
+    let framed = served.values().filter(|(framed, _)| *framed).count();
+    assert!(framed >= 5 && framed < acked.len(), "{framed} framed puts of {}", acked.len());
 
     // Hint accounting while the shard is still down: whatever was
     // queued is still pending — nothing drained, nothing dropped.
@@ -638,17 +667,28 @@ fn quorum_acked_puts_survive_one_shard_down_and_self_heal() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    // The revived shard converged: it holds every acked key.
-    for (key, _) in &acked {
-        shards[victim]
+    // The revived shard converged: it holds every acked key, and serves
+    // exactly the bytes the other replicas served.
+    let converged = |key: &[u8; 16], what: &str| {
+        let copy = shards[victim]
             .store
             .get(&ContentKey(*key))
-            .expect("hint drain must converge the revived shard");
+            .unwrap_or_else(|e| panic!("{what} must converge the revived shard: {e}"));
+        assert_eq!(copy.to_bytes(), served[key].1, "{what} shipped other bytes");
+    };
+    for (key, _) in &acked {
+        converged(key, "hint drain");
     }
 
-    // Now lose part of its disk and let anti-entropy re-converge it:
-    // only the differing digest buckets are expanded and shipped.
-    let lost: Vec<[u8; 16]> = acked.iter().take(5).map(|(k, _)| *k).collect();
+    // Now lose part of its disk (framed records) and let anti-entropy
+    // re-converge it: only the differing digest buckets are expanded
+    // and shipped.
+    let lost: Vec<[u8; 16]> = acked
+        .iter()
+        .map(|(k, _)| *k)
+        .filter(|k| served[k].0)
+        .take(5)
+        .collect();
     for key in &lost {
         assert!(shards[victim].store.remove(&ContentKey(*key)).unwrap());
     }
@@ -658,10 +698,7 @@ fn quorum_acked_puts_survive_one_shard_down_and_self_heal() {
     assert_eq!(first.keys_shipped, lost.len() as u64);
     assert_eq!(first.deduped, 0);
     for key in &lost {
-        shards[victim]
-            .store
-            .get(&ContentKey(*key))
-            .expect("repair must restore the lost record");
+        converged(key, "repair");
     }
     // Convergence proof: a second sweep finds zero differing buckets.
     let second = router.repair(Duration::from_secs(10), 64).expect("second repair sweep");

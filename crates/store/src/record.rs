@@ -10,15 +10,17 @@
 //! 4..20   content key — 128-bit hash of the *original* sequence
 //! 20..    uvarint: original length in bases
 //! ..      uvarint: payload length in bytes
-//! ..      payload (a serialised `CompressedBlob` container)
+//! ..      payload (a serialised flat or framed `DX` container)
 //! ..      u64 LE: FNV-1a of every preceding byte of the record
 //! ```
 //!
 //! The trailing checksum covers header *and* payload, so `verify`/`scrub`
 //! detect a flipped bit anywhere in the record without decompressing.
 //! The payload is the same `DX` container the rest of the workspace
-//! exchanges, which carries its own end-to-end checksum of the
-//! *decompressed* sequence — two independent layers of integrity.
+//! exchanges — a flat blob, or a framed container of independently
+//! compressed blocks — which carries its own end-to-end checksum of
+//! the *decompressed* sequence: two independent layers of integrity.
+//! The store never looks inside it.
 
 use crate::error::StoreError;
 use dnacomp_algos::Algorithm;
@@ -96,7 +98,7 @@ pub struct Record {
     pub algorithm: Algorithm,
     /// Original sequence length in bases.
     pub original_len: u64,
-    /// Serialised `DX` container bytes.
+    /// Serialised flat or framed `DX` container bytes.
     pub payload: Vec<u8>,
 }
 

@@ -172,6 +172,36 @@ if [ "$QUICK" -eq 0 ]; then
     }
 fi
 
+# Store-backed framed replay: bench-serve with a store attached and a
+# block size its corpus exceeds. Re-checked from the artifact: every
+# completed job was persisted (store_puts == completed) and the corpus
+# produced framed jobs (block_parallel_jobs > 0), so the framed
+# containers the block-parallel path builds are what the store took.
+# Exact accounting, no timing gate. Skipped under --quick (needs the
+# release binary). 300 s bounds a wedged replay.
+if [ "$QUICK" -eq 0 ]; then
+    step "store-backed bench-serve accounting: bench-serve --store --block-size (300 s timeout)"
+    serve_store=$(mktemp -d)
+    timeout 300 cargo run --release --quiet --bin dnacomp -- bench-serve \
+        --workers 2 --files 12 --contexts 4 --repeats 1 --block-size 16384 \
+        --store "$serve_store/store" --out /tmp/BENCH_serve_store_ci.json
+    rm -rf "$serve_store"
+    completed=$(grep -o '"completed":[0-9]*' /tmp/BENCH_serve_store_ci.json \
+        | head -1 | cut -d: -f2)
+    puts=$(grep -o '"store_puts":[0-9]*' /tmp/BENCH_serve_store_ci.json | cut -d: -f2)
+    framed=$(grep -o '"block_parallel_jobs":[0-9]*' /tmp/BENCH_serve_store_ci.json \
+        | cut -d: -f2)
+    echo "store row: ${completed} completed, ${puts} store puts, ${framed} framed jobs"
+    [ -n "$completed" ] && [ "$puts" = "$completed" ] || {
+        echo "store_puts ${puts} differs from completed ${completed}" >&2
+        exit 1
+    }
+    [ "${framed:-0}" -gt 0 ] || {
+        echo "the store row framed no job" >&2
+        exit 1
+    }
+fi
+
 # Perf smoke gate: `bench-algos --quick` compresses a small corpus with
 # every algorithm serially AND block-parallel, asserting round-trips,
 # parallel/serial frame-byte equality, a build-profile-scaled

@@ -18,6 +18,7 @@
 //! unknown store key, corruption found), `2` usage error (bad flags or
 //! arguments; prints the usage text).
 
+use dnacomp::algos::blob::MAX_PREALLOC_BASES;
 use dnacomp::algos::{compressor_for, Algorithm, CompressedBlob, FramedBlob, ParallelCompressor, TaskPool};
 use dnacomp::cloud::{context_grid, MachineSpec, PerfModel};
 use dnacomp::core::{build_rows, label_rows, measure_corpus, Context, ContextAwareFramework, WeightVector};
@@ -28,7 +29,7 @@ use dnacomp::seq::corpus::CorpusBuilder;
 use dnacomp::seq::PackedSeq;
 use dnacomp::server::{
     build_workload, rebalance_resumable, repair, run_algo_bench, run_bench, run_net_bench,
-    run_route_bench, run_store_bench, AlgoBenchConfig, BenchConfig, ClientError,
+    run_route_bench, run_store_bench, with_section, AlgoBenchConfig, BenchConfig, ClientError,
     CompressionService, DlqDir, NetBenchConfig, NetClient, NetConfig, NetServer, Priority,
     Response, Ring, RouteBenchConfig, RouterConfig, RouterServer, ServiceConfig, ShardSpec,
     StoreBenchConfig, DEFAULT_RING_SEED, DEFAULT_VNODES,
@@ -105,7 +106,8 @@ const USAGE: &str = "usage:
                  [--timeout-ms <n>] [--retry <n>]
                  [--priority high|normal|low] [args…]
   dnacomp bench-serve [--workers 1,4,8] [--files <n>] [--contexts <n>]
-                      [--repeats <n>] [--block-size <bases>] [--json] [--out <path>]
+                      [--repeats <n>] [--block-size <bases>] [--store <dir>]
+                      [--json] [--out <path>] [--section <name>]
                       [--listen <addr>] [--clients <n>]
                       [--route] [--shards 1,3] [--pool <n>]
                       [--replicas <n>] [--write-quorum <n>]
@@ -152,8 +154,12 @@ every result; --panic-rate/--kill-rate inject deterministic worker
 faults and --dlq-dir persists the quarantine at shutdown; --block-size
 compresses big jobs as block-parallel frames on the shared pool);
 bench-serve sweeps worker counts and reports wall-clock and simulated
-throughput; bench-algos measures per-algorithm compress/decompress
-MB/s, single-thread vs block-parallel, plus the 2-bit packing kernels
+throughput plus process CPU ms per job (--store <dir> persists every
+result into a fresh store per worker count under <dir>; --section
+<name> writes the report as that named section of the --out file, a
+JSON array of sections, keeping the others); bench-algos measures
+per-algorithm compress/decompress MB/s, single-thread vs
+block-parallel, plus the 2-bit packing kernels
 (--quick is the CI smoke gate: round-trip + throughput-floor asserts);
 dlq inspects, replays or drops persisted dead letters; store manages a
 crash-safe content-addressed repository of compressed sequences — an
@@ -287,6 +293,11 @@ fn cmd_compress(args: &[String]) -> Result<(), CliError> {
     let t0 = std::time::Instant::now();
     match block_size {
         Some(0) => return Err(usage("--block-size: must be positive")),
+        Some(bs) if bs > MAX_PREALLOC_BASES => {
+            return Err(usage(format!(
+                "--block-size: at most {MAX_PREALLOC_BASES} bases (one flat block)"
+            )))
+        }
         Some(bs) => {
             // Framed block-parallel container on a process-local pool.
             let threads = flags
@@ -342,25 +353,16 @@ fn cmd_decompress(args: &[String]) -> Result<(), CliError> {
         _ => return Err(usage("decompress: need <in.dx> <out.fa>")),
     };
     let bytes = std::fs::read(input).map_err(|e| format!("reading {input}: {e}"))?;
-    // Sniff the container family: framed block container vs flat blob.
-    let (seq, origin) = if FramedBlob::is_frame(&bytes) {
-        let frame = FramedBlob::from_bytes(&bytes).map_err(|e| format!("{input}: {e}"))?;
-        let seq = dnacomp::algos::frame::decompress_serial(&frame)
-            .map_err(|e| format!("decompression failed: {e}"))?;
-        (seq, format!("frame, {} blocks", frame.blocks.len()))
-    } else {
-        let blob = CompressedBlob::from_bytes(&bytes).map_err(|e| format!("{input}: {e}"))?;
-        if blob.algorithm == Algorithm::Reference {
-            return Err(CliError::Runtime(
-                "reference-based blobs need the reference; use the library API".into(),
-            ));
-        }
-        let compressor = compressor_for(blob.algorithm);
-        let seq = compressor
-            .decompress(&blob)
-            .map_err(|e| format!("decompression failed: {e}"))?;
-        (seq, blob.algorithm.name().to_owned())
-    };
+    let blob = CompressedBlob::from_bytes(&bytes).map_err(|e| format!("{input}: {e}"))?;
+    if blob.algorithm == Algorithm::Reference {
+        return Err(CliError::Runtime(
+            "reference-based blobs need the reference; use the library API".into(),
+        ));
+    }
+    let seq = compressor_for(blob.algorithm)
+        .decompress(&blob)
+        .map_err(|e| format!("decompression failed: {e}"))?;
+    let origin = blob.algorithm.name();
     let rec = Record {
         header: format!("decompressed from {input} ({origin})"),
         seq,
@@ -376,21 +378,16 @@ fn cmd_info(args: &[String]) -> Result<(), CliError> {
     let (_, pos) = parse_flags(args);
     let input = pos.first().ok_or_else(|| usage("info: need <in.dx>"))?;
     let bytes = std::fs::read(input).map_err(|e| format!("reading {input}: {e}"))?;
-    if FramedBlob::is_frame(&bytes) {
-        let frame = FramedBlob::from_bytes(&bytes).map_err(|e| format!("{input}: {e}"))?;
-        let algs: std::collections::BTreeSet<&str> =
-            frame.blocks.iter().map(|b| b.algorithm.name()).collect();
-        println!("container:      framed, {} blocks", frame.blocks.len());
-        println!("algorithm(s):   {}", algs.into_iter().collect::<Vec<_>>().join(", "));
-        println!("block size:     {} bases", frame.block_size);
-        println!("original bases: {}", frame.total_len);
-        println!("frame bytes:    {}", frame.total_bytes());
-        println!("bits/base:      {:.4}", frame.bits_per_base());
-        println!("checksum:       {:#018x}", frame.checksum);
-        return Ok(());
-    }
     let blob = CompressedBlob::from_bytes(&bytes).map_err(|e| format!("{input}: {e}"))?;
     println!("algorithm:      {}", blob.algorithm.name());
+    if blob.is_framed() {
+        let frame = FramedBlob::from_blob(&blob).map_err(|e| format!("{input}: {e}"))?;
+        println!(
+            "frame:          {} blocks of {} bases",
+            frame.blocks.len(),
+            frame.block_size
+        );
+    }
     println!("original bases: {}", blob.original_len);
     println!("container:      {} bytes", blob.total_bytes());
     println!("bits/base:      {:.4}", blob.bits_per_base());
@@ -1070,31 +1067,49 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), CliError> {
             return Err(usage("--workers: need at least one count"));
         }
     }
+    cfg.store = flags.get("store").map(std::path::PathBuf::from);
     eprintln!(
         "bench-serve: {} files × {} contexts × {} passes, workers {:?} …",
         cfg.files, cfg.contexts, cfg.repeats, cfg.worker_counts
     );
-    let report = run_bench(&cfg);
+    let report = run_bench(&cfg).map_err(CliError::Runtime)?;
     if let Some(path) = flags.get("out") {
-        std::fs::write(path, report.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
+        let json = match flags.get("section") {
+            Some(name) => {
+                let existing = std::fs::read_to_string(path).ok();
+                with_section(existing.as_deref(), name, report.clone())
+                    .map_err(|e| format!("{path}: {e}"))?
+            }
+            None => report.to_json(),
+        };
+        std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
     if flags.contains_key("json") {
         println!("{}", report.to_json());
     } else {
         println!(
-            "{:>7}  {:>10}  {:>14}  {:>13}  {:>12}  {:>9}",
-            "workers", "jobs/s(sim)", "makespan(sim)", "jobs/s(wall)", "cache hit", "speedup"
+            "{:>7}  {:>10}  {:>14}  {:>13}  {:>12}  {:>9}  {:>11}  {:>10}",
+            "workers",
+            "jobs/s(sim)",
+            "makespan(sim)",
+            "jobs/s(wall)",
+            "cache hit",
+            "speedup",
+            "cpu ms/job",
+            "store puts"
         );
         for p in &report.sweep {
             println!(
-                "{:>7}  {:>10.1}  {:>11.0} ms  {:>13.1}  {:>8.1} %  {:>8.2}x",
+                "{:>7}  {:>10.1}  {:>11.0} ms  {:>13.1}  {:>8.1} %  {:>8.2}x  {:>11.2}  {:>10}",
                 p.workers,
                 p.jobs_per_sim_sec,
                 p.sim_makespan_ms,
                 p.jobs_per_wall_sec,
                 p.cache_hit_rate * 100.0,
-                p.speedup_vs_one
+                p.speedup_vs_one,
+                p.cpu_ms_per_job,
+                p.metrics.store_puts
             );
         }
     }
@@ -1740,6 +1755,16 @@ mod tests {
         let a = read_fasta(&fa).unwrap();
         let b = read_fasta(&out).unwrap();
         assert_eq!(a, b);
+        // A framed container takes the same info/decompress path.
+        run(&s(&["compress", "-a", "dnax", "--block-size", "1024", "--threads", "2", &fa, &dx]))
+            .unwrap();
+        assert!(CompressedBlob::from_bytes(&std::fs::read(&dx).unwrap()).unwrap().is_framed());
+        run(&s(&["info", &dx])).unwrap();
+        run(&s(&["decompress", &dx, &out])).unwrap();
+        assert_eq!(read_fasta(&out).unwrap(), a);
+        let err = run(&s(&["compress", "-a", "dnax", "--block-size", "4194305", &fa, &dx]))
+            .unwrap_err();
+        assert!(matches!(err, CliError::Usage(ref m) if m.contains("at most")));
     }
 
     #[test]

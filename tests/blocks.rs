@@ -1,4 +1,5 @@
-//! Cross-decoder property suite for the framed block container.
+//! Cross-decoder property suite for the framed block container (a
+//! framed `DX` container).
 //!
 //! The block-parallel pipeline is only a performance feature if it is
 //! *invisible* to correctness: a frame produced by the parallel
@@ -18,7 +19,9 @@
 use std::sync::Arc;
 
 use dnacomp::algos::frame::{compress_serial, decompress_serial};
-use dnacomp::algos::{compressor_for, Algorithm, FramedBlob, ParallelCompressor, TaskPool};
+use dnacomp::algos::{
+    compressor_for, Algorithm, CompressedBlob, FramedBlob, ParallelCompressor, TaskPool,
+};
 use dnacomp::seq::gen::GenomeModel;
 use dnacomp::seq::PackedSeq;
 
@@ -59,6 +62,16 @@ fn cross_check(alg: Algorithm, seq: &PackedSeq, block_size: usize) {
     assert_eq!(via_serial.len(), seq.len(), "{alg}: serial decode length mismatch");
     assert_eq!(via_parallel.as_words(), seq.as_words(), "{alg}: parallel decode mismatch");
     assert_eq!(via_parallel.len(), seq.len(), "{alg}: parallel decode length mismatch");
+
+    // The frame is a `DX` container: any reader parses it as a
+    // `CompressedBlob` and decodes it with `Compressor::decompress`.
+    let blob = CompressedBlob::from_bytes(&parallel_frame.to_bytes())
+        .unwrap_or_else(|e| panic!("{alg}: frame bytes failed to parse as a container: {e}"));
+    assert_eq!(blob, serial_frame.to_blob(), "{alg}: container differs between encoders");
+    let via_blob = compressor_for(blob.algorithm)
+        .decompress(&blob)
+        .unwrap_or_else(|e| panic!("{alg}: decompress of the framed container failed: {e}"));
+    assert_eq!(&via_blob, seq, "{alg}: framed container decode mismatch");
 
     // Wire round-trip survives re-parsing too.
     let reparsed = FramedBlob::from_bytes(&parallel_frame.to_bytes())

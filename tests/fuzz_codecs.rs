@@ -20,8 +20,11 @@
 //! 3. **lying headers** — `original_len` cranked to absurd values over
 //!    tiny payloads, which must fail fast instead of OOMing.
 
+use dnacomp::algos::blob::{MAX_PREALLOC_BASES, VERSION_FRAMED};
+use dnacomp::algos::frame::{compress_serial, decompress_serial, MAX_FRAME_BASES};
 use dnacomp::algos::{compressor_for, Algorithm, CompressedBlob, FramedBlob};
 use dnacomp::codec::checksum::{mix64, unit_interval};
+use dnacomp::codec::CodecError;
 use dnacomp::seq::gen::GenomeModel;
 
 /// Cheap deterministic byte stream for fuzz payloads.
@@ -150,17 +153,48 @@ fn push_uvarint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Forge a frame header claiming `n_blocks`/`total_len` over a tiny
-/// payload. Geometry is kept self-consistent so parsing reaches the
-/// affordability check rather than bailing on arithmetic mismatch.
+/// Forge a framed `DX` header declaring `total_len` bases in
+/// `block_size`-base blocks over a tiny noise body. The geometry is
+/// self-consistent, so parsing reaches the affordability check.
 fn forged_frame_header(block_size: u64, total_len: u64, payload_bytes: usize) -> Vec<u8> {
-    let mut bytes = vec![b'D', b'F', 1];
-    push_uvarint(&mut bytes, block_size);
-    push_uvarint(&mut bytes, total_len.div_ceil(block_size));
+    let mut bytes = vec![b'D', b'X', VERSION_FRAMED, Algorithm::Raw.tag()];
     push_uvarint(&mut bytes, total_len);
     bytes.extend_from_slice(&0xDEAD_BEEFu64.to_le_bytes());
+    push_uvarint(&mut bytes, block_size);
     bytes.extend(noise_bytes(9, payload_bytes));
     bytes
+}
+
+/// A genuine framed container of `seq`, as a `CompressedBlob`.
+fn framed(alg: Algorithm, seq: &dnacomp::seq::PackedSeq, block_size: usize) -> CompressedBlob {
+    compress_serial(compressor_for(alg).as_ref(), seq, block_size)
+        .unwrap_or_else(|e| panic!("{alg}: framing clean input failed: {e}"))
+        .to_blob()
+}
+
+/// Parse and decode framed bytes both ways — as a `CompressedBlob`
+/// through `Compressor::decompress`, and as a `FramedBlob` through the
+/// serial decoder. Neither may panic; any sequence either returns must
+/// be `original`.
+fn assert_frame_total(
+    alg: Algorithm,
+    bytes: &[u8],
+    original: &dnacomp::seq::PackedSeq,
+    what: &str,
+) {
+    let decoded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let via_blob = CompressedBlob::from_bytes(bytes)
+            .and_then(|blob| compressor_for(blob.algorithm).decompress(&blob));
+        let via_frame = FramedBlob::from_bytes(bytes).and_then(|f| decompress_serial(&f));
+        [via_blob, via_frame]
+    }))
+    .unwrap_or_else(|p| {
+        let msg = dnacomp::core::panic_message(p.as_ref());
+        panic!("{alg}: framed decode PANICKED on {what}: {msg}")
+    });
+    for seq in decoded.into_iter().flatten() {
+        assert_eq!(&seq, original, "{alg}: {what} silently corrupted output");
+    }
 }
 
 #[test]
@@ -174,11 +208,14 @@ fn frame_lying_block_count_rejected_before_allocation() {
         let bytes = forged_frame_header(block_size, total_len, 64);
         let started = std::time::Instant::now();
         let err = FramedBlob::from_bytes(&bytes).expect_err("forged count must be rejected");
+        let blob_err =
+            CompressedBlob::from_bytes(&bytes).expect_err("forged count must not parse as a blob");
         assert!(
             started.elapsed() < std::time::Duration::from_millis(50),
             "rejecting a lying count took {:?} — it allocated first",
             started.elapsed()
         );
+        assert_eq!(err, blob_err);
         let msg = err.to_string();
         assert!(
             msg.contains("block count") || msg.contains("length exceeds"),
@@ -191,14 +228,18 @@ fn frame_lying_block_count_rejected_before_allocation() {
 fn frame_lying_record_lengths_fail_fast() {
     // A plausible two-block header whose first record length points past
     // the end of the buffer.
-    let mut bytes = vec![b'D', b'F', 1];
-    push_uvarint(&mut bytes, 100); // block_size
-    push_uvarint(&mut bytes, 2); // n_blocks
+    let mut bytes = vec![b'D', b'X', VERSION_FRAMED, Algorithm::Raw.tag()];
     push_uvarint(&mut bytes, 200); // total_len
     bytes.extend_from_slice(&0u64.to_le_bytes());
+    push_uvarint(&mut bytes, 100); // block_size
     push_uvarint(&mut bytes, 1 << 40); // record_len: a lie
     bytes.extend(noise_bytes(3, 40));
     let err = FramedBlob::from_bytes(&bytes).expect_err("lying record length must be rejected");
+    assert!(err.to_string().contains("truncated"), "got: {err}");
+    let blob = CompressedBlob::from_bytes(&bytes).expect("the header alone is plausible");
+    let err = compressor_for(Algorithm::Raw)
+        .decompress(&blob)
+        .expect_err("lying record length must not decode");
     assert!(err.to_string().contains("truncated"), "got: {err}");
 }
 
@@ -209,13 +250,8 @@ fn frame_wire_mutations_never_panic_and_never_lie() {
     // image — header varints, checksum and block records alike.
     let original = GenomeModel::default().generate(700, 4242);
     for alg in [Algorithm::Raw, Algorithm::Dnax] {
-        let clean = dnacomp::algos::frame::compress_serial(
-            compressor_for(alg).as_ref(),
-            &original,
-            333,
-        )
-        .unwrap()
-        .to_bytes();
+        let clean = framed(alg, &original, 333).to_bytes();
+        assert_frame_total(alg, &clean, &original, "the clean frame");
 
         for case in 0..120u64 {
             let mut mutant = clean.clone();
@@ -223,11 +259,7 @@ fn frame_wire_mutations_never_panic_and_never_lie() {
             mutant[at] ^= 1u8 << (case % 8);
             // Parsing + decoding must be total; a surviving mutant must
             // decode to the truth (whole-frame checksum catches the rest).
-            if let Ok(frame) = FramedBlob::from_bytes(&mutant) {
-                if let Ok(seq) = dnacomp::algos::frame::decompress_serial(&frame) {
-                    assert_eq!(seq, original, "{alg}: flip at {at} silently corrupted output");
-                }
-            }
+            assert_frame_total(alg, &mutant, &original, &format!("flip at {at}"));
         }
 
         for i in 0..16 {
@@ -237,8 +269,99 @@ fn frame_wire_mutations_never_panic_and_never_lie() {
                 FramedBlob::from_bytes(&mutant).is_err(),
                 "{alg}: truncation to {i}/16 of the frame parsed Ok"
             );
+            let decoded = CompressedBlob::from_bytes(&mutant)
+                .and_then(|blob| compressor_for(blob.algorithm).decompress(&blob));
+            assert!(decoded.is_err(), "{alg}: truncation to {i}/16 decoded Ok");
         }
     }
+}
+
+#[test]
+fn every_codec_refuses_a_framed_container_in_decompress_with_stats() {
+    // Block records are not any codec's bit stream: the flat entry point
+    // refuses a framed container with a typed error, while
+    // `decompress` decodes it. Random frame bodies never panic either.
+    let original = GenomeModel::default().generate(1_500, 31);
+    for alg in Algorithm::HORIZONTAL {
+        let blob = framed(alg, &original, 512);
+        assert!(blob.is_framed());
+        let c = compressor_for(alg);
+        assert_eq!(
+            c.decompress_with_stats(&blob).map(|_| ()),
+            Err(CodecError::UnknownFormat(VERSION_FRAMED)),
+            "{alg}: decompress_with_stats read a framed container"
+        );
+        assert_eq!(c.decompress(&blob).unwrap(), original, "{alg}");
+        for case in 0..8u64 {
+            let noise = CompressedBlob {
+                payload: noise_bytes((alg.tag() as u64) << 8 | case, 96),
+                ..blob.clone()
+            };
+            assert_total(alg, &noise, &format!("random frame body {case}"));
+        }
+    }
+}
+
+#[test]
+fn frame_structural_lies_are_typed_errors() {
+    let original = GenomeModel::default().generate(1_000, 5);
+    let honest = compress_serial(compressor_for(Algorithm::Raw).as_ref(), &original, 256).unwrap();
+    let decode = |frame: &FramedBlob| {
+        let blob = CompressedBlob::from_bytes(&frame.to_bytes())?;
+        compressor_for(blob.algorithm).decompress(&blob)
+    };
+
+    // A block whose algorithm tag differs from the container's.
+    let mut mixed = honest.clone();
+    mixed.blocks[1] = compressor_for(Algorithm::Gzip)
+        .compress(&original.slice(256, 512))
+        .unwrap();
+    assert_eq!(
+        decode(&mixed),
+        Err(CodecError::Corrupt(
+            "frame block algorithm differs from the frame's"
+        ))
+    );
+
+    // A block whose length disagrees with the geometry.
+    let mut short = honest.clone();
+    short.blocks[2] = compressor_for(Algorithm::Raw)
+        .compress(&original.slice(512, 700))
+        .unwrap();
+    assert_eq!(
+        decode(&short),
+        Err(CodecError::Corrupt(
+            "frame block length disagrees with geometry"
+        ))
+    );
+
+    // A framed container nested as a block record.
+    let mut nested = honest.clone();
+    nested.blocks[0] = framed(Algorithm::Raw, &original.slice(0, 256), 128);
+    assert_eq!(
+        decode(&nested),
+        Err(CodecError::Corrupt("frame block is not a flat container"))
+    );
+
+    // A declared total above MAX_FRAME_BASES, over a body that could
+    // otherwise afford its 1,025 blocks.
+    let bytes = forged_frame_header(MAX_PREALLOC_BASES as u64, MAX_FRAME_BASES + 1, 16_384);
+    assert_eq!(
+        CompressedBlob::from_bytes(&bytes),
+        Err(CodecError::Corrupt("frame length exceeds container limit"))
+    );
+    assert!(FramedBlob::from_bytes(&bytes).is_err());
+    let blob = CompressedBlob {
+        version: VERSION_FRAMED,
+        algorithm: Algorithm::Raw,
+        original_len: MAX_FRAME_BASES as usize + 1,
+        checksum: 0,
+        payload: noise_bytes(11, 16_384),
+    };
+    assert_eq!(
+        compressor_for(Algorithm::Raw).decompress(&blob),
+        Err(CodecError::Corrupt("frame length exceeds container limit"))
+    );
 }
 
 #[test]

@@ -248,7 +248,7 @@ fn repeated_contexts_hit_the_decision_cache_over_90_percent() {
         worker_counts: vec![4],
         ..BenchConfig::default()
     };
-    let report = run_bench(&cfg);
+    let report = run_bench(&cfg).expect("stateless bench");
     let point = &report.sweep[0];
     assert_eq!(point.metrics.accepted as usize, report.jobs);
     assert!(
@@ -268,7 +268,7 @@ fn eight_workers_scale_simulated_throughput_at_least_4x() {
         worker_counts: vec![1, 8],
         ..BenchConfig::default()
     };
-    let report = run_bench(&cfg);
+    let report = run_bench(&cfg).expect("stateless bench");
     assert_eq!(report.sweep.len(), 2);
     let one = &report.sweep[0];
     let eight = &report.sweep[1];

@@ -314,8 +314,64 @@ fn service_persists_jobs_with_observable_dedup() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Exchange-mode jobs persist too (the worker recompresses with the
-/// algorithm the exchange actually used).
+/// Every acknowledged put decodes: a compress-only job longer than one
+/// flat container may hold (`MAX_PREALLOC_BASES`) is framed in blocks
+/// of that size even with `block_size: None`, and the stored container
+/// reads back and decodes.
+#[test]
+fn a_put_longer_than_one_flat_container_is_framed_and_decodes() {
+    use dnacomp::algos::blob::MAX_PREALLOC_BASES;
+    use dnacomp::core::{ContextAwareFramework, FrameworkHandle, LabeledRow};
+    let dir = tmp_dir("oversize");
+    let store = Arc::new(SequenceStore::open(&dir, StoreConfig::default()).unwrap());
+    // A rule tree that always picks Raw keeps 4 Mi bases cheap to encode.
+    let rows: Vec<LabeledRow> = (0..40u64)
+        .map(|i| LabeledRow {
+            file: format!("raw_{i}"),
+            file_bytes: 1_000 + i * 200_000,
+            ram_mb: 2048,
+            cpu_mhz: 2393,
+            bandwidth_mbps: 2.0,
+            winner: Algorithm::Raw,
+            score: 0.0,
+        })
+        .collect();
+    let framework = FrameworkHandle::new(ContextAwareFramework::train(
+        &rows,
+        dnacomp::ml::TreeMethod::Cart,
+    ));
+    let service = CompressionService::start(
+        framework,
+        ServiceConfig {
+            workers: 1,
+            block_size: None,
+            store: Some(Arc::clone(&store)),
+            ..ServiceConfig::default()
+        },
+    );
+    let seq = GenomeModel::default().generate(MAX_PREALLOC_BASES + 1, 41);
+    let req = CompressRequest::new(
+        "oversize",
+        seq.clone(),
+        Context::new(&dnacomp::cloud::context_grid()[0], seq.len() as u64),
+    );
+    let resp = service.submit(req).unwrap().wait().expect("oversize job");
+    assert_eq!(resp.algorithm, Algorithm::Raw);
+    assert_eq!(resp.blocks, 2, "framed in blocks of MAX_PREALLOC_BASES");
+    let outcome = resp.persisted.expect("persisted");
+    let blob = store.get(&outcome.key).unwrap();
+    assert!(blob.is_framed());
+    assert_eq!(blob.total_bytes(), resp.compressed_bytes);
+    assert_eq!(
+        compressor_for(blob.algorithm).decompress(&blob).unwrap(),
+        seq
+    );
+    service.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Exchange-mode jobs persist too: the container the exchange uploaded
+/// and verified is the one the store keeps.
 #[test]
 fn exchange_jobs_land_in_the_store() {
     let dir = tmp_dir("exchange");
@@ -340,6 +396,7 @@ fn exchange_jobs_land_in_the_store() {
     assert!(!outcome.deduped);
     let blob = store.get(&outcome.key).unwrap();
     assert_eq!(blob.algorithm, resp.algorithm);
+    assert_eq!(blob.total_bytes(), resp.compressed_bytes);
     assert_eq!(
         compressor_for(blob.algorithm).decompress(&blob).unwrap(),
         seq
