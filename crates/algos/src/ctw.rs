@@ -28,7 +28,7 @@ use crate::blob::{Algorithm, CompressedBlob, VERSION, VERSION_SPEED};
 use crate::stats::{Meter, ResourceStats};
 use crate::Compressor;
 use dnacomp_codec::arith::{EntropyBackend, EntropyDecoder, EntropyEncoder};
-use dnacomp_codec::ctw::{BitHistory, BitModel, CtwTree, FastCtwTree4};
+use dnacomp_codec::ctw::{BitHistory, CtwTree, FastCtwTree4};
 use dnacomp_codec::CodecError;
 use dnacomp_seq::{Base, PackedSeq};
 
@@ -78,7 +78,7 @@ impl Ctw {
     }
 
     /// Drive the model over `seq`, feeding predictions to `enc`.
-    fn encode_stream<M: BitModel>(tree: &mut M, seq: &PackedSeq, enc: &mut EntropyEncoder) {
+    fn encode_stream(tree: &mut CtwTree, seq: &PackedSeq, enc: &mut EntropyEncoder) {
         let mut hist = BitHistory::new();
         for base in seq.iter() {
             let code = base.code();
@@ -93,8 +93,8 @@ impl Ctw {
     }
 
     /// Rebuild the identical model walk while pulling bits from `dec`.
-    fn decode_stream<M: BitModel>(
-        tree: &mut M,
+    fn decode_stream(
+        tree: &mut CtwTree,
         dec: &mut EntropyDecoder<'_>,
         n_bases: usize,
         capacity: usize,

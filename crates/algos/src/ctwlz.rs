@@ -25,7 +25,7 @@ use crate::stats::{Meter, ResourceStats};
 use crate::Compressor;
 use dnacomp_codec::arith::{EntropyBackend, EntropyDecoder, EntropyEncoder};
 use dnacomp_codec::bitio::{BitReader, BitWriter};
-use dnacomp_codec::ctw::{BitHistory, BitModel, CtwTree, FastCtwTree4};
+use dnacomp_codec::ctw::{BitHistory, CtwTree, FastCtwTree4};
 use dnacomp_codec::fibonacci::{gamma_decode, gamma_encode};
 use dnacomp_codec::repeats::{RepeatConfig, RepeatFinder, RepeatKind};
 use dnacomp_codec::varint::{read_uvarint, write_uvarint};
@@ -75,13 +75,13 @@ trait LiteralCoder {
 }
 
 /// Legacy literal coder state: a binary CTW tree + rolling bit history.
-struct LiteralCtw<M: BitModel> {
-    tree: M,
+struct LiteralCtw {
+    tree: CtwTree,
     hist: BitHistory,
 }
 
-impl<M: BitModel> LiteralCtw<M> {
-    fn new(tree: M) -> Self {
+impl LiteralCtw {
+    fn new(tree: CtwTree) -> Self {
         LiteralCtw {
             tree,
             hist: BitHistory::new(),
@@ -89,7 +89,7 @@ impl<M: BitModel> LiteralCtw<M> {
     }
 }
 
-impl<M: BitModel> LiteralCoder for LiteralCtw<M> {
+impl LiteralCoder for LiteralCtw {
     fn encode_base(&mut self, enc: &mut EntropyEncoder, base: Base) {
         let code = base.code();
         for shift in [1u8, 0] {

@@ -65,9 +65,7 @@ const ARENA_CHUNK: usize = 1 << ARENA_CHUNK_BITS;
 
 /// Chunked node arena: `u32`-indexed like a flat pool, but backed by
 /// fixed-size chunks whose storage never moves after allocation, so
-/// growing the tree never copies existing nodes. Generic over the node
-/// type so [`CtwTree`] (log-β nodes) and [`FastCtwTree`] (linear-β
-/// nodes) share the allocator.
+/// growing the tree never copies existing nodes.
 #[derive(Clone, Debug)]
 struct NodeArena<T> {
     chunks: Vec<Vec<T>>,
@@ -263,34 +261,6 @@ impl CtwTree {
     }
 }
 
-/// Predict/commit protocol shared by the CTW tree variants, so the
-/// compressors in `dnacomp-algos` can drive either tree from one
-/// generic encode/decode loop.
-///
-/// Per bit: call [`BitModel::predict`] with the context history, feed
-/// `(num, den)` to the entropy coder, then [`BitModel::commit`] the
-/// actual bit. The calls must alternate strictly.
-pub trait BitModel {
-    /// `P(next bit = 0)` as `(num, den)` with `0 < num < den`.
-    fn predict(&mut self, history: u64) -> (u32, u32);
-    /// Record the bit for the immediately preceding `predict`.
-    fn commit(&mut self, bit: bool);
-    /// Approximate heap usage in bytes (for the RAM meter).
-    fn heap_bytes(&self) -> usize;
-}
-
-impl BitModel for CtwTree {
-    fn predict(&mut self, history: u64) -> (u32, u32) {
-        CtwTree::predict(self, history)
-    }
-    fn commit(&mut self, bit: bool) {
-        CtwTree::commit(self, bit)
-    }
-    fn heap_bytes(&self) -> usize {
-        CtwTree::heap_bytes(self)
-    }
-}
-
 /// Lower clamp on the mixing weight `w = β/(β+1)`; matches the log
 /// tree's `β ≥ e^-50 ≈ 2·10^-22` floor (so a node can always recover).
 const W_MIN: f32 = 1e-22;
@@ -300,226 +270,6 @@ const W_MIN: f32 = 1e-22;
 /// two orders below the coder's quantisation step (2^-16), so the
 /// tighter cap is invisible in the output.
 const W_MAX: f32 = 0.999_999_9;
-
-/// A 16-byte CTW node — exactly four per cache line, never straddling
-/// one. The tree walk is a serially dependent pointer chase, so its
-/// speed is set by how much of the node pool the cache holds; the node
-/// therefore inlines u16 KT counts (halving at the u16 horizon instead
-/// of the log tree's 2^24 — a slightly faster-adapting estimator,
-/// well inside the coder's precision either way), keeps the mixing
-/// weight in f32, and drops β entirely (recoverable as `w/(1−w)`,
-/// never needed). f32 rounding perturbs a prediction by ~10^-7, far
-/// below the 2^-16 quantisation the coder applies; the v2 encoder and
-/// decoder run this same code, so the stream stays self-consistent
-/// regardless.
-#[derive(Clone, Debug)]
-struct FastNode {
-    zeros: u16,
-    ones: u16,
-    /// Mixing weight `β / (β + 1)`; 0.5 (β = 1) at creation.
-    w: f32,
-    children: [u32; 2],
-}
-
-impl FastNode {
-    fn new() -> Self {
-        FastNode {
-            zeros: 0,
-            ones: 0,
-            w: 0.5,
-            children: [NO_CHILD, NO_CHILD],
-        }
-    }
-
-    /// KT `P(0)` for the current counts.
-    #[inline]
-    fn p0_kt(&self) -> f64 {
-        let num = 2 * self.zeros as u32 + 1;
-        let den = 2 * (self.zeros as u32 + self.ones as u32) + 2;
-        num as f64 / den as f64
-    }
-
-    /// Record an observation, halving on approach to the u16 horizon
-    /// (mirrors [`KtEstimator::update`] with a smaller ceiling).
-    #[inline]
-    fn update(&mut self, bit: bool) {
-        if bit {
-            self.ones += 1;
-        } else {
-            self.zeros += 1;
-        }
-        if self.zeros as u32 + self.ones as u32 >= 32_767 {
-            self.zeros = (self.zeros / 2).max(1);
-            self.ones = (self.ones / 2).max(1);
-        }
-    }
-}
-
-/// Transcendental- and division-light CTW tree: identical structure and
-/// mixing rule to [`CtwTree`], but the per-node weight is kept directly
-/// as `w = β/(β+1)` and updated multiplicatively, eliminating the `exp`
-/// per node per predict and the two `ln` per node per commit that
-/// dominate the log-domain tree's runtime (~3 transcendentals ×
-/// (depth+1) nodes × 2 bits per base). Each node caches its KT `P(0)`
-/// alongside `w`, so `predict` — whose bottom-up mix is a serial
-/// dependency chain — performs **zero divisions**; the two divisions
-/// per node (weight update and KT refresh) happen in `commit`, where
-/// they are independent across nodes and pipeline. Nodes are 16 bytes
-/// (vs 40 for the log tree) in one flat `Vec` — one bounds check and
-/// one address computation per visit, against two of each through the
-/// chunked arena — and the walk scratch is a fixed inline array, so the
-/// per-level `Vec` grow/len checks disappear too. Predictions differ
-/// from [`CtwTree`] only by floating-point rounding, so this tree backs
-/// the *new* (v2) blob format while the log tree keeps decoding legacy
-/// blobs bit-exactly.
-#[derive(Clone, Debug)]
-pub struct FastCtwTree {
-    depth: usize,
-    /// Flat node pool; index 0 is the root. Stable indices (push-only).
-    nodes: Vec<FastNode>,
-    max_nodes: usize,
-    /// Walk scratch: entries `0..path_len` describe the latest
-    /// `predict` path, root first.
-    path: [PathEntry; MAX_FAST_PATH],
-    path_len: usize,
-}
-
-/// Longest supported fast-tree context path (root + 63 context bits —
-/// the history word itself holds only 64 bits).
-const MAX_FAST_PATH: usize = 64;
-
-impl FastCtwTree {
-    /// Tree of context depth `depth` (bits) with the default 4M-node cap.
-    pub fn new(depth: usize) -> Self {
-        Self::with_capacity(depth, 4 << 20)
-    }
-
-    /// Tree with an explicit node-pool cap (≥ 1). `depth` must fit the
-    /// 64-bit context history, i.e. `depth < 64`.
-    pub fn with_capacity(depth: usize, max_nodes: usize) -> Self {
-        assert!(max_nodes >= 1);
-        assert!(depth < MAX_FAST_PATH, "context depth {depth} exceeds the history word");
-        FastCtwTree {
-            depth,
-            nodes: vec![FastNode::new()], // root
-            max_nodes,
-            path: [PathEntry {
-                node: 0,
-                p0_kt: 0.0,
-                p0_w: 0.0,
-            }; MAX_FAST_PATH],
-            path_len: 0,
-        }
-    }
-
-    /// Context depth in bits.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Nodes currently allocated.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Approximate heap usage in bytes (for the RAM meter).
-    pub fn heap_bytes(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<FastNode>()
-    }
-
-    /// Predict `P(next bit = 0)` given `history` — same contract as
-    /// [`CtwTree::predict`]. Division-free: the bottom-up mix uses each
-    /// node's cached weight, `p0 += w · (p0_kt − p0)`, which is algebraic
-    /// for `(β·p0_kt + p0) / (β + 1)` with `w = β/(β+1)`.
-    pub fn predict(&mut self, history: u64) -> (u32, u32) {
-        self.walk_path(history);
-        let path = &mut self.path[..self.path_len];
-        let (deeper, leaf) = path.split_at_mut(self.path_len - 1);
-        let mut p0: f64 = leaf[0].p0_kt;
-        leaf[0].p0_w = p0;
-        for e in deeper.iter_mut().rev() {
-            let w = e.p0_w; // weight stashed by walk_path
-            p0 += w * (e.p0_kt - p0);
-            e.p0_w = p0;
-        }
-        quantise_p0(p0)
-    }
-
-    /// Record the actual `bit` — same contract as [`CtwTree::commit`].
-    /// All of the tree's divisions live here (weight update, KT
-    /// refresh); they are independent across path nodes, so the CPU
-    /// pipelines them instead of serialising as `predict` would.
-    ///
-    /// The weight update is the β recursion in `w` form: from
-    /// `β' = β · P_kt / P_child` and `w = β/(β+1)` it follows that
-    /// `w' = w·P_kt / (w·P_kt + (1−w)·P_child)` — and the denominator
-    /// is exactly this node's own weighted probability of the observed
-    /// bit, which `predict` already computed and cached in `p0_w`. One
-    /// division, no β.
-    pub fn commit(&mut self, bit: bool) {
-        assert!(self.path_len > 0, "commit without predict");
-        let last = self.path_len - 1;
-        for (i, entry) in self.path[..self.path_len].iter().enumerate() {
-            let node = &mut self.nodes[entry.node as usize];
-            if i != last {
-                let p_kt = if bit { 1.0 - entry.p0_kt } else { entry.p0_kt };
-                let p_self = if bit { 1.0 - entry.p0_w } else { entry.p0_w };
-                let w = node.w as f64;
-                node.w = ((w * p_kt / p_self) as f32).clamp(W_MIN, W_MAX);
-            }
-            node.update(bit);
-        }
-        self.path_len = 0;
-    }
-
-    fn walk_path(&mut self, history: u64) {
-        let mut len = 0usize;
-        let mut cur = 0u32;
-        for d in 0..=self.depth {
-            let node = &self.nodes[cur as usize];
-            // Stash the cached mixing weight in `p0_w`; `predict`
-            // consumes it before overwriting the slot with the real
-            // weighted probability. The KT division here is off the
-            // critical path: the next node's address needs only
-            // `children`, so the divider overlaps the pointer chase.
-            let (p0_kt, w) = (node.p0_kt(), node.w as f64);
-            let child = node.children[(history >> d) as usize & 1];
-            self.path[len] = PathEntry {
-                node: cur,
-                p0_kt,
-                p0_w: w,
-            };
-            len += 1;
-            if d == self.depth {
-                break;
-            }
-            if child != NO_CHILD {
-                cur = child;
-            } else if self.nodes.len() < self.max_nodes {
-                let idx = self.nodes.len() as u32;
-                self.nodes.push(FastNode::new());
-                let bit = (history >> d) as usize & 1;
-                self.nodes[cur as usize].children[bit] = idx;
-                cur = idx;
-            } else {
-                break;
-            }
-        }
-        self.path_len = len;
-    }
-}
-
-impl BitModel for FastCtwTree {
-    fn predict(&mut self, history: u64) -> (u32, u32) {
-        FastCtwTree::predict(self, history)
-    }
-    fn commit(&mut self, bit: bool) {
-        FastCtwTree::commit(self, bit)
-    }
-    fn heap_bytes(&self) -> usize {
-        FastCtwTree::heap_bytes(self)
-    }
-}
 
 /// One node of the 4-ary fast tree: 28 bytes — u16 symbol counts
 /// (KT-style, halving at the u16 horizon), the f32 mixing weight, and
@@ -589,12 +339,13 @@ const MAX_FAST_PATH4: usize = 32;
 /// information it produces), and emits exactly one rANS symbol per
 /// base. Contexts are whole bases, so depth `d` here spans the same
 /// window as a binary tree of depth `2d`. The same KT + β-weighting
-/// mathematics as [`FastCtwTree`] applies per node; the estimator is
+/// mathematics as [`CtwTree`] applies per node, with each node keeping
+/// its mixing weight `w = β/(β+1)` instead of log β; the estimator is
 /// the 4-symbol KT `(n_s + ½)/(N + 2)` and the weight update divides by
 /// the node's own mixed probability of the observed symbol, cached by
-/// the preceding predict. Like the binary fast tree this backs **v2**
-/// blobs only; encoder and decoder run identical code, so f32/f64
-/// rounding choices are self-consistent.
+/// the preceding predict. This tree backs **v2** blobs only; encoder
+/// and decoder run identical code, so f32/f64 rounding choices are
+/// self-consistent.
 #[derive(Clone, Debug)]
 pub struct FastCtwTree4 {
     depth: usize,
@@ -977,115 +728,12 @@ mod tests {
         assert!(make(16) > make(4));
     }
 
-    fn fast_ctw_encode(bits: &[bool], depth: usize, max_nodes: usize) -> Vec<u8> {
-        use crate::rans::RansEncoder;
-        let mut tree = FastCtwTree::with_capacity(depth, max_nodes);
-        let mut hist = BitHistory::new();
-        let mut enc = RansEncoder::new();
-        for &b in bits {
-            let (num, _den) = tree.predict(hist.value());
-            enc.push_bit(b as u8, num);
-            tree.commit(b);
-            hist.push(b);
-        }
-        enc.finish()
-    }
-
-    #[test]
-    fn fast_tree_roundtrips_through_rans() {
-        let mut x = 0xABCDu64;
-        let bits: Vec<bool> = (0..5000)
-            .map(|i| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                i % 4 == 0 || x & 7 == 0
-            })
-            .collect();
-        for (depth, cap) in [(0usize, 1usize << 20), (8, 1 << 20), (16, 1 << 20), (12, 64)] {
-            let bytes = fast_ctw_encode(&bits, depth, cap);
-            use crate::rans::RansDecoder;
-            let mut tree = FastCtwTree::with_capacity(depth, cap);
-            let mut hist = BitHistory::new();
-            let mut dec = RansDecoder::new(&bytes).unwrap();
-            for &b in &bits {
-                let (num, _den) = tree.predict(hist.value());
-                assert_eq!(dec.decode_bit(num) != 0, b, "depth {depth} cap {cap}");
-                tree.commit(b);
-                hist.push(b);
-            }
-            assert!(dec.is_drained());
-        }
-    }
-
-    #[test]
-    fn fast_tree_matches_log_tree_compression_quality() {
-        // Same period-7 source as the log-tree test: the linear-β tree
-        // must deliver the same modelling power (this is a refactor of
-        // the arithmetic, not the model).
-        let pattern = [true, false, false, true, true, false, true];
-        let bits: Vec<bool> = (0..7000).map(|i| pattern[i % 7]).collect();
-        let fast = fast_ctw_encode(&bits, 10, 4 << 20);
-        let ratio = fast.len() as f64 * 8.0 / bits.len() as f64;
-        assert!(ratio < 0.15, "bits/bit = {ratio}");
-        // And predictions track the log tree closely bit-for-bit.
-        let mut log_tree = CtwTree::new(10);
-        let mut fast_tree = FastCtwTree::new(10);
-        let mut hist = BitHistory::new();
-        for &b in &bits[..2000] {
-            let (ln, _) = log_tree.predict(hist.value());
-            let (fnum, _) = fast_tree.predict(hist.value());
-            assert!(
-                (ln as i64 - fnum as i64).abs() <= 2,
-                "trees diverged: log {ln} vs fast {fnum}"
-            );
-            log_tree.commit(b);
-            fast_tree.commit(b);
-            hist.push(b);
-        }
-    }
-
-    #[test]
-    fn bit_model_trait_objects_drive_both_trees() {
-        let bits: Vec<bool> = (0..300).map(|i| i % 5 == 0).collect();
-        let mut trees: Vec<Box<dyn BitModel>> =
-            vec![Box::new(CtwTree::new(6)), Box::new(FastCtwTree::new(6))];
-        for tree in &mut trees {
-            let mut hist = BitHistory::new();
-            for &b in &bits {
-                let (num, den) = tree.predict(hist.value());
-                assert!(num > 0 && num < den);
-                tree.commit(b);
-                hist.push(b);
-            }
-            assert!(tree.heap_bytes() > 0);
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
         #[test]
         fn roundtrip_arbitrary(bits in prop::collection::vec(any::<bool>(), 0..600), depth in 0usize..12) {
             let bytes = ctw_encode(&bits, depth);
             prop_assert_eq!(ctw_decode(&bytes, bits.len(), depth), bits);
-        }
-
-        #[test]
-        fn fast_tree_roundtrip_arbitrary(
-            bits in prop::collection::vec(any::<bool>(), 0..600),
-            depth in 0usize..12,
-        ) {
-            use crate::rans::RansDecoder;
-            let bytes = fast_ctw_encode(&bits, depth, 4 << 20);
-            let mut tree = FastCtwTree::new(depth);
-            let mut hist = BitHistory::new();
-            let mut dec = RansDecoder::new(&bytes).unwrap();
-            for &b in &bits {
-                let (num, _den) = tree.predict(hist.value());
-                prop_assert_eq!(dec.decode_bit(num) != 0, b);
-                tree.commit(b);
-                hist.push(b);
-            }
         }
     }
 }

@@ -9,6 +9,7 @@
 //! `BENCH_serve.json` tracks the in-process path.
 
 use crate::bench::{build_workload, synthetic_framework, BenchConfig};
+use crate::conn::ConnConfig;
 use crate::net::{NetClient, NetConfig, NetServer};
 use crate::proto::Response;
 use crate::service::{CompressionService, ServiceConfig};
@@ -99,7 +100,10 @@ pub fn run_net_bench(cfg: &NetBenchConfig) -> Result<NetBenchReport, String> {
         },
     ));
     let net = NetConfig {
-        max_connections: cfg.clients.max(1) * 2,
+        conn: ConnConfig {
+            max_connections: cfg.clients.max(1) * 2,
+            ..ConnConfig::default()
+        },
         ..NetConfig::default()
     };
     let server = NetServer::start(Arc::clone(&service), cfg.listen.as_str(), net)

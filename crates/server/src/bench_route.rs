@@ -13,6 +13,7 @@
 //! most of its wall-clock blocked on its shard's reply, not on a CPU.
 
 use crate::bench::{build_workload, synthetic_framework, BenchConfig};
+use crate::conn::ConnConfig;
 use crate::net::{NetClient, NetConfig, NetServer};
 use crate::proto::Response;
 use crate::ring::{Ring, ShardSpec, DEFAULT_RING_SEED, DEFAULT_VNODES};
@@ -166,7 +167,10 @@ fn run_row(cfg: &RouteBenchConfig, shards: usize) -> Result<RouteBenchRow, Strin
             },
         ));
         let net = NetConfig {
-            max_connections: cfg.pool_per_shard.max(1) * 2 + 2,
+            conn: ConnConfig {
+                max_connections: cfg.pool_per_shard.max(1) * 2 + 2,
+                ..ConnConfig::default()
+            },
             ..NetConfig::default()
         };
         let server = NetServer::start(Arc::clone(&service), "127.0.0.1:0", net)
@@ -184,7 +188,10 @@ fn run_row(cfg: &RouteBenchConfig, shards: usize) -> Result<RouteBenchRow, Strin
         "127.0.0.1:0",
         ring,
         RouterConfig {
-            max_connections: clients * 2,
+            conn: ConnConfig {
+                max_connections: clients * 2,
+                ..ConnConfig::default()
+            },
             pool_per_shard: cfg.pool_per_shard.max(1),
             replicas: cfg.replicas.max(1),
             write_quorum: cfg.write_quorum.max(1),

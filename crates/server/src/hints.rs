@@ -29,6 +29,7 @@
 
 use dnacomp_algos::CompressedBlob;
 use dnacomp_codec::checksum::fnv1a;
+use dnacomp_store::ContentKey;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -47,28 +48,6 @@ struct HintRecord {
     /// FNV-1a over the `.dx` payload bytes, checked on load.
     #[serde(default)]
     checksum: u64,
-}
-
-/// Hex-encode a content key (the file-stem form used on disk and in
-/// persisted cursors).
-pub(crate) fn key_hex(key: &[u8; 16]) -> String {
-    let mut s = String::with_capacity(32);
-    for b in key {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
-/// Decode [`key_hex`]'s output; `None` on anything malformed.
-pub(crate) fn key_unhex(s: &str) -> Option<[u8; 16]> {
-    if s.len() != 32 {
-        return None;
-    }
-    let mut key = [0u8; 16];
-    for (i, slot) in key.iter_mut().enumerate() {
-        *slot = u8::from_str_radix(&s[2 * i..2 * i + 2], 16).ok()?;
-    }
-    Some(key)
 }
 
 /// A bounded directory of pending handoff hints.
@@ -103,9 +82,9 @@ impl HintQueue {
                 .map_err(|e| format!("reading {}: {e}", path.display()))?;
             let record: HintRecord = serde_json::from_str(&text)
                 .map_err(|e| format!("parsing {}: {e}", path.display()))?;
-            let key = key_unhex(&record.key)
+            let key = ContentKey::from_hex(&record.key)
                 .ok_or_else(|| format!("{}: malformed key hex", path.display()))?;
-            index.insert((record.shard, key));
+            index.insert((record.shard, key.0));
         }
         Ok(HintQueue {
             dir,
@@ -115,7 +94,7 @@ impl HintQueue {
     }
 
     fn stem(&self, shard: u32, key: &[u8; 16]) -> String {
-        format!("{}-s{shard}", key_hex(key))
+        format!("{}-s{shard}", ContentKey(*key).to_hex())
     }
 
     fn dx_path(&self, shard: u32, key: &[u8; 16]) -> PathBuf {
@@ -145,7 +124,7 @@ impl HintQueue {
         std::fs::write(&dx, container).map_err(|e| format!("writing {}: {e}", dx.display()))?;
         let record = HintRecord {
             shard,
-            key: key_hex(key),
+            key: ContentKey(*key).to_hex(),
             epoch: 0,
             checksum: fnv1a(container),
         };
@@ -207,7 +186,6 @@ mod tests {
     use super::*;
     use dnacomp_algos::{compressor_for, Algorithm};
     use dnacomp_seq::gen::GenomeModel;
-    use dnacomp_store::ContentKey;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("dnacomp-hints-{name}-{}", std::process::id()))

@@ -31,7 +31,11 @@
 //!
 //! Module map (one concern each): [`queue`] → [`worker`] → [`cache`] →
 //! [`metrics`], supervised by [`supervisor`] + [`dlq`], assembled by
-//! [`service`], benchmarked by [`bench`].
+//! [`service`], benchmarked by [`bench`]. On the network, [`proto`] is
+//! the wire protocol and [`conn`] the one connection core (accept,
+//! frame loop, handshake gate, upload reassembly) that both front
+//! doors run on: the shard's [`net`] and the [`router`] are two
+//! handlers of it.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -67,7 +71,10 @@ pub use bench_net::{run_net_bench, NetBenchConfig, NetBenchReport};
 pub use bench_route::{run_route_bench, RouteBenchConfig, RouteBenchReport, RouteBenchRow};
 pub use bench_store::{run_store_bench, OpenPoint, StoreBenchConfig, StoreBenchReport};
 pub use cache::{ContextKey, LruCache};
-pub use conn::{read_frame, write_frame, Checkout, CountingStream, FaultyStream, StreamPool, IO_TICK};
+pub use conn::{
+    read_frame, write_frame, Checkout, ConnConfig, CountingStream, FaultyStream, StreamPool,
+    IO_TICK,
+};
 pub use dlq::{DeadLetter, DeadLetterInfo, DeadLetterQueue, QuarantineRegistry};
 pub use dlq_dir::DlqDir;
 pub use hints::HintQueue;

@@ -81,15 +81,7 @@ pub struct Metrics {
     pool_tasks_run_by_pool: AtomicU64,
     pool_tasks_run_inline: AtomicU64,
     pool_batches: AtomicU64,
-    connections_open: AtomicU64,
-    connections_accepted: AtomicU64,
-    connections_refused: AtomicU64,
-    connections_killed: AtomicU64,
-    frames_rx: AtomicU64,
-    frames_tx: AtomicU64,
-    net_bytes_rx: AtomicU64,
-    net_bytes_tx: AtomicU64,
-    protocol_errors: AtomicU64,
+    conn: ConnStats,
 }
 
 impl Default for Metrics {
@@ -132,15 +124,7 @@ impl Default for Metrics {
             pool_tasks_run_by_pool: AtomicU64::new(0),
             pool_tasks_run_inline: AtomicU64::new(0),
             pool_batches: AtomicU64::new(0),
-            connections_open: AtomicU64::new(0),
-            connections_accepted: AtomicU64::new(0),
-            connections_refused: AtomicU64::new(0),
-            connections_killed: AtomicU64::new(0),
-            frames_rx: AtomicU64::new(0),
-            frames_tx: AtomicU64::new(0),
-            net_bytes_rx: AtomicU64::new(0),
-            net_bytes_tx: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
+            conn: ConnStats::default(),
         }
     }
 }
@@ -309,58 +293,14 @@ impl Metrics {
         self.pool_batches.fetch_max(stats.batches, Ordering::Relaxed);
     }
 
-    /// The TCP front-end accepted a connection (open gauge rises).
-    pub fn record_conn_accepted(&self) {
-        self.connections_accepted.fetch_add(1, Ordering::Relaxed);
-        self.connections_open.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An accepted connection ended (cleanly or killed); the open
-    /// gauge falls. Every [`record_conn_accepted`](Self::record_conn_accepted)
-    /// is paired with exactly one of these by the handler's drop path.
-    pub fn record_conn_closed(&self) {
-        let _ = self
-            .connections_open
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
-                Some(d.saturating_sub(1))
-            });
-    }
-
-    /// A connection was refused at accept (cap reached): it was never
-    /// open, so only the refusal counter moves.
-    pub fn record_conn_refused(&self) {
-        self.connections_refused.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A connection was killed by its supervisor (strikes, desync,
-    /// mid-frame deadline). Counted *in addition to* the close.
-    pub fn record_conn_killed(&self) {
-        self.connections_killed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A complete, checksum-valid frame arrived (`bytes` on the wire).
-    pub fn record_frame_rx(&self, bytes: u64) {
-        self.frames_rx.fetch_add(1, Ordering::Relaxed);
-        self.net_bytes_rx.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// A complete frame was written to a peer (`bytes` on the wire).
-    pub fn record_frame_tx(&self, bytes: u64) {
-        self.frames_tx.fetch_add(1, Ordering::Relaxed);
-        self.net_bytes_tx.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// A peer violated the protocol (bad magic/version/checksum,
-    /// unknown type, oversize declaration, malformed payload, torn
-    /// frame). One increment per violation, whether it cost a strike
-    /// or the connection.
-    pub fn record_protocol_error(&self) {
-        self.protocol_errors.fetch_add(1, Ordering::Relaxed);
+    /// The TCP front-end's connection counters.
+    pub(crate) fn conn(&self) -> &ConnStats {
+        &self.conn
     }
 
     /// Connections currently open, per this registry's accounting.
     pub fn connections_open(&self) -> u64 {
-        self.connections_open.load(Ordering::Relaxed)
+        self.conn.open.load(Ordering::Relaxed)
     }
 
     /// Jobs currently queued, per this registry's accounting.
@@ -396,6 +336,7 @@ impl Metrics {
         let hits = self.cache_hits.load(Ordering::Relaxed);
         let misses = self.cache_misses.load(Ordering::Relaxed);
         let completed = self.completed.load(Ordering::Relaxed);
+        let conn = &self.conn;
         let wins = Algorithm::ALL
             .into_iter()
             .filter_map(|alg| {
@@ -454,16 +395,87 @@ impl Metrics {
             pool_tasks_run_by_pool: self.pool_tasks_run_by_pool.load(Ordering::Relaxed),
             pool_tasks_run_inline: self.pool_tasks_run_inline.load(Ordering::Relaxed),
             pool_batches: self.pool_batches.load(Ordering::Relaxed),
-            connections_open: self.connections_open.load(Ordering::Relaxed),
-            connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            connections_refused: self.connections_refused.load(Ordering::Relaxed),
-            connections_killed: self.connections_killed.load(Ordering::Relaxed),
-            frames_rx: self.frames_rx.load(Ordering::Relaxed),
-            frames_tx: self.frames_tx.load(Ordering::Relaxed),
-            net_bytes_rx: self.net_bytes_rx.load(Ordering::Relaxed),
-            net_bytes_tx: self.net_bytes_tx.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
+            connections_open: conn.open.load(Ordering::Relaxed),
+            connections_accepted: conn.accepted.load(Ordering::Relaxed),
+            connections_refused: conn.refused.load(Ordering::Relaxed),
+            connections_killed: conn.killed.load(Ordering::Relaxed),
+            frames_rx: conn.frames_rx.load(Ordering::Relaxed),
+            frames_tx: conn.frames_tx.load(Ordering::Relaxed),
+            net_bytes_rx: conn.bytes_rx.load(Ordering::Relaxed),
+            net_bytes_tx: conn.bytes_tx.load(Ordering::Relaxed),
+            protocol_errors: conn.protocol_errors.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// Client connection counters, kept by the connection core
+/// ([`crate::conn`]) for one endpoint. The shard's [`Metrics`] and the
+/// router's [`RouterMetrics`] each embed one, and their snapshots read
+/// the fields they export.
+#[derive(Debug, Default)]
+pub(crate) struct ConnStats {
+    open: AtomicU64,
+    accepted: AtomicU64,
+    refused: AtomicU64,
+    closed: AtomicU64,
+    killed: AtomicU64,
+    frames_rx: AtomicU64,
+    frames_tx: AtomicU64,
+    bytes_rx: AtomicU64,
+    bytes_tx: AtomicU64,
+    protocol_errors: AtomicU64,
+}
+
+impl ConnStats {
+    /// A connection was accepted (the open gauge rises).
+    pub(crate) fn record_accepted(&self) {
+        self.accepted.fetch_add(1, Ordering::Relaxed);
+        self.open.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// An accepted connection ended, cleanly or killed: the open gauge
+    /// falls and the closed counter rises. Every
+    /// [`record_accepted`](Self::record_accepted) is paired with
+    /// exactly one of these by the connection thread's exit path.
+    pub(crate) fn record_closed(&self) {
+        self.closed.fetch_add(1, Ordering::Relaxed);
+        let _ = self
+            .open
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
+                Some(d.saturating_sub(1))
+            });
+    }
+
+    /// A connection was refused at accept (cap reached): it was never
+    /// open, so only the refusal counter moves.
+    pub(crate) fn record_refused(&self) {
+        self.refused.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A connection was killed by its supervisor (strikes, desync,
+    /// mid-frame deadline). Counted *in addition to* the close.
+    pub(crate) fn record_killed(&self) {
+        self.killed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A complete, checksum-valid frame arrived (`bytes` on the wire).
+    pub(crate) fn record_frame_rx(&self, bytes: u64) {
+        self.frames_rx.fetch_add(1, Ordering::Relaxed);
+        self.bytes_rx.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// A complete frame was written to a peer (`bytes` on the wire).
+    pub(crate) fn record_frame_tx(&self, bytes: u64) {
+        self.frames_tx.fetch_add(1, Ordering::Relaxed);
+        self.bytes_tx.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// A peer violated the protocol (bad magic/version/checksum,
+    /// unknown type, oversize declaration, malformed payload, torn
+    /// frame, traffic before `Hello`). One increment per violation,
+    /// whether it cost a strike or the connection.
+    pub(crate) fn record_protocol_error(&self) {
+        self.protocol_errors.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -635,13 +647,7 @@ impl Default for ShardCounters {
 /// fixed slot of [`ShardCounters`] per configured shard.
 #[derive(Debug)]
 pub struct RouterMetrics {
-    connections_accepted: AtomicU64,
-    connections_refused: AtomicU64,
-    connections_closed: AtomicU64,
-    connections_killed: AtomicU64,
-    frames_rx: AtomicU64,
-    frames_tx: AtomicU64,
-    protocol_errors: AtomicU64,
+    conn: ConnStats,
     route_forwards: AtomicU64,
     route_retries: AtomicU64,
     shard_ejections: AtomicU64,
@@ -661,13 +667,7 @@ impl RouterMetrics {
     /// A zeroed registry with one counter slot per shard.
     pub fn new(shards: usize) -> Self {
         RouterMetrics {
-            connections_accepted: AtomicU64::new(0),
-            connections_refused: AtomicU64::new(0),
-            connections_closed: AtomicU64::new(0),
-            connections_killed: AtomicU64::new(0),
-            frames_rx: AtomicU64::new(0),
-            frames_tx: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
+            conn: ConnStats::default(),
             route_forwards: AtomicU64::new(0),
             route_retries: AtomicU64::new(0),
             shard_ejections: AtomicU64::new(0),
@@ -684,39 +684,9 @@ impl RouterMetrics {
         }
     }
 
-    /// A client connection was accepted.
-    pub fn record_conn_accepted(&self) {
-        self.connections_accepted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A client connection was refused at the cap.
-    pub fn record_conn_refused(&self) {
-        self.connections_refused.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A client connection ended cleanly.
-    pub fn record_conn_closed(&self) {
-        self.connections_closed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A client connection was killed for protocol violations.
-    pub fn record_conn_killed(&self) {
-        self.connections_killed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One client-facing frame arrived.
-    pub fn record_frame_rx(&self) {
-        self.frames_rx.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One client-facing frame was sent.
-    pub fn record_frame_tx(&self) {
-        self.frames_tx.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A client frame violated the protocol.
-    pub fn record_protocol_error(&self) {
-        self.protocol_errors.fetch_add(1, Ordering::Relaxed);
+    /// The client-facing connection counters.
+    pub(crate) fn conn(&self) -> &ConnStats {
+        &self.conn
     }
 
     /// A request was forwarded to `shard`.
@@ -850,15 +820,18 @@ impl RouterMetrics {
                 }
             })
             .collect();
+        let conn = &self.conn;
         RouterMetricsSnapshot {
             epoch,
-            connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            connections_refused: self.connections_refused.load(Ordering::Relaxed),
-            connections_closed: self.connections_closed.load(Ordering::Relaxed),
-            connections_killed: self.connections_killed.load(Ordering::Relaxed),
-            frames_rx: self.frames_rx.load(Ordering::Relaxed),
-            frames_tx: self.frames_tx.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
+            connections_accepted: conn.accepted.load(Ordering::Relaxed),
+            connections_refused: conn.refused.load(Ordering::Relaxed),
+            connections_closed: conn.closed.load(Ordering::Relaxed),
+            connections_killed: conn.killed.load(Ordering::Relaxed),
+            frames_rx: conn.frames_rx.load(Ordering::Relaxed),
+            frames_tx: conn.frames_tx.load(Ordering::Relaxed),
+            net_bytes_rx: conn.bytes_rx.load(Ordering::Relaxed),
+            net_bytes_tx: conn.bytes_tx.load(Ordering::Relaxed),
+            protocol_errors: conn.protocol_errors.load(Ordering::Relaxed),
             route_forwards: self.route_forwards.load(Ordering::Relaxed),
             route_retries: self.route_retries.load(Ordering::Relaxed),
             shard_ejections: self.shard_ejections.load(Ordering::Relaxed),
@@ -932,14 +905,22 @@ pub struct RouterMetricsSnapshot {
     pub connections_accepted: u64,
     /// Client connections refused at the cap.
     pub connections_refused: u64,
-    /// Client connections that ended cleanly.
+    /// Client connections that ended, cleanly or killed: equal to
+    /// `connections_accepted` once every connection has ended.
     pub connections_closed: u64,
-    /// Client connections killed for protocol violations.
+    /// Client connections killed by their supervisor (strikes, desync,
+    /// mid-frame deadline); also counted in `connections_closed`.
     pub connections_killed: u64,
     /// Client-facing frames received.
     pub frames_rx: u64,
     /// Client-facing frames sent.
     pub frames_tx: u64,
+    /// Client-facing wire bytes received in valid frames.
+    #[serde(default)]
+    pub net_bytes_rx: u64,
+    /// Client-facing wire bytes transmitted in frames.
+    #[serde(default)]
+    pub net_bytes_tx: u64,
     /// Client-side protocol violations observed.
     pub protocol_errors: u64,
     /// Requests forwarded to a shard (primary or successor).
@@ -997,7 +978,7 @@ mod tests {
     #[test]
     fn router_rollup_aggregates_per_shard_counters() {
         let m = RouterMetrics::new(2);
-        m.record_conn_accepted();
+        m.conn().record_accepted();
         m.record_forward(0);
         m.record_forward(1);
         m.record_forward(1);
@@ -1130,21 +1111,22 @@ mod tests {
     #[test]
     fn connection_accounting_pairs_opens_with_closes() {
         let m = Metrics::new();
+        let c = m.conn();
         for _ in 0..5 {
-            m.record_conn_accepted();
+            c.record_accepted();
         }
-        m.record_conn_refused();
-        m.record_conn_killed();
-        m.record_frame_rx(100);
-        m.record_frame_rx(28);
-        m.record_frame_tx(64);
-        m.record_protocol_error();
+        c.record_refused();
+        c.record_killed();
+        c.record_frame_rx(100);
+        c.record_frame_rx(28);
+        c.record_frame_tx(64);
+        c.record_protocol_error();
         assert_eq!(m.connections_open(), 5);
         for _ in 0..5 {
-            m.record_conn_closed();
+            c.record_closed();
         }
         // An unpaired extra close clamps at zero instead of wrapping.
-        m.record_conn_closed();
+        c.record_closed();
         let s = m.snapshot();
         assert_eq!(s.connections_open, 0);
         assert_eq!(s.connections_accepted, 5);

@@ -1,48 +1,40 @@
-//! The TCP front-end: a supervised listener that speaks the
-//! [`crate::proto`] wire protocol on behalf of a [`CompressionService`].
+//! The shard's TCP front-end: a [`CompressionService`] served over the
+//! [`crate::proto`] wire protocol as one handler of the connection
+//! core (`conn::serve`).
 //!
-//! Design rules, in order:
+//! The core owns accept, the frame loop, strikes and kills, the
+//! handshake gate and upload reassembly. This handler supplies what is
+//! particular to a shard:
 //!
-//! 1. **Every accepted frame gets exactly one typed reply or a clean
-//!    close** — the wire extension of the service's "every ticket
-//!    resolves exactly once" contract. Even refusals (`ServerBusy`,
-//!    `Shed`, `TooLarge`) are frames, never silent drops.
-//! 2. **No operation outlives its deadline.** Idle connections close
-//!    after the idle budget; a frame that started must finish within
-//!    the frame budget; a job reply must arrive within the request
-//!    budget. Slow-loris peers therefore cost one frame budget, not a
-//!    thread forever.
-//! 3. **Violators get strikes, desyncers get killed.** A violation
-//!    that leaves the stream at a frame boundary (bad checksum,
-//!    unknown type, malformed payload) earns a typed `BadFrame` reply
-//!    and a strike; [`NetConfig::max_strikes`] strikes end the
-//!    connection. A violation that loses framing (bad magic, forged
-//!    length, mid-frame timeout or EOF) kills the connection
-//!    immediately — there is no longer a frame boundary to reply on.
-//! 4. **Backpressure is typed and layered.** The connection cap
-//!    refuses at accept with `ServerBusy`; the service's admission
-//!    control sheds Low lanes first (`shed_above`), surfacing as
-//!    typed `Shed` replies; a full queue surfaces as `ServerBusy`.
-//!    Degradation is graceful at every layer — load never turns into
-//!    hangs or aborts.
+//! * **the pinned-shard `HelloEpoch` rule** — the claimed shard id
+//!   must be [`NetConfig::shard_id`], and a node pinned to an epoch
+//!   ([`NetConfig::epoch`]) refuses any other with `WrongShard`;
+//! * **compression** — an assembled sequence is submitted to the
+//!   service and its ticket awaited within the request budget. The
+//!   service's admission control sheds Low lanes first, surfacing as
+//!   typed `Shed` replies; a full queue surfaces as `ServerBusy`.
+//!   Degradation is typed at every layer — load never turns into hangs
+//!   or aborts;
+//! * **the store requests** — `Get`, `Stat`, `Keys`, `Remove` and
+//!   `MigrateBatch` against the attached store, plus `Metrics`.
+//!
+//! [`NetClient`] is the matching client, generic over any byte stream.
 
-use crate::conn::{read_frame, write_frame, IO_TICK};
+use crate::conn::{err, read_frame, serve, write_frame, ConnConfig, Endpoint, Handler, IO_TICK};
+use crate::metrics::ConnStats;
 use crate::proto::{
-    request_frame, response_frame, ErrorCode, ProtoError, Request, Response, MAX_WIRE_PAYLOAD,
-    WIRE_VERSION,
+    request_frame, ErrorCode, ProtoError, Request, Response, MAX_WIRE_PAYLOAD, WIRE_VERSION,
 };
 use crate::queue::Priority;
 use crate::service::{CompressRequest, CompressionService, JobError, SubmitError};
 use dnacomp_algos::CompressedBlob;
 use dnacomp_codec::checksum::fnv1a;
-use dnacomp_core::{contain_panic, Context, Deadline};
+use dnacomp_core::{Context, Deadline};
 use dnacomp_seq::PackedSeq;
 use dnacomp_store::{ContentKey, SequenceStore, StoreError};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Bases per chunk the client uses for streamed uploads: 64 KiB of
@@ -57,26 +49,12 @@ pub const STREAM_THRESHOLD_BASES: usize = 1 << 20;
 /// Front-end tuning knobs.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Concurrent connections before accept refuses with `ServerBusy`.
-    pub max_connections: usize,
-    /// Per-frame payload cap, bytes (affordability check).
-    pub max_frame_payload: usize,
-    /// Budget between frames before the server closes an idle
-    /// connection cleanly.
-    pub idle_timeout: Duration,
-    /// Budget for the rest of a frame once its first byte arrived;
-    /// exceeding it mid-frame is a kill offence (stream desync).
-    pub frame_timeout: Duration,
-    /// Budget for writing one reply frame.
-    pub write_timeout: Duration,
+    /// Connection limits and budgets, the same as the router's.
+    pub conn: ConnConfig,
     /// Budget from job submission to reply; exceeded ⇒ typed
     /// `Timeout` error reply (the ticket is abandoned, the service
     /// still resolves it internally).
     pub request_timeout: Duration,
-    /// Frame-synced protocol violations tolerated before the kill.
-    pub max_strikes: u32,
-    /// Cap on a streamed upload's declared total length, bases.
-    pub max_total_bases: u64,
     /// Run submitted jobs through the full cloud exchange.
     pub exchange: bool,
     /// Store for `get`/`stat` requests (also what the service
@@ -95,14 +73,8 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            max_connections: 64,
-            max_frame_payload: MAX_WIRE_PAYLOAD,
-            idle_timeout: Duration::from_secs(10),
-            frame_timeout: Duration::from_secs(2),
-            write_timeout: Duration::from_secs(2),
+            conn: ConnConfig::default(),
             request_timeout: Duration::from_secs(30),
-            max_strikes: 3,
-            max_total_bases: 1 << 26,
             exchange: false,
             store: None,
             epoch: None,
@@ -116,10 +88,7 @@ impl Default for NetConfig {
 /// every handler thread.
 #[derive(Debug)]
 pub struct NetServer {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    endpoint: Endpoint,
 }
 
 impl NetServer {
@@ -130,71 +99,18 @@ impl NetServer {
         config: NetConfig,
     ) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let active = Arc::new(AtomicUsize::new(0));
-
-        let accept_stop = Arc::clone(&stop);
-        let accept_handlers = Arc::clone(&handlers);
-        let accept_thread = std::thread::Builder::new()
-            .name("net-accept".into())
-            .spawn(move || {
-                let mut conn_id: u64 = 0;
-                while !accept_stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            conn_id += 1;
-                            if active.load(Ordering::Relaxed) >= config.max_connections {
-                                refuse_busy(&service, stream, &config);
-                                continue;
-                            }
-                            active.fetch_add(1, Ordering::Relaxed);
-                            let service = Arc::clone(&service);
-                            let cfg = config.clone();
-                            let stop = Arc::clone(&accept_stop);
-                            let active = Arc::clone(&active);
-                            let handle = std::thread::Builder::new()
-                                .name(format!("net-conn-{conn_id}"))
-                                .spawn(move || {
-                                    service.metrics().record_conn_accepted();
-                                    // A handler panic must close its own
-                                    // connection's books, never the server.
-                                    let killed = contain_panic(|| {
-                                        handle_conn(stream, &service, &cfg, &stop)
-                                    })
-                                    .unwrap_or(true);
-                                    if killed {
-                                        service.metrics().record_conn_killed();
-                                    }
-                                    service.metrics().record_conn_closed();
-                                    active.fetch_sub(1, Ordering::Relaxed);
-                                })
-                                .expect("spawn connection handler");
-                            let mut hs = lock_handlers(&accept_handlers);
-                            hs.retain(|h| !h.is_finished());
-                            hs.push(handle);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                    }
-                }
-            })?;
-
-        Ok(NetServer {
-            local_addr,
-            stop,
-            accept_thread: Some(accept_thread),
-            handlers,
-        })
+        let conn = config.conn;
+        let shard = Shard {
+            service,
+            cfg: config,
+        };
+        let endpoint = serve(listener, conn, Arc::new(shard))?;
+        Ok(NetServer { endpoint })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.endpoint.local_addr()
     }
 
     /// Stop accepting, drain in-flight connections and join every
@@ -203,612 +119,120 @@ impl NetServer {
     /// are serving, and close — so the drain is bounded by one frame
     /// budget plus one request budget, not by client goodwill.
     pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        let handles: Vec<_> = lock_handlers(&self.handlers).drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
+        self.endpoint.shutdown();
     }
 }
 
-impl Drop for NetServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
+/// The shard's handler: jobs go to the service, store requests to the
+/// attached store.
+struct Shard {
+    service: Arc<CompressionService>,
+    cfg: NetConfig,
 }
 
-fn lock_handlers(
-    handlers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) -> std::sync::MutexGuard<'_, Vec<JoinHandle<()>>> {
-    match handlers.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Best-effort `ServerBusy` refusal for an over-cap accept: the peer
-/// gets a typed reason when it can read one, and a close either way.
-fn refuse_busy(service: &CompressionService, mut stream: TcpStream, config: &NetConfig) {
-    service.metrics().record_conn_refused();
-    let _ = stream.set_write_timeout(Some(IO_TICK));
-    let frame = response_frame(&Response::Error {
-        code: ErrorCode::ServerBusy,
-        message: "connection cap reached".into(),
-    });
-    if write_frame(&mut stream, &frame, Deadline::after(config.write_timeout)).is_ok() {
-        service.metrics().record_frame_tx(frame.len() as u64);
-    }
-}
-
-/// State of one in-progress streamed upload.
-struct Upload {
-    file: String,
-    priority: Priority,
-    context: Context,
-    total_len: u64,
-    chunk_bases: u64,
-    next: u64,
-    words: Vec<u8>,
-}
-
-impl Upload {
-    fn chunk_count(&self) -> u64 {
-        self.total_len.div_ceil(self.chunk_bases)
+impl Handler for Shard {
+    fn stats(&self) -> &ConnStats {
+        self.service.metrics().conn()
     }
 
-    fn expected_words(&self, index: u64) -> u64 {
-        let start = index * self.chunk_bases;
-        let bases = self.total_len.saturating_sub(start).min(self.chunk_bases);
-        bases.div_ceil(4)
-    }
-}
-
-/// What handling one frame decided about the connection's future.
-enum Flow {
-    /// Keep serving frames.
-    Continue,
-    /// Clean close (Bye, or post-reply shutdown drain).
-    Close,
-    /// Supervisor kill: desync or strike budget exhausted.
-    Kill,
-}
-
-/// Serve one connection to completion. Returns `true` when the
-/// connection was killed (vs closed cleanly).
-fn handle_conn(
-    mut stream: TcpStream,
-    service: &CompressionService,
-    cfg: &NetConfig,
-    stop: &AtomicBool,
-) -> bool {
-    let _ = stream.set_read_timeout(Some(IO_TICK));
-    let _ = stream.set_write_timeout(Some(IO_TICK));
-    let _ = stream.set_nodelay(true);
-    let m = service.metrics();
-
-    let mut strikes: u32 = 0;
-    let mut handshaken = false;
-    let mut upload: Option<Upload> = None;
-    let mut idle = Deadline::after(cfg.idle_timeout);
-
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return false; // drain: frame boundary, close cleanly
-        }
-        // Short idle slices keep the shutdown flag observed promptly
-        // while the overall idle budget stays `idle_timeout`.
-        let slice = Deadline::after(idle.remaining().min(Duration::from_millis(50)));
-        let (ftype, payload, wire) =
-            match read_frame(&mut stream, cfg.max_frame_payload, slice, cfg.frame_timeout) {
-                Ok(frame) => frame,
-                Err(ProtoError::Idle) => {
-                    if idle.expired() {
-                        return false; // clean idle close
-                    }
-                    continue;
-                }
-                Err(ProtoError::Closed) => return false,
-                Err(ProtoError::ChecksumMismatch { .. }) => {
-                    // Frame-synced violation: the whole frame was
-                    // consumed, so a typed reply is still possible.
-                    m.record_protocol_error();
-                    strikes += 1;
-                    let flow = send_reply(
-                        &mut stream,
-                        service,
-                        cfg,
-                        &Response::Error {
-                            code: ErrorCode::BadFrame,
-                            message: "frame checksum mismatch".into(),
-                        },
-                    );
-                    if strikes >= cfg.max_strikes || matches!(flow, Flow::Kill) {
-                        return true;
-                    }
-                    idle = Deadline::after(cfg.idle_timeout);
-                    continue;
-                }
-                Err(e) => {
-                    // Desync: bad magic/version, forged length, torn
-                    // frame, mid-frame timeout, transport error. No
-                    // frame boundary remains — best-effort typed
-                    // refusal, then kill.
-                    m.record_protocol_error();
-                    let code = match e {
-                        ProtoError::Oversize { .. } => ErrorCode::TooLarge,
-                        _ => ErrorCode::BadFrame,
-                    };
-                    let _ = send_reply(
-                        &mut stream,
-                        service,
-                        cfg,
-                        &Response::Error {
-                            code,
-                            message: e.to_string(),
-                        },
-                    );
-                    return true;
-                }
-            };
-        m.record_frame_rx(wire);
-        idle = Deadline::after(cfg.idle_timeout);
-
-        let req = match Request::decode(ftype, &payload) {
-            Ok(req) => req,
-            Err(e) => {
-                // Payload-level violation: frame-synced, reply + strike.
-                m.record_protocol_error();
-                strikes += 1;
-                let flow = send_reply(
-                    &mut stream,
-                    service,
-                    cfg,
-                    &Response::Error {
-                        code: ErrorCode::BadFrame,
-                        message: e.to_string(),
-                    },
-                );
-                if strikes >= cfg.max_strikes || matches!(flow, Flow::Kill) {
-                    return true;
-                }
-                continue;
-            }
-        };
-
-        let (reply, flow, strike) = dispatch(service, cfg, &mut handshaken, &mut upload, req);
-        if strike {
-            m.record_protocol_error();
-            strikes += 1;
-        }
-        let wrote = send_reply(&mut stream, service, cfg, &reply);
-        if matches!(wrote, Flow::Kill) {
-            return false; // peer vanished mid-reply: close, not a kill
-        }
-        match flow {
-            Flow::Kill => return true,
-            Flow::Close => return false,
-            Flow::Continue => {
-                if strikes >= cfg.max_strikes {
-                    return true;
-                }
-            }
-        }
-    }
-}
-
-/// Write one reply frame; `Flow::Kill` here means the write failed
-/// (peer gone or write deadline blown).
-fn send_reply(
-    stream: &mut TcpStream,
-    service: &CompressionService,
-    cfg: &NetConfig,
-    resp: &Response,
-) -> Flow {
-    let frame = response_frame(resp);
-    match write_frame(stream, &frame, Deadline::after(cfg.write_timeout)) {
-        Ok(()) => {
-            service.metrics().record_frame_tx(frame.len() as u64);
-            Flow::Continue
-        }
-        Err(_) => Flow::Kill,
-    }
-}
-
-/// Vet a ring-aware handshake against this node's pinned identity.
-/// Returns `(reply, flow, strike)`; the caller flips `handshaken` on
-/// success.
-fn epoch_handshake(cfg: &NetConfig, version: u8, epoch: u64, shard: u32) -> (Response, Flow, bool) {
-    if version != WIRE_VERSION {
-        return (
-            Response::Error {
-                code: ErrorCode::Handshake,
-                message: format!("server speaks version {WIRE_VERSION}, client {version}"),
-            },
-            Flow::Kill,
-            true,
-        );
-    }
-    if shard != cfg.shard_id {
-        return (
-            Response::Error {
-                code: ErrorCode::WrongShard,
-                message: format!(
+    fn hello_epoch(&self, epoch: u64, shard: u32) -> Result<Response, Response> {
+        let cfg = &self.cfg;
+        if shard != cfg.shard_id {
+            return Err(err(
+                ErrorCode::WrongShard,
+                format!(
                     "this node is shard {}, client addressed shard {shard}",
                     cfg.shard_id
                 ),
-            },
-            Flow::Kill,
-            true,
-        );
-    }
-    if let Some(pinned) = cfg.epoch {
-        if epoch != pinned {
-            return (
-                Response::Error {
-                    code: ErrorCode::WrongShard,
-                    message: format!("stale ring epoch {epoch:#x} (node pinned to {pinned:#x})"),
-                },
-                Flow::Kill,
-                true,
-            );
+            ));
         }
-    }
-    (
-        Response::HelloEpochOk {
-            version: WIRE_VERSION,
-            epoch: cfg.epoch.unwrap_or(epoch),
-            shard: cfg.shard_id,
-        },
-        Flow::Continue,
-        false,
-    )
-}
-
-/// Handle one decoded request. Returns `(reply, flow, strike)`.
-fn dispatch(
-    service: &CompressionService,
-    cfg: &NetConfig,
-    handshaken: &mut bool,
-    upload: &mut Option<Upload>,
-    req: Request,
-) -> (Response, Flow, bool) {
-    // The handshake gate: before Hello, only Hello.
-    if !*handshaken {
-        return match req {
-            Request::Hello { version } if version == WIRE_VERSION => {
-                *handshaken = true;
-                (
-                    Response::HelloOk {
-                        version: WIRE_VERSION,
-                    },
-                    Flow::Continue,
-                    false,
-                )
-            }
-            Request::Hello { version } => (
-                Response::Error {
-                    code: ErrorCode::Handshake,
-                    message: format!("server speaks version {WIRE_VERSION}, client {version}"),
-                },
-                Flow::Kill,
-                true,
-            ),
-            Request::HelloEpoch {
-                version,
-                epoch,
-                shard,
-            } => {
-                let (reply, flow, strike) = epoch_handshake(cfg, version, epoch, shard);
-                if matches!(reply, Response::HelloEpochOk { .. }) {
-                    *handshaken = true;
-                }
-                (reply, flow, strike)
-            }
-            _ => (
-                Response::Error {
-                    code: ErrorCode::Handshake,
-                    message: "first frame must be Hello".into(),
-                },
-                Flow::Continue,
-                true,
-            ),
-        };
-    }
-
-    match req {
-        Request::Hello { .. } => (
-            Response::HelloOk {
+        match cfg.epoch {
+            Some(pinned) if epoch != pinned => Err(err(
+                ErrorCode::WrongShard,
+                format!("stale ring epoch {epoch:#x} (node pinned to {pinned:#x})"),
+            )),
+            pinned => Ok(Response::HelloEpochOk {
                 version: WIRE_VERSION,
-            },
-            Flow::Continue,
-            false,
-        ),
-        Request::Ping => (Response::Pong, Flow::Continue, false),
-        Request::Metrics => (
-            Response::MetricsOk {
-                json: service.metrics().snapshot().to_json(),
-            },
-            Flow::Continue,
-            false,
-        ),
-        Request::Bye => (Response::ByeOk, Flow::Close, false),
-        Request::Compress {
-            file,
-            priority,
-            context,
-            seq_len,
-            words,
-        } => match PackedSeq::from_words(words, seq_len as usize) {
-            Ok(seq) => (
-                run_job(service, cfg, file, seq, priority, context),
-                Flow::Continue,
-                false,
-            ),
-            Err(_) => (
-                Response::Error {
-                    code: ErrorCode::BadSequence,
-                    message: "packed words do not form a sequence".into(),
-                },
-                Flow::Continue,
-                true,
-            ),
-        },
-        Request::CompressBegin {
-            file,
-            priority,
-            context,
-            total_len,
-            chunk_bases,
-        } => {
-            if upload.is_some() {
-                return (
-                    Response::Error {
-                        code: ErrorCode::BadFrame,
-                        message: "upload already open".into(),
-                    },
-                    Flow::Continue,
-                    true,
-                );
-            }
-            if chunk_bases == 0 || chunk_bases % 4 != 0 {
-                return (
-                    Response::Error {
-                        code: ErrorCode::BadFrame,
-                        message: "chunk_bases must be a positive multiple of 4".into(),
-                    },
-                    Flow::Continue,
-                    true,
-                );
-            }
-            if total_len > cfg.max_total_bases {
-                return (
-                    Response::Error {
-                        code: ErrorCode::TooLarge,
-                        message: format!(
-                            "total_len {total_len} exceeds cap {}",
-                            cfg.max_total_bases
-                        ),
-                    },
-                    Flow::Continue,
-                    false,
-                );
-            }
-            if chunk_bases.div_ceil(4) > cfg.max_frame_payload as u64 {
-                return (
-                    Response::Error {
-                        code: ErrorCode::TooLarge,
-                        message: "chunk_bases exceeds the frame payload cap".into(),
-                    },
-                    Flow::Continue,
-                    false,
-                );
-            }
-            // Affordability: reserve from the *declared* geometry only
-            // after every bound above held.
-            *upload = Some(Upload {
-                file,
-                priority,
-                context,
-                total_len,
-                chunk_bases,
-                next: 0,
-                words: Vec::with_capacity(total_len.div_ceil(4) as usize),
-            });
-            (Response::Ack, Flow::Continue, false)
+                epoch: pinned.unwrap_or(epoch),
+                shard: cfg.shard_id,
+            }),
         }
-        Request::CompressChunk { index, words } => {
-            let Some(up) = upload.as_mut() else {
-                return (
-                    Response::Error {
-                        code: ErrorCode::BadFrame,
-                        message: "chunk without an open upload".into(),
-                    },
-                    Flow::Continue,
-                    true,
-                );
-            };
-            if index != up.next || index >= up.chunk_count() {
-                let msg = format!("chunk {index} out of order (expected {})", up.next);
-                *upload = None;
-                return (
-                    Response::Error {
-                        code: ErrorCode::BadFrame,
-                        message: msg,
-                    },
-                    Flow::Continue,
-                    true,
-                );
-            }
-            if words.len() as u64 != up.expected_words(index) {
-                let msg = format!(
-                    "chunk {index} carries {} words, geometry says {}",
-                    words.len(),
-                    up.expected_words(index)
-                );
-                *upload = None;
-                return (
-                    Response::Error {
-                        code: ErrorCode::BadSequence,
-                        message: msg,
-                    },
-                    Flow::Continue,
-                    true,
-                );
-            }
-            up.words.extend_from_slice(&words);
-            up.next += 1;
-            (Response::Ack, Flow::Continue, false)
+    }
+
+    fn compress(
+        &self,
+        file: String,
+        seq: PackedSeq,
+        priority: Priority,
+        context: Context,
+    ) -> Response {
+        run_job(&self.service, &self.cfg, file, seq, priority, context)
+    }
+
+    fn dispatch(&self, req: Request) -> (Response, bool) {
+        if let Request::Metrics = req {
+            let json = self.service.metrics().snapshot().to_json();
+            return (Response::MetricsOk { json }, false);
         }
-        Request::CompressEnd { checksum } => {
-            let Some(up) = upload.take() else {
-                return (
-                    Response::Error {
-                        code: ErrorCode::BadFrame,
-                        message: "end without an open upload".into(),
-                    },
-                    Flow::Continue,
-                    true,
-                );
-            };
-            if up.next != up.chunk_count() {
-                return (
-                    Response::Error {
-                        code: ErrorCode::BadSequence,
-                        message: format!(
-                            "upload ended after {} of {} chunks",
-                            up.next,
-                            up.chunk_count()
-                        ),
-                    },
-                    Flow::Continue,
-                    true,
-                );
-            }
-            if fnv1a(&up.words) != checksum {
-                return (
-                    Response::Error {
-                        code: ErrorCode::BadSequence,
-                        message: "reassembled sequence fails its checksum".into(),
-                    },
-                    Flow::Continue,
-                    true,
-                );
-            }
-            match PackedSeq::from_words(up.words, up.total_len as usize) {
-                Ok(seq) => (
-                    run_job(service, cfg, up.file, seq, up.priority, up.context),
-                    Flow::Continue,
-                    false,
-                ),
-                Err(_) => (
-                    Response::Error {
-                        code: ErrorCode::BadSequence,
-                        message: "packed words do not form a sequence".into(),
-                    },
-                    Flow::Continue,
-                    true,
-                ),
-            }
-        }
-        Request::Get { key } => {
-            let Some(store) = cfg.store.as_deref() else {
-                return (
-                    Response::Error {
-                        code: ErrorCode::NoStore,
-                        message: "no store attached".into(),
-                    },
-                    Flow::Continue,
-                    false,
-                );
-            };
-            match store.get(&ContentKey(key)) {
+        let Some(store) = self.cfg.store.as_deref() else {
+            return (err(ErrorCode::NoStore, "no store attached"), false);
+        };
+        let reply = match req {
+            Request::Get { key } => match store.get(&ContentKey(key)) {
                 Ok(blob) => {
                     let bytes = blob.to_bytes();
-                    if bytes.len() > cfg.max_frame_payload {
-                        (
-                            Response::Error {
-                                code: ErrorCode::TooLarge,
-                                message: "stored blob exceeds the frame payload cap".into(),
-                            },
-                            Flow::Continue,
-                            false,
+                    if bytes.len() > self.cfg.conn.max_frame_payload {
+                        err(
+                            ErrorCode::TooLarge,
+                            "stored blob exceeds the frame payload cap",
                         )
                     } else {
-                        (Response::GetOk { blob: bytes }, Flow::Continue, false)
+                        Response::GetOk { blob: bytes }
                     }
                 }
-                Err(StoreError::NotFound(k)) => (
-                    Response::Error {
-                        code: ErrorCode::UnknownKey,
-                        message: format!("no record under {}", k.to_hex()),
-                    },
-                    Flow::Continue,
-                    false,
+                Err(StoreError::NotFound(k)) => err(
+                    ErrorCode::UnknownKey,
+                    format!("no record under {}", k.to_hex()),
                 ),
-                Err(e) => (
-                    Response::Error {
-                        code: ErrorCode::JobFailed,
-                        message: format!("store read failed: {e}"),
-                    },
-                    Flow::Continue,
-                    false,
-                ),
-            }
-        }
-        Request::Stat { key } => {
-            let Some(store) = cfg.store.as_deref() else {
-                return (
-                    Response::Error {
-                        code: ErrorCode::NoStore,
-                        message: "no store attached".into(),
-                    },
-                    Flow::Continue,
-                    false,
+                Err(e) => err(ErrorCode::JobFailed, format!("store read failed: {e}")),
+            },
+            Request::Stat { key: None } => {
+                let s = store.snapshot();
+                let json = format!(
+                    concat!(
+                        "{{\"records\":{},\"segments\":{},",
+                        "\"runs\":{},\"tombstones\":{},",
+                        "\"bytes_on_disk\":{},\"live_bytes\":{},",
+                        "\"puts\":{},\"dedup_hits\":{},",
+                        "\"removes\":{},\"scrub_failures\":{},",
+                        "\"seals\":{},\"merges\":{},",
+                        "\"bloom_negatives\":{},",
+                        "\"cache_hits\":{},\"cache_misses\":{},",
+                        "\"wal_appends\":{},\"wal_batches\":{}}}"
+                    ),
+                    s.records,
+                    s.segments,
+                    s.runs,
+                    s.tombstones,
+                    s.bytes_on_disk,
+                    s.live_bytes,
+                    s.puts,
+                    s.dedup_hits,
+                    s.removes,
+                    s.scrub_failures,
+                    s.seals,
+                    s.merges,
+                    s.bloom_negatives,
+                    s.cache_hits,
+                    s.cache_misses,
+                    s.wal_appends,
+                    s.wal_batches
                 );
-            };
-            let json = match key {
-                None => {
-                    let s = store.snapshot();
-                    format!(
-                        concat!(
-                            "{{\"records\":{},\"segments\":{},",
-                            "\"runs\":{},\"tombstones\":{},",
-                            "\"bytes_on_disk\":{},\"live_bytes\":{},",
-                            "\"puts\":{},\"dedup_hits\":{},",
-                            "\"removes\":{},\"scrub_failures\":{},",
-                            "\"seals\":{},\"merges\":{},",
-                            "\"bloom_negatives\":{},",
-                            "\"cache_hits\":{},\"cache_misses\":{},",
-                            "\"wal_appends\":{},\"wal_batches\":{}}}"
-                        ),
-                        s.records,
-                        s.segments,
-                        s.runs,
-                        s.tombstones,
-                        s.bytes_on_disk,
-                        s.live_bytes,
-                        s.puts,
-                        s.dedup_hits,
-                        s.removes,
-                        s.scrub_failures,
-                        s.seals,
-                        s.merges,
-                        s.bloom_negatives,
-                        s.cache_hits,
-                        s.cache_misses,
-                        s.wal_appends,
-                        s.wal_batches
-                    )
-                }
-                Some(key) => match store.stat(&ContentKey(key)) {
-                    Some(rs) => format!(
+                Response::StatOk { json }
+            }
+            Request::Stat { key: Some(key) } => match store.stat(&ContentKey(key)) {
+                Some(rs) => Response::StatOk {
+                    json: format!(
                         concat!(
                             "{{\"key\":\"{}\",\"algorithm\":\"{}\",",
                             "\"original_len\":{},\"stored_bytes\":{},",
@@ -821,144 +245,76 @@ fn dispatch(
                         rs.segment,
                         rs.level
                     ),
-                    None => {
-                        return (
-                            Response::Error {
-                                code: ErrorCode::UnknownKey,
-                                message: format!(
-                                    "no record under {}",
-                                    ContentKey(key).to_hex()
-                                ),
-                            },
-                            Flow::Continue,
-                            false,
-                        )
-                    }
                 },
-            };
-            (Response::StatOk { json }, Flow::Continue, false)
-        }
-        Request::HelloEpoch {
-            version,
-            epoch,
-            shard,
-        } => epoch_handshake(cfg, version, epoch, shard),
-        Request::Keys => {
-            let Some(store) = cfg.store.as_deref() else {
-                return (
-                    Response::Error {
-                        code: ErrorCode::NoStore,
-                        message: "no store attached".into(),
-                    },
-                    Flow::Continue,
-                    false,
-                );
-            };
-            let keys: Vec<[u8; 16]> = store.keys().into_iter().map(|k| k.0).collect();
-            // The key list must fit one reply frame; 10 bytes covers
-            // the count uvarint.
-            if keys.len() * 16 + 10 > cfg.max_frame_payload {
-                (
-                    Response::Error {
-                        code: ErrorCode::TooLarge,
-                        message: format!("{} keys exceed the reply frame cap", keys.len()),
-                    },
-                    Flow::Continue,
-                    false,
-                )
-            } else {
-                (Response::KeysOk { keys }, Flow::Continue, false)
-            }
-        }
-        Request::Remove { key } => {
-            let Some(store) = cfg.store.as_deref() else {
-                return (
-                    Response::Error {
-                        code: ErrorCode::NoStore,
-                        message: "no store attached".into(),
-                    },
-                    Flow::Continue,
-                    false,
-                );
-            };
-            match store.remove(&ContentKey(key)) {
-                Ok(existed) => (Response::RemoveOk { existed }, Flow::Continue, false),
-                Err(e) => (
-                    Response::Error {
-                        code: ErrorCode::JobFailed,
-                        message: format!("remove failed: {e}"),
-                    },
-                    Flow::Continue,
-                    false,
+                None => err(
+                    ErrorCode::UnknownKey,
+                    format!("no record under {}", ContentKey(key).to_hex()),
                 ),
-            }
-        }
-        Request::MigrateBatch { epoch, records } => {
-            let Some(store) = cfg.store.as_deref() else {
-                return (
-                    Response::Error {
-                        code: ErrorCode::NoStore,
-                        message: "no store attached".into(),
-                    },
-                    Flow::Continue,
-                    false,
-                );
-            };
-            if let Some(pinned) = cfg.epoch {
-                if epoch != pinned {
-                    // A correctness refusal, not a protocol violation:
-                    // the batch framed cleanly, the sender's ring is
-                    // just stale. No strike, connection survives.
-                    return (
-                        Response::Error {
-                            code: ErrorCode::WrongShard,
-                            message: format!(
-                                "migration planned under epoch {epoch:#x}, node pinned to {pinned:#x}"
-                            ),
-                        },
-                        Flow::Continue,
-                        false,
-                    );
+            },
+            Request::Keys => {
+                let keys: Vec<[u8; 16]> = store.keys().into_iter().map(|k| k.0).collect();
+                // The key list must fit one reply frame; 10 bytes covers
+                // the count uvarint.
+                if keys.len() * 16 + 10 > self.cfg.conn.max_frame_payload {
+                    err(
+                        ErrorCode::TooLarge,
+                        format!("{} keys exceed the reply frame cap", keys.len()),
+                    )
+                } else {
+                    Response::KeysOk { keys }
                 }
             }
-            let mut stored = 0u64;
-            let mut deduped = 0u64;
-            for (idx, (key, bytes)) in records.iter().enumerate() {
-                let blob = match CompressedBlob::from_bytes(bytes) {
-                    Ok(blob) => blob,
-                    Err(_) => {
-                        return (
-                            Response::Error {
-                                code: ErrorCode::BadSequence,
-                                message: format!("record {idx} is not a valid container"),
-                            },
-                            Flow::Continue,
-                            true,
-                        )
-                    }
-                };
-                match store.put_with_key(ContentKey(*key), &blob) {
-                    Ok(outcome) => {
-                        stored += 1;
-                        if outcome.deduped {
-                            deduped += 1;
-                        }
-                    }
-                    Err(e) => {
-                        return (
-                            Response::Error {
-                                code: ErrorCode::JobFailed,
-                                message: format!("record {idx} write failed: {e}"),
-                            },
-                            Flow::Continue,
-                            false,
-                        )
-                    }
-                }
+            Request::Remove { key } => match store.remove(&ContentKey(key)) {
+                Ok(existed) => Response::RemoveOk { existed },
+                Err(e) => err(ErrorCode::JobFailed, format!("remove failed: {e}")),
+            },
+            Request::MigrateBatch { epoch, records } => {
+                return migrate(store, self.cfg.epoch, epoch, &records)
             }
-            (Response::MigrateOk { stored, deduped }, Flow::Continue, false)
+            _ => err(ErrorCode::Unsupported, "not a store request"),
+        };
+        (reply, false)
+    }
+}
+
+/// Apply one checksummed migration batch; `(reply, strike)`.
+fn migrate(
+    store: &SequenceStore,
+    pinned: Option<u64>,
+    epoch: u64,
+    records: &[([u8; 16], Vec<u8>)],
+) -> (Response, bool) {
+    if let Some(pinned) = pinned {
+        if epoch != pinned {
+            // A correctness refusal, not a protocol violation: the
+            // batch framed cleanly, the sender's ring is just stale.
+            // No strike, connection survives.
+            let message =
+                format!("migration planned under epoch {epoch:#x}, node pinned to {pinned:#x}");
+            return (err(ErrorCode::WrongShard, message), false);
         }
     }
+    let mut stored = 0u64;
+    let mut deduped = 0u64;
+    for (idx, (key, bytes)) in records.iter().enumerate() {
+        let Ok(blob) = CompressedBlob::from_bytes(bytes) else {
+            let message = format!("record {idx} is not a valid container");
+            return (err(ErrorCode::BadSequence, message), true);
+        };
+        match store.put_with_key(ContentKey(*key), &blob) {
+            Ok(outcome) => {
+                stored += 1;
+                if outcome.deduped {
+                    deduped += 1;
+                }
+            }
+            Err(e) => {
+                let message = format!("record {idx} write failed: {e}");
+                return (err(ErrorCode::JobFailed, message), false);
+            }
+        }
+    }
+    (Response::MigrateOk { stored, deduped }, false)
 }
 
 /// Submit one job and wait (bounded) for its ticket.

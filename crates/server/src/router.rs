@@ -10,6 +10,14 @@
 //! router is stored on some shard, and a later get for its key routes
 //! to the same shard by construction.
 //!
+//! Its client side is the same connection core the shard runs on
+//! (`conn::serve`): accept, strikes and kills, the handshake gate and
+//! upload reassembly are shared, and the router supplies only its
+//! `HelloEpoch` rule, the quorum route for an assembled sequence, and
+//! its answers to `Metrics`, `Get` and `Stat`. Store admin requests
+//! (`Keys`, `Remove`, `MigrateBatch`) are refused as `Unsupported`:
+//! they go to shards directly.
+//!
 //! ## Replication and failure discipline
 //!
 //! Every keyed write fans out to the key's **replica set** — the
@@ -52,13 +60,13 @@
 //! differing buckets, so a shard restored from an empty disk
 //! converges to full replication without a manual rebalance.
 
-use crate::conn::{read_frame, write_frame, Checkout, CountingStream, StreamPool, IO_TICK};
-use crate::hints::{key_hex, key_unhex, HintQueue};
-use crate::metrics::{RouterMetrics, RouterMetricsSnapshot, ShardLabel};
-use crate::net::{ClientError, NetClient};
-use crate::proto::{
-    response_frame, ErrorCode, ProtoError, Request, Response, MAX_WIRE_PAYLOAD, WIRE_VERSION,
+use crate::conn::{
+    err, serve, Checkout, ConnConfig, CountingStream, Endpoint, Handler, StreamPool, IO_TICK,
 };
+use crate::hints::HintQueue;
+use crate::metrics::{ConnStats, RouterMetrics, RouterMetricsSnapshot, ShardLabel};
+use crate::net::{ClientError, NetClient};
+use crate::proto::{ErrorCode, ProtoError, Request, Response, WIRE_VERSION};
 use crate::queue::Priority;
 use crate::ring::{Ring, ShardSpec};
 use dnacomp_algos::{compressor_for, Algorithm, CompressedBlob};
@@ -70,34 +78,22 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Router tuning knobs.
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
-    /// Client connections before accept refuses with `ServerBusy`.
-    pub max_connections: usize,
-    /// Per-frame payload cap, bytes.
-    pub max_frame_payload: usize,
-    /// Client idle budget between frames.
-    pub idle_timeout: Duration,
-    /// Client mid-frame budget.
-    pub frame_timeout: Duration,
-    /// Reply write budget.
-    pub write_timeout: Duration,
+    /// Client connection limits and budgets, the same as a shard's.
+    pub conn: ConnConfig,
     /// Per-shard forward deadline: pool checkout + dial + the whole
     /// request/response exchange against one shard.
     pub shard_timeout: Duration,
     /// Back-end connections per shard — the hard per-shard
     /// concurrency budget ([`StreamPool`] blocks beyond it).
     pub pool_per_shard: usize,
-    /// Frame-synced client violations tolerated before the kill.
-    pub max_strikes: u32,
-    /// Cap on a streamed upload's declared total length, bases.
-    pub max_total_bases: u64,
     /// Cadence of shard health probes.
     pub probe_interval: Duration,
     /// Deadline for one probe ping.
@@ -125,15 +121,9 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            max_connections: 64,
-            max_frame_payload: MAX_WIRE_PAYLOAD,
-            idle_timeout: Duration::from_secs(10),
-            frame_timeout: Duration::from_secs(2),
-            write_timeout: Duration::from_secs(2),
+            conn: ConnConfig::default(),
             shard_timeout: Duration::from_secs(5),
             pool_per_shard: 2,
-            max_strikes: 3,
-            max_total_bases: 1 << 26,
             probe_interval: Duration::from_millis(200),
             probe_timeout: Duration::from_millis(500),
             probe_strikes: 3,
@@ -466,43 +456,6 @@ fn aggregate_stat(shared: &RouterShared) -> Response {
     }
 }
 
-/// State of one in-progress streamed upload through the router.
-struct Upload {
-    file: String,
-    priority: Priority,
-    context: Context,
-    total_len: u64,
-    chunk_bases: u64,
-    next: u64,
-    words: Vec<u8>,
-}
-
-impl Upload {
-    fn chunk_count(&self) -> u64 {
-        self.total_len.div_ceil(self.chunk_bases)
-    }
-
-    fn expected_words(&self, index: u64) -> u64 {
-        let start = index * self.chunk_bases;
-        let bases = self.total_len.saturating_sub(start).min(self.chunk_bases);
-        bases.div_ceil(4)
-    }
-}
-
-/// What handling one frame decided about the connection's future.
-enum Flow {
-    Continue,
-    Close,
-    Kill,
-}
-
-fn err(code: ErrorCode, message: impl Into<String>) -> Response {
-    Response::Error {
-        code,
-        message: message.into(),
-    }
-}
-
 /// A quorum write committed but some replicas missed it: persist one
 /// handoff hint per missed replica, carrying the canonical container
 /// bytes fetched back from a committed holder. A replica the queue
@@ -730,377 +683,64 @@ fn route_get(shared: &RouterShared, key: [u8; 16]) -> Response {
     })
 }
 
-/// Handle one decoded client request. Returns `(reply, flow, strike)`.
-fn dispatch(
-    shared: &RouterShared,
-    handshaken: &mut bool,
-    upload: &mut Option<Upload>,
-    req: Request,
-) -> (Response, Flow, bool) {
-    // The handshake gate, with the router's epoch rule: an epoch-aware
-    // peer whose ring disagrees is refused before any forward.
-    let hello = |version: u8, epoch: Option<u64>| -> (Response, Flow, bool) {
-        if version != WIRE_VERSION {
-            return (
-                err(
-                    ErrorCode::Handshake,
-                    format!("router speaks version {WIRE_VERSION}, client {version}"),
-                ),
-                Flow::Kill,
-                true,
-            );
-        }
-        match epoch {
-            Some(e) if e != shared.ring.epoch() => (
-                err(
-                    ErrorCode::WrongShard,
-                    format!(
-                        "stale ring epoch {e:#x} (router at {:#x})",
-                        shared.ring.epoch()
-                    ),
-                ),
-                Flow::Kill,
-                true,
-            ),
-            Some(e) => (
-                Response::HelloEpochOk {
-                    version: WIRE_VERSION,
-                    epoch: e,
-                    shard: 0,
-                },
-                Flow::Continue,
-                false,
-            ),
-            None => (
-                Response::HelloOk {
-                    version: WIRE_VERSION,
-                },
-                Flow::Continue,
-                false,
-            ),
-        }
-    };
-    if !*handshaken {
-        return match req {
-            Request::Hello { version } => {
-                let out = hello(version, None);
-                if !out.2 {
-                    *handshaken = true;
-                }
-                out
-            }
-            Request::HelloEpoch {
-                version,
-                epoch,
-                shard: 0,
-            } => {
-                let out = hello(version, Some(epoch));
-                if !out.2 {
-                    *handshaken = true;
-                }
-                out
-            }
-            Request::HelloEpoch { shard, .. } => (
-                err(
-                    ErrorCode::WrongShard,
-                    format!("this is a router, not shard {shard}"),
-                ),
-                Flow::Kill,
-                true,
-            ),
-            _ => (
-                err(ErrorCode::Handshake, "first frame must be Hello"),
-                Flow::Continue,
-                true,
-            ),
-        };
+/// The router's handler: sequences route through a quorum write, keyed
+/// reads through the key's replica set.
+impl Handler for RouterShared {
+    fn stats(&self) -> &ConnStats {
+        self.metrics.conn()
     }
 
-    match req {
-        Request::Hello { version } => hello(version, None),
-        Request::HelloEpoch {
-            version,
-            epoch,
-            shard: 0,
-        } => hello(version, Some(epoch)),
-        Request::HelloEpoch { shard, .. } => (
-            err(
+    /// An epoch-aware peer must claim shard 0 ("a router") and agree
+    /// with the ring: a stale peer is refused before any forward.
+    fn hello_epoch(&self, epoch: u64, shard: u32) -> Result<Response, Response> {
+        if shard != 0 {
+            return Err(err(
                 ErrorCode::WrongShard,
                 format!("this is a router, not shard {shard}"),
-            ),
-            Flow::Kill,
-            true,
-        ),
-        Request::Ping => (Response::Pong, Flow::Continue, false),
-        Request::Metrics => (
-            Response::MetricsOk {
-                json: shared.snapshot().to_json(),
+            ));
+        }
+        if epoch != self.ring.epoch() {
+            return Err(err(
+                ErrorCode::WrongShard,
+                format!(
+                    "stale ring epoch {epoch:#x} (router at {:#x})",
+                    self.ring.epoch()
+                ),
+            ));
+        }
+        Ok(Response::HelloEpochOk {
+            version: WIRE_VERSION,
+            epoch,
+            shard: 0,
+        })
+    }
+
+    fn compress(
+        &self,
+        file: String,
+        seq: PackedSeq,
+        priority: Priority,
+        context: Context,
+    ) -> Response {
+        route_compress(self, file, seq, priority, context)
+    }
+
+    fn dispatch(&self, req: Request) -> (Response, bool) {
+        let reply = match req {
+            Request::Metrics => Response::MetricsOk {
+                json: self.snapshot().to_json(),
             },
-            Flow::Continue,
-            false,
-        ),
-        Request::Bye => (Response::ByeOk, Flow::Close, false),
-        Request::Compress {
-            file,
-            priority,
-            context,
-            seq_len,
-            words,
-        } => match PackedSeq::from_words(words, seq_len as usize) {
-            Ok(seq) => (
-                route_compress(shared, file, seq, priority, context),
-                Flow::Continue,
-                false,
-            ),
-            Err(_) => (
-                err(
-                    ErrorCode::BadSequence,
-                    "packed words do not form a sequence",
-                ),
-                Flow::Continue,
-                true,
-            ),
-        },
-        Request::CompressBegin {
-            file,
-            priority,
-            context,
-            total_len,
-            chunk_bases,
-        } => {
-            if upload.is_some() {
-                return (err(ErrorCode::BadFrame, "upload already open"), Flow::Continue, true);
-            }
-            if chunk_bases == 0 || chunk_bases % 4 != 0 {
-                return (
-                    err(
-                        ErrorCode::BadFrame,
-                        "chunk_bases must be a positive multiple of 4",
-                    ),
-                    Flow::Continue,
-                    true,
-                );
-            }
-            if total_len > shared.cfg.max_total_bases {
-                return (
-                    err(
-                        ErrorCode::TooLarge,
-                        format!(
-                            "total_len {total_len} exceeds cap {}",
-                            shared.cfg.max_total_bases
-                        ),
-                    ),
-                    Flow::Continue,
-                    false,
-                );
-            }
-            if chunk_bases.div_ceil(4) > shared.cfg.max_frame_payload as u64 {
-                return (
-                    err(ErrorCode::TooLarge, "chunk_bases exceeds the frame payload cap"),
-                    Flow::Continue,
-                    false,
-                );
-            }
-            *upload = Some(Upload {
-                file,
-                priority,
-                context,
-                total_len,
-                chunk_bases,
-                next: 0,
-                words: Vec::with_capacity(total_len.div_ceil(4) as usize),
-            });
-            (Response::Ack, Flow::Continue, false)
-        }
-        Request::CompressChunk { index, words } => {
-            let Some(up) = upload.as_mut() else {
-                return (
-                    err(ErrorCode::BadFrame, "chunk without an open upload"),
-                    Flow::Continue,
-                    true,
-                );
-            };
-            if index != up.next || index >= up.chunk_count() {
-                let msg = format!("chunk {index} out of order (expected {})", up.next);
-                *upload = None;
-                return (err(ErrorCode::BadFrame, msg), Flow::Continue, true);
-            }
-            if words.len() as u64 != up.expected_words(index) {
-                let msg = format!(
-                    "chunk {index} carries {} words, geometry says {}",
-                    words.len(),
-                    up.expected_words(index)
-                );
-                *upload = None;
-                return (err(ErrorCode::BadSequence, msg), Flow::Continue, true);
-            }
-            up.words.extend_from_slice(&words);
-            up.next += 1;
-            (Response::Ack, Flow::Continue, false)
-        }
-        Request::CompressEnd { checksum } => {
-            let Some(up) = upload.take() else {
-                return (
-                    err(ErrorCode::BadFrame, "end without an open upload"),
-                    Flow::Continue,
-                    true,
-                );
-            };
-            if up.next != up.chunk_count() {
-                return (
-                    err(
-                        ErrorCode::BadSequence,
-                        format!("upload ended after {} of {} chunks", up.next, up.chunk_count()),
-                    ),
-                    Flow::Continue,
-                    true,
-                );
-            }
-            if fnv1a(&up.words) != checksum {
-                return (
-                    err(
-                        ErrorCode::BadSequence,
-                        "reassembled sequence fails its checksum",
-                    ),
-                    Flow::Continue,
-                    true,
-                );
-            }
-            match PackedSeq::from_words(up.words, up.total_len as usize) {
-                Ok(seq) => (
-                    route_compress(shared, up.file, seq, up.priority, up.context),
-                    Flow::Continue,
-                    false,
-                ),
-                Err(_) => (
-                    err(
-                        ErrorCode::BadSequence,
-                        "packed words do not form a sequence",
-                    ),
-                    Flow::Continue,
-                    true,
-                ),
-            }
-        }
-        Request::Get { key } => (route_get(shared, key), Flow::Continue, false),
-        Request::Stat { key: Some(key) } => (
-            forward(shared, &key, move |c| {
+            Request::Get { key } => route_get(self, key),
+            Request::Stat { key: Some(key) } => forward(self, &key, move |c| {
                 c.call(&Request::Stat { key: Some(key) })
             }),
-            Flow::Continue,
-            false,
-        ),
-        Request::Stat { key: None } => (aggregate_stat(shared), Flow::Continue, false),
-        Request::Keys | Request::Remove { .. } | Request::MigrateBatch { .. } => (
-            err(
+            Request::Stat { key: None } => aggregate_stat(self),
+            _ => err(
                 ErrorCode::Unsupported,
                 "store admin requests go to shards directly, not through the router",
             ),
-            Flow::Continue,
-            false,
-        ),
-    }
-}
-
-/// Write one reply frame; `Flow::Kill` means the peer is gone.
-fn send_reply(stream: &mut TcpStream, shared: &RouterShared, resp: &Response) -> Flow {
-    let frame = response_frame(resp);
-    match write_frame(stream, &frame, Deadline::after(shared.cfg.write_timeout)) {
-        Ok(()) => {
-            shared.metrics.record_frame_tx();
-            Flow::Continue
-        }
-        Err(_) => Flow::Kill,
-    }
-}
-
-/// Serve one client connection to completion; `true` = killed.
-fn handle_conn(mut stream: TcpStream, shared: &RouterShared, stop: &AtomicBool) -> bool {
-    let _ = stream.set_read_timeout(Some(IO_TICK));
-    let _ = stream.set_write_timeout(Some(IO_TICK));
-    let _ = stream.set_nodelay(true);
-    let m = &shared.metrics;
-    let cfg = &shared.cfg;
-
-    let mut strikes: u32 = 0;
-    let mut handshaken = false;
-    let mut upload: Option<Upload> = None;
-    let mut idle = Deadline::after(cfg.idle_timeout);
-
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return false;
-        }
-        let slice = Deadline::after(idle.remaining().min(Duration::from_millis(50)));
-        let (ftype, payload, _wire) =
-            match read_frame(&mut stream, cfg.max_frame_payload, slice, cfg.frame_timeout) {
-                Ok(frame) => frame,
-                Err(ProtoError::Idle) => {
-                    if idle.expired() {
-                        return false;
-                    }
-                    continue;
-                }
-                Err(ProtoError::Closed) => return false,
-                Err(ProtoError::ChecksumMismatch { .. }) => {
-                    m.record_protocol_error();
-                    strikes += 1;
-                    let flow = send_reply(
-                        &mut stream,
-                        shared,
-                        &err(ErrorCode::BadFrame, "frame checksum mismatch"),
-                    );
-                    if strikes >= cfg.max_strikes || matches!(flow, Flow::Kill) {
-                        return true;
-                    }
-                    idle = Deadline::after(cfg.idle_timeout);
-                    continue;
-                }
-                Err(e) => {
-                    m.record_protocol_error();
-                    let code = match e {
-                        ProtoError::Oversize { .. } => ErrorCode::TooLarge,
-                        _ => ErrorCode::BadFrame,
-                    };
-                    let _ = send_reply(&mut stream, shared, &err(code, e.to_string()));
-                    return true;
-                }
-            };
-        m.record_frame_rx();
-        idle = Deadline::after(cfg.idle_timeout);
-
-        let req = match Request::decode(ftype, &payload) {
-            Ok(req) => req,
-            Err(e) => {
-                m.record_protocol_error();
-                strikes += 1;
-                let flow =
-                    send_reply(&mut stream, shared, &err(ErrorCode::BadFrame, e.to_string()));
-                if strikes >= cfg.max_strikes || matches!(flow, Flow::Kill) {
-                    return true;
-                }
-                continue;
-            }
         };
-
-        let (reply, flow, strike) = dispatch(shared, &mut handshaken, &mut upload, req);
-        if strike {
-            m.record_protocol_error();
-            strikes += 1;
-        }
-        let wrote = send_reply(&mut stream, shared, &reply);
-        if matches!(wrote, Flow::Kill) {
-            return false;
-        }
-        match flow {
-            Flow::Kill => return true,
-            Flow::Close => return false,
-            Flow::Continue => {
-                if strikes >= cfg.max_strikes {
-                    return true;
-                }
-            }
-        }
+        (reply, false)
     }
 }
 
@@ -1182,11 +822,9 @@ fn drain_hints(shared: &RouterShared) {
 /// thread.
 #[derive(Debug)]
 pub struct RouterServer {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    endpoint: Endpoint,
+    prober_stop: Arc<AtomicBool>,
     prober_thread: Option<JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     shared: Arc<RouterShared>,
 }
 
@@ -1199,12 +837,6 @@ impl RouterServer {
         config: RouterConfig,
     ) -> std::io::Result<RouterServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let active = Arc::new(AtomicUsize::new(0));
-
         let metrics = RouterMetrics::new(ring.shards().len());
         let shards = ring
             .shards()
@@ -1217,9 +849,10 @@ impl RouterServer {
             })
             .collect();
         let hints = match &config.hint_dir {
-            Some(dir) => Some(HintQueue::open(dir, config.hint_cap).map_err(|e| {
-                std::io::Error::new(std::io::ErrorKind::InvalidInput, e)
-            })?),
+            Some(dir) => Some(
+                HintQueue::open(dir, config.hint_cap)
+                    .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?,
+            ),
             None => None,
         };
         let shared = Arc::new(RouterShared {
@@ -1235,84 +868,33 @@ impl RouterServer {
             shared.metrics.set_hints_pending(h.pending() as u64);
         }
 
-        let prober_shared = Arc::clone(&shared);
-        let prober_stop = Arc::clone(&stop);
+        let endpoint = serve(listener, shared.cfg.conn, Arc::clone(&shared))?;
+        let prober_stop = Arc::new(AtomicBool::new(false));
+        let (prober_shared, stop) = (Arc::clone(&shared), Arc::clone(&prober_stop));
         let prober_thread = std::thread::Builder::new()
             .name("route-probe".into())
             .spawn(move || {
-                while !prober_stop.load(Ordering::Relaxed) {
+                while !stop.load(Ordering::Relaxed) {
                     let _ = contain_panic(|| probe_pass(&prober_shared));
                     // Sleep the probe interval in short slices so
                     // shutdown is never blocked on a probe nap.
                     let nap = Deadline::after(prober_shared.cfg.probe_interval);
-                    while !nap.expired() && !prober_stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(
-                            nap.remaining().min(Duration::from_millis(20)),
-                        );
+                    while !nap.expired() && !stop.load(Ordering::Relaxed) {
+                        std::thread::sleep(nap.remaining().min(Duration::from_millis(20)));
                     }
                 }
             })?;
-
-        let accept_shared = Arc::clone(&shared);
-        let accept_stop = Arc::clone(&stop);
-        let accept_handlers = Arc::clone(&handlers);
-        let accept_thread = std::thread::Builder::new()
-            .name("route-accept".into())
-            .spawn(move || {
-                let mut conn_id: u64 = 0;
-                while !accept_stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            conn_id += 1;
-                            if active.load(Ordering::Relaxed)
-                                >= accept_shared.cfg.max_connections
-                            {
-                                refuse_busy(&accept_shared, stream);
-                                continue;
-                            }
-                            active.fetch_add(1, Ordering::Relaxed);
-                            let shared = Arc::clone(&accept_shared);
-                            let stop = Arc::clone(&accept_stop);
-                            let active = Arc::clone(&active);
-                            let handle = std::thread::Builder::new()
-                                .name(format!("route-conn-{conn_id}"))
-                                .spawn(move || {
-                                    shared.metrics.record_conn_accepted();
-                                    let killed =
-                                        contain_panic(|| handle_conn(stream, &shared, &stop))
-                                            .unwrap_or(true);
-                                    if killed {
-                                        shared.metrics.record_conn_killed();
-                                    }
-                                    shared.metrics.record_conn_closed();
-                                    active.fetch_sub(1, Ordering::Relaxed);
-                                })
-                                .expect("spawn router connection handler");
-                            let mut hs = lock_handlers(&accept_handlers);
-                            hs.retain(|h| !h.is_finished());
-                            hs.push(handle);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                    }
-                }
-            })?;
-
         Ok(RouterServer {
-            local_addr,
-            stop,
-            accept_thread: Some(accept_thread),
+            endpoint,
+            prober_stop,
             prober_thread: Some(prober_thread),
-            handlers,
             shared,
         })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.endpoint.local_addr()
     }
 
     /// The ring epoch this router serves.
@@ -1345,16 +927,10 @@ impl RouterServer {
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.endpoint.shutdown();
+        self.prober_stop.store(true, Ordering::Relaxed);
         if let Some(t) = self.prober_thread.take() {
             let _ = t.join();
-        }
-        let handles: Vec<_> = lock_handlers(&self.handlers).drain(..).collect();
-        for h in handles {
-            let _ = h.join();
         }
     }
 }
@@ -1362,31 +938,6 @@ impl RouterServer {
 impl Drop for RouterServer {
     fn drop(&mut self) {
         self.stop_and_join();
-    }
-}
-
-fn lock_handlers(
-    handlers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) -> std::sync::MutexGuard<'_, Vec<JoinHandle<()>>> {
-    match handlers.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Best-effort `ServerBusy` refusal for an over-cap accept.
-fn refuse_busy(shared: &RouterShared, mut stream: TcpStream) {
-    shared.metrics.record_conn_refused();
-    let _ = stream.set_write_timeout(Some(IO_TICK));
-    let frame = response_frame(&err(ErrorCode::ServerBusy, "connection cap reached"));
-    if write_frame(
-        &mut stream,
-        &frame,
-        Deadline::after(shared.cfg.write_timeout),
-    )
-    .is_ok()
-    {
-        shared.metrics.record_frame_tx();
     }
 }
 
@@ -1507,7 +1058,11 @@ pub fn rebalance_resumable(
             if let Ok(cur) = serde_json::from_str::<RebalanceCursor>(&text) {
                 if cur.epoch == epoch {
                     start_slot = cur.next_slot.min(n);
-                    resume_after = cur.last_key.as_deref().and_then(key_unhex);
+                    resume_after = cur
+                        .last_key
+                        .as_deref()
+                        .and_then(ContentKey::from_hex)
+                        .map(|k| k.0);
                 }
             }
         }
@@ -1517,7 +1072,7 @@ pub fn rebalance_resumable(
             let cur = RebalanceCursor {
                 epoch,
                 next_slot: slot,
-                last_key: last.map(|k| key_hex(&k)),
+                last_key: last.map(|k| ContentKey(k).to_hex()),
             };
             if let Ok(json) = serde_json::to_string(&cur) {
                 let _ = std::fs::write(path, json);
@@ -1581,9 +1136,7 @@ pub fn rebalance_resumable(
                 let (stored, deduped) = conns
                     .get(owner)?
                     .migrate_batch(epoch, records)
-                    .map_err(|e| {
-                        format!("migrating to shard {}: {e}", ring.shards()[owner].id)
-                    })?;
+                    .map_err(|e| format!("migrating to shard {}: {e}", ring.shards()[owner].id))?;
                 report.moved += stored;
                 report.deduped += deduped;
                 // Only now is the source copy redundant.
@@ -1762,9 +1315,7 @@ pub fn repair(
                 let (stored, deduped) = conns
                     .get(slot)?
                     .migrate_batch(epoch, chunk.to_vec())
-                    .map_err(|e| {
-                        format!("repairing shard {}: {e}", ring.shards()[slot].id)
-                    })?;
+                    .map_err(|e| format!("repairing shard {}: {e}", ring.shards()[slot].id))?;
                 report.keys_shipped += stored;
                 report.deduped += deduped;
             }

@@ -2,6 +2,9 @@
 //! malformed-frame fuzzing, frame-length edge cases (shared with the
 //! framed container's varint), connection-cap / idle / shutdown
 //! behaviour, and byte-identical round-trips of block-framed payloads.
+//! The front-door contract tests (malformed frames, the cap, idle
+//! close, shutdown drain) run against both doors that serve clients: a
+//! shard, and a router in front of one shard.
 //!
 //! The acceptance bar these encode: concurrent clients at 0/5/25 %
 //! injected network faults plus malformed-frame fuzzing complete with
@@ -16,10 +19,11 @@ use dnacomp_core::{Context, Deadline};
 use dnacomp_seq::gen::GenomeModel;
 use dnacomp_seq::PackedSeq;
 use dnacomp_server::{
-    decode_frame, frame_bytes, read_frame, request_frame, synthetic_framework, write_frame,
-    ClientError, CompressionService, ErrorCode, FaultyStream, NetClient, NetConfig, NetServer,
-    Priority, ProtoError, Request, Response, ServiceConfig, IO_TICK, MAX_WIRE_PAYLOAD, WIRE_MAGIC,
-    WIRE_VERSION,
+    decode_frame, frame_bytes, read_frame, request_frame, response_frame, synthetic_framework,
+    write_frame, ClientError, CompressionService, ConnConfig, ErrorCode, FaultyStream,
+    MetricsSnapshot, NetClient, NetConfig, NetServer, Priority, ProtoError, Request, Response,
+    Ring, RouterConfig, RouterMetricsSnapshot, RouterServer, ServiceConfig, ShardSpec, IO_TICK,
+    MAX_WIRE_PAYLOAD, WIRE_MAGIC, WIRE_VERSION,
 };
 use dnacomp_store::{ContentKey, SequenceStore, StoreConfig};
 use std::io::Write as _;
@@ -41,13 +45,161 @@ fn start(
 
 /// Test-grade budgets: short enough that a hang fails fast, long
 /// enough that a loaded CI machine never trips them spuriously.
-fn quick_net() -> NetConfig {
-    NetConfig {
+fn quick_conn() -> ConnConfig {
+    ConnConfig {
         idle_timeout: Duration::from_secs(2),
         frame_timeout: Duration::from_millis(400),
         write_timeout: Duration::from_secs(2),
+        ..ConnConfig::default()
+    }
+}
+
+fn quick_net() -> NetConfig {
+    NetConfig {
+        conn: quick_conn(),
         request_timeout: Duration::from_secs(20),
         ..NetConfig::default()
+    }
+}
+
+/// The two front doors that serve the protocol to clients.
+#[derive(Clone, Copy, Debug)]
+enum Door {
+    /// A shard's `NetServer`.
+    Shard,
+    /// A `RouterServer` in front of one shard.
+    Router,
+}
+
+const DOORS: [Door; 2] = [Door::Shard, Door::Router];
+
+/// A running door: the shard (its service and server) and, for
+/// [`Door::Router`], the router in front of it.
+struct Front {
+    service: Arc<CompressionService>,
+    shard: NetServer,
+    router: Option<RouterServer>,
+    addr: SocketAddr,
+}
+
+/// A door's own client connection counters.
+#[derive(Debug)]
+struct DoorCounts {
+    open: u64,
+    accepted: u64,
+    refused: u64,
+    killed: u64,
+    frames_rx: u64,
+    frames_tx: u64,
+    bytes_rx: u64,
+    bytes_tx: u64,
+    protocol_errors: u64,
+}
+
+impl DoorCounts {
+    fn of_shard(s: &MetricsSnapshot) -> DoorCounts {
+        DoorCounts {
+            open: s.connections_open,
+            accepted: s.connections_accepted,
+            refused: s.connections_refused,
+            killed: s.connections_killed,
+            frames_rx: s.frames_rx,
+            frames_tx: s.frames_tx,
+            bytes_rx: s.net_bytes_rx,
+            bytes_tx: s.net_bytes_tx,
+            protocol_errors: s.protocol_errors,
+        }
+    }
+
+    /// The router counts every connection that ends, killed ones
+    /// included, so what is still open is the difference.
+    fn of_router(s: &RouterMetricsSnapshot) -> DoorCounts {
+        DoorCounts {
+            open: s.connections_accepted - s.connections_closed,
+            accepted: s.connections_accepted,
+            refused: s.connections_refused,
+            killed: s.connections_killed,
+            frames_rx: s.frames_rx,
+            frames_tx: s.frames_tx,
+            bytes_rx: s.net_bytes_rx,
+            bytes_tx: s.net_bytes_tx,
+            protocol_errors: s.protocol_errors,
+        }
+    }
+}
+
+impl Front {
+    /// Start `door` with `conn` as its client-facing limits; the shard
+    /// behind a router keeps [`quick_net`].
+    fn start(door: Door, conn: ConnConfig) -> Front {
+        let net = match door {
+            Door::Shard => NetConfig {
+                conn,
+                ..quick_net()
+            },
+            Door::Router => quick_net(),
+        };
+        let svc = ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        };
+        let (service, shard, shard_addr) = start(svc, net);
+        let router = match door {
+            Door::Shard => None,
+            Door::Router => {
+                let spec = ShardSpec {
+                    id: 1,
+                    addr: shard_addr.to_string(),
+                };
+                let ring = Ring::new(vec![spec], 64, 7).unwrap();
+                let cfg = RouterConfig {
+                    conn,
+                    ..RouterConfig::default()
+                };
+                Some(RouterServer::start("127.0.0.1:0", ring, cfg).expect("bind router"))
+            }
+        };
+        let addr = router.as_ref().map_or(shard_addr, |r| r.local_addr());
+        Front {
+            service,
+            shard,
+            router,
+            addr,
+        }
+    }
+
+    fn counts(&self) -> DoorCounts {
+        match &self.router {
+            Some(router) => DoorCounts::of_router(&router.metrics_snapshot()),
+            None => DoorCounts::of_shard(&self.service.metrics().snapshot()),
+        }
+    }
+
+    /// Shut the door down, then what stands behind it. Returns how long
+    /// the door's own shutdown took and its final counts.
+    fn shutdown(self) -> (Duration, DoorCounts) {
+        let t0 = Instant::now();
+        let (took, counts) = match self.router {
+            Some(router) => {
+                let snap = router.shutdown();
+                let took = t0.elapsed();
+                self.shard.shutdown();
+                (took, DoorCounts::of_router(&snap))
+            }
+            None => {
+                self.shard.shutdown();
+                let took = t0.elapsed();
+                (
+                    took,
+                    DoorCounts::of_shard(&self.service.metrics().snapshot()),
+                )
+            }
+        };
+        let service = Arc::try_unwrap(self.service)
+            .map_err(|_| "handler clones alive")
+            .unwrap();
+        service.shutdown();
+        (took, counts)
     }
 }
 
@@ -463,134 +615,147 @@ fn chaos_soak_survives_fault_injected_clients() {
 
 #[test]
 fn malformed_frames_get_typed_replies_then_the_axe() {
-    let (service, server, addr) = start(
-        ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        },
-        NetConfig {
-            max_strikes: 2,
-            ..quick_net()
-        },
-    );
-
-    // (a) Not our protocol at all: HTTP garbage desyncs on the magic.
-    // Best-effort typed refusal, then the axe.
-    {
-        let mut s = raw_connect(addr);
-        s.write_all(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        match read_reply(&mut s).unwrap() {
-            Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadFrame),
-            other => panic!("expected BadFrame error, got {other:?}"),
-        }
-        assert_conn_ended(read_reply(&mut s).unwrap_err());
-    }
-
-    // (b) Forged length: a header declaring cap+1 is refused from the
-    // declaration alone (no allocation) with a typed TooLarge.
-    {
-        let mut s = raw_connect(addr);
-        raw_hello(&mut s);
-        let mut header = WIRE_MAGIC.to_vec();
-        header.push(WIRE_VERSION);
-        header.push(0x10);
-        write_uvarint(&mut header, (MAX_WIRE_PAYLOAD + 1) as u64);
-        s.write_all(&header).unwrap();
-        match read_reply(&mut s).unwrap() {
-            Response::Error { code, .. } => assert_eq!(code, ErrorCode::TooLarge),
-            other => panic!("expected TooLarge error, got {other:?}"),
-        }
-        assert_conn_ended(read_reply(&mut s).unwrap_err());
-    }
-
-    // (c) Bit-flipped frames are frame-synced violations: each earns a
-    // typed BadFrame reply and a strike; `max_strikes` ends it.
-    {
-        let mut s = raw_connect(addr);
-        raw_hello(&mut s);
-        for strike in 0..2 {
-            let mut frame = request_frame(&Request::Ping);
-            let last = frame.len() - 1;
-            frame[last] ^= 0x01; // corrupt the checksum tail
-            s.write_all(&frame).unwrap();
-            match read_reply(&mut s).unwrap() {
-                Response::Error { code, .. } => {
-                    assert_eq!(code, ErrorCode::BadFrame, "strike {strike}")
-                }
-                other => panic!("expected BadFrame error, got {other:?}"),
-            }
-        }
-        assert_conn_ended(read_reply(&mut s).unwrap_err());
-    }
-
-    // (d) Protocol order is enforced but survivable: a pre-Hello Ping
-    // is a typed Handshake error + strike, and the connection lives to
-    // handshake properly afterwards.
-    {
-        let mut s = raw_connect(addr);
-        let frame = request_frame(&Request::Ping);
-        write_frame(&mut s, &frame, Deadline::after(Duration::from_secs(2))).unwrap();
-        match read_reply(&mut s).unwrap() {
-            Response::Error { code, .. } => assert_eq!(code, ErrorCode::Handshake),
-            other => panic!("expected Handshake error, got {other:?}"),
-        }
-        raw_hello(&mut s);
-        let ping = request_frame(&Request::Ping);
-        write_frame(&mut s, &ping, Deadline::after(Duration::from_secs(2))).unwrap();
-        assert!(matches!(read_reply(&mut s).unwrap(), Response::Pong));
-        let bye = request_frame(&Request::Bye);
-        write_frame(&mut s, &bye, Deadline::after(Duration::from_secs(2))).unwrap();
-        assert!(matches!(read_reply(&mut s).unwrap(), Response::ByeOk));
-    }
-
-    // (e) Slow loris: a frame that starts but never finishes costs one
-    // frame budget (400 ms here), not a thread forever.
-    {
-        let mut s = raw_connect(addr);
-        raw_hello(&mut s);
-        let started = Instant::now();
-        s.write_all(&WIRE_MAGIC[..1]).unwrap(); // frame begins …
-        std::thread::sleep(Duration::from_millis(150));
-        s.write_all(&WIRE_MAGIC[1..]).unwrap(); // … and trickles
-        match read_reply(&mut s).unwrap() {
-            Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadFrame),
-            other => panic!("expected BadFrame error, got {other:?}"),
-        }
-        assert_conn_ended(read_reply(&mut s).unwrap_err());
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "loris survived {:?}",
-            started.elapsed()
+    for door in DOORS {
+        let front = Front::start(
+            door,
+            ConnConfig {
+                max_strikes: 2,
+                ..quick_conn()
+            },
         );
-    }
+        let addr = front.addr;
 
-    // (f) Mid-frame disconnect: half a frame then FIN is a desync kill
-    // (no panic, no hang, books balanced below).
-    {
-        let mut s = raw_connect(addr);
-        raw_hello(&mut s);
-        let frame = request_frame(&Request::Metrics);
-        s.write_all(&frame[..frame.len() / 2]).unwrap();
-        drop(s);
-    }
+        // (a) Not our protocol at all: HTTP garbage desyncs on the magic.
+        // Best-effort typed refusal, then the axe.
+        {
+            let mut s = raw_connect(addr);
+            s.write_all(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+            match read_reply(&mut s).unwrap() {
+                Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadFrame),
+                other => panic!("{door:?}: expected BadFrame error, got {other:?}"),
+            }
+            assert_conn_ended(read_reply(&mut s).unwrap_err());
+        }
 
-    assert!(
-        wait_for(Duration::from_secs(10), || {
-            service.metrics().connections_open() == 0
-        }),
-        "a fuzzed connection never closed"
-    );
-    server.shutdown();
-    let snap = service.metrics().snapshot();
-    assert_eq!(snap.connections_open, 0);
-    assert_eq!(snap.connections_accepted, 6);
-    // Killed: (a) bad magic, (b) forged length, (c) strike budget,
-    // (e) mid-frame timeout, (f) truncation. Survived cleanly: (d).
-    assert_eq!(snap.connections_killed, 5);
-    // Violations: a=1, b=1, c=2, d=1, e=1, f=1.
-    assert_eq!(snap.protocol_errors, 7);
-    let service = Arc::try_unwrap(service).map_err(|_| "handler clones alive").unwrap();
-    service.shutdown();
+        // (b) Forged length: a header declaring cap+1 is refused from the
+        // declaration alone (no allocation) with a typed TooLarge.
+        {
+            let mut s = raw_connect(addr);
+            raw_hello(&mut s);
+            let mut header = WIRE_MAGIC.to_vec();
+            header.push(WIRE_VERSION);
+            header.push(0x10);
+            write_uvarint(&mut header, (MAX_WIRE_PAYLOAD + 1) as u64);
+            s.write_all(&header).unwrap();
+            match read_reply(&mut s).unwrap() {
+                Response::Error { code, .. } => assert_eq!(code, ErrorCode::TooLarge),
+                other => panic!("{door:?}: expected TooLarge error, got {other:?}"),
+            }
+            assert_conn_ended(read_reply(&mut s).unwrap_err());
+        }
+
+        // (c) Bit-flipped frames are frame-synced violations: each earns a
+        // typed BadFrame reply and a strike; `max_strikes` ends it.
+        {
+            let mut s = raw_connect(addr);
+            raw_hello(&mut s);
+            for strike in 0..2 {
+                let mut frame = request_frame(&Request::Ping);
+                let last = frame.len() - 1;
+                frame[last] ^= 0x01; // corrupt the checksum tail
+                s.write_all(&frame).unwrap();
+                match read_reply(&mut s).unwrap() {
+                    Response::Error { code, .. } => {
+                        assert_eq!(code, ErrorCode::BadFrame, "{door:?} strike {strike}")
+                    }
+                    other => panic!("{door:?}: expected BadFrame error, got {other:?}"),
+                }
+            }
+            assert_conn_ended(read_reply(&mut s).unwrap_err());
+        }
+
+        // (d) Protocol order is enforced but survivable: a pre-Hello Ping
+        // is a typed Handshake error + strike, and the connection lives to
+        // handshake properly afterwards.
+        {
+            let mut s = raw_connect(addr);
+            let frame = request_frame(&Request::Ping);
+            write_frame(&mut s, &frame, Deadline::after(Duration::from_secs(2))).unwrap();
+            match read_reply(&mut s).unwrap() {
+                Response::Error { code, .. } => assert_eq!(code, ErrorCode::Handshake),
+                other => panic!("{door:?}: expected Handshake error, got {other:?}"),
+            }
+            raw_hello(&mut s);
+            let ping = request_frame(&Request::Ping);
+            write_frame(&mut s, &ping, Deadline::after(Duration::from_secs(2))).unwrap();
+            assert!(matches!(read_reply(&mut s).unwrap(), Response::Pong));
+            let bye = request_frame(&Request::Bye);
+            write_frame(&mut s, &bye, Deadline::after(Duration::from_secs(2))).unwrap();
+            assert!(matches!(read_reply(&mut s).unwrap(), Response::ByeOk));
+        }
+
+        // (e) Slow loris: a frame that starts but never finishes costs one
+        // frame budget (400 ms here), not a thread forever.
+        {
+            let mut s = raw_connect(addr);
+            raw_hello(&mut s);
+            let started = Instant::now();
+            s.write_all(&WIRE_MAGIC[..1]).unwrap(); // frame begins …
+            std::thread::sleep(Duration::from_millis(150));
+            s.write_all(&WIRE_MAGIC[1..]).unwrap(); // … and trickles
+            match read_reply(&mut s).unwrap() {
+                Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadFrame),
+                other => panic!("{door:?}: expected BadFrame error, got {other:?}"),
+            }
+            assert_conn_ended(read_reply(&mut s).unwrap_err());
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "{door:?}: loris survived {:?}",
+                started.elapsed()
+            );
+        }
+
+        // (f) Mid-frame disconnect: half a frame then FIN is a desync kill
+        // (no panic, no hang, books balanced below).
+        {
+            let mut s = raw_connect(addr);
+            raw_hello(&mut s);
+            let frame = request_frame(&Request::Metrics);
+            s.write_all(&frame[..frame.len() / 2]).unwrap();
+            drop(s);
+        }
+
+        // (g) One version rule for every Hello: a Hello of another
+        // version after the handshake is refused and killed, like one
+        // before it.
+        {
+            let mut s = raw_connect(addr);
+            raw_hello(&mut s);
+            let hello = request_frame(&Request::Hello {
+                version: WIRE_VERSION + 1,
+            });
+            write_frame(&mut s, &hello, Deadline::after(Duration::from_secs(2))).unwrap();
+            match read_reply(&mut s).unwrap() {
+                Response::Error { code, .. } => assert_eq!(code, ErrorCode::Handshake),
+                other => panic!("{door:?}: expected Handshake error, got {other:?}"),
+            }
+            assert_conn_ended(read_reply(&mut s).unwrap_err());
+        }
+
+        assert!(
+            wait_for(Duration::from_secs(10), || front.counts().open == 0),
+            "{door:?}: a fuzzed connection never closed"
+        );
+        let (_, snap) = front.shutdown();
+        assert_eq!(snap.open, 0, "{door:?}");
+        assert_eq!(snap.accepted, 7, "{door:?}");
+        // Killed: (a) bad magic, (b) forged length, (c) strike budget,
+        // (e) mid-frame timeout, (f) truncation, (g) wrong version.
+        // Survived cleanly: (d).
+        assert_eq!(snap.killed, 6, "{door:?}");
+        // Violations: a=1, b=1, c=2, d=1, e=1, f=1, g=1.
+        assert_eq!(snap.protocol_errors, 8, "{door:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -599,112 +764,111 @@ fn malformed_frames_get_typed_replies_then_the_axe() {
 
 #[test]
 fn connection_cap_refuses_with_typed_server_busy() {
-    let (service, server, addr) = start(
-        ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        },
-        NetConfig {
-            max_connections: 1,
-            ..quick_net()
-        },
-    );
+    for door in DOORS {
+        let front = Front::start(
+            door,
+            ConnConfig {
+                max_connections: 1,
+                ..quick_conn()
+            },
+        );
+        let addr = front.addr;
 
     let mut first = NetClient::connect(addr, Duration::from_secs(10)).unwrap();
     first.ping().unwrap(); // round-trip ⇒ the slot is definitely taken
 
-    // Second connection: accepted at the TCP level, refused at the
-    // protocol level with a typed reason — never a silent close.
-    let mut second = raw_connect(addr);
-    match read_reply(&mut second).unwrap() {
-        Response::Error { code, .. } => assert_eq!(code, ErrorCode::ServerBusy),
-        other => panic!("expected ServerBusy, got {other:?}"),
+        // Second connection: accepted at the TCP level, refused at the
+        // protocol level with a typed reason — never a silent close.
+        let mut second = raw_connect(addr);
+        match read_reply(&mut second).unwrap() {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::ServerBusy),
+            other => panic!("{door:?}: expected ServerBusy, got {other:?}"),
+        }
+        assert_conn_ended(read_reply(&mut second).unwrap_err());
+        assert_eq!(front.counts().refused, 1, "{door:?}");
+
+        // Freeing the slot re-opens the door.
+        first.bye().unwrap();
+        assert!(wait_for(Duration::from_secs(5), || front.counts().open == 0));
+        let mut third = NetClient::connect(addr, Duration::from_secs(10)).unwrap();
+        third.ping().unwrap();
+        third.bye().unwrap();
+
+        assert!(wait_for(Duration::from_secs(5), || front.counts().open == 0));
+        let (_, snap) = front.shutdown();
+        assert_eq!(snap.accepted, 2, "{door:?}");
+        assert_eq!(snap.refused, 1, "{door:?}");
+        assert_eq!(snap.killed, 0, "{door:?}");
+        // The refusal is the one reply frame without a request frame.
+        assert_eq!(snap.frames_tx, snap.frames_rx + 1, "{door:?}");
     }
-    assert_conn_ended(read_reply(&mut second).unwrap_err());
-    assert_eq!(service.metrics().snapshot().connections_refused, 1);
-
-    // Freeing the slot re-opens the door.
-    first.bye().unwrap();
-    assert!(wait_for(Duration::from_secs(5), || {
-        service.metrics().connections_open() == 0
-    }));
-    let mut third = NetClient::connect(addr, Duration::from_secs(10)).unwrap();
-    third.ping().unwrap();
-    third.bye().unwrap();
-
-    assert!(wait_for(Duration::from_secs(5), || {
-        service.metrics().connections_open() == 0
-    }));
-    server.shutdown();
-    let snap = service.metrics().snapshot();
-    assert_eq!(snap.connections_accepted, 2);
-    assert_eq!(snap.connections_refused, 1);
-    assert_eq!(snap.connections_killed, 0);
-    // The refusal is the one reply frame without a request frame.
-    assert_eq!(snap.frames_tx, snap.frames_rx + 1);
-    let service = Arc::try_unwrap(service).map_err(|_| "handler clones alive").unwrap();
-    service.shutdown();
 }
 
 #[test]
 fn idle_timeout_closes_cleanly_without_a_kill() {
-    let (service, server, addr) = start(
-        ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        },
-        NetConfig {
-            idle_timeout: Duration::from_millis(200),
-            ..quick_net()
-        },
-    );
-    let mut s = raw_connect(addr);
-    raw_hello(&mut s);
-    // Say nothing past the idle budget: the server hangs up …
-    assert_conn_ended(read_reply(&mut s).unwrap_err());
-    // … and books it as a clean close, not a kill.
-    assert!(wait_for(Duration::from_secs(5), || {
-        service.metrics().connections_open() == 0
-    }));
-    server.shutdown();
-    let snap = service.metrics().snapshot();
-    assert_eq!(snap.connections_accepted, 1);
-    assert_eq!(snap.connections_killed, 0);
-    assert_eq!(snap.protocol_errors, 0);
-    let service = Arc::try_unwrap(service).map_err(|_| "handler clones alive").unwrap();
-    service.shutdown();
+    for door in DOORS {
+        let front = Front::start(
+            door,
+            ConnConfig {
+                idle_timeout: Duration::from_millis(200),
+                ..quick_conn()
+            },
+        );
+        let mut s = raw_connect(front.addr);
+        raw_hello(&mut s);
+        // Say nothing past the idle budget: the server hangs up …
+        assert_conn_ended(read_reply(&mut s).unwrap_err());
+        // … and books it as a clean close, not a kill.
+        assert!(wait_for(Duration::from_secs(5), || front.counts().open == 0));
+        let (_, snap) = front.shutdown();
+        assert_eq!(snap.accepted, 1, "{door:?}");
+        assert_eq!(snap.killed, 0, "{door:?}");
+        assert_eq!(snap.protocol_errors, 0, "{door:?}");
+        // Both doors count exact wire bytes: one Hello in, one HelloOk out.
+        let hello = request_frame(&Request::Hello {
+            version: WIRE_VERSION,
+        });
+        let hello_ok = response_frame(&Response::HelloOk {
+            version: WIRE_VERSION,
+        });
+        assert_eq!(snap.bytes_rx, hello.len() as u64, "{door:?}");
+        assert_eq!(snap.bytes_tx, hello_ok.len() as u64, "{door:?}");
+    }
 }
 
 #[test]
 fn shutdown_drains_connections_and_stops_accepting() {
-    let (service, server, addr) = start(
-        ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        },
-        quick_net(),
-    );
-    let mut a = NetClient::connect(addr, Duration::from_secs(10)).unwrap();
-    let mut b = NetClient::connect(addr, Duration::from_secs(10)).unwrap();
-    a.ping().unwrap();
-    b.ping().unwrap();
+    for door in DOORS {
+        // A door that never accepted a connection shuts down at once:
+        // shutdown wakes the accept it is blocked in.
+        let (took, _) = Front::start(door, quick_conn()).shutdown();
+        assert!(
+            took < Duration::from_secs(1),
+            "{door:?}: idle shutdown took {took:?}"
+        );
 
-    // Drain is bounded: handlers notice the stop flag at their next
-    // frame boundary, not when the clients deign to hang up.
-    let t0 = Instant::now();
-    server.shutdown();
-    assert!(
-        t0.elapsed() < Duration::from_secs(5),
-        "shutdown took {:?}",
-        t0.elapsed()
-    );
-    assert_eq!(service.metrics().snapshot().connections_open, 0);
+        let front = Front::start(door, quick_conn());
+        let addr = front.addr;
+        let mut a = NetClient::connect(addr, Duration::from_secs(10)).unwrap();
+        let mut b = NetClient::connect(addr, Duration::from_secs(10)).unwrap();
+        a.ping().unwrap();
+        b.ping().unwrap();
 
-    // The listener is gone: new connections fail outright.
-    assert!(NetClient::connect(addr, Duration::from_secs(1)).is_err());
-    // Existing clients observe a clean close, not a hang.
-    assert!(a.ping().is_err());
+        // Drain is bounded: handlers notice the stop flag at their next
+        // frame boundary, not when the clients deign to hang up.
+        let (took, snap) = front.shutdown();
+        assert!(
+            took < Duration::from_secs(5),
+            "{door:?}: shutdown took {took:?}"
+        );
+        // Every accepted connection ended; for the router this pins
+        // `connections_closed == connections_accepted`.
+        assert_eq!(snap.open, 0, "{door:?}");
+        assert_eq!(snap.accepted, 2, "{door:?}");
 
-    let service = Arc::try_unwrap(service).map_err(|_| "handler clones alive").unwrap();
-    service.shutdown();
+        // The listener is gone: new connections fail outright.
+        assert!(NetClient::connect(addr, Duration::from_secs(1)).is_err());
+        // Existing clients observe a clean close, not a hang.
+        assert!(a.ping().is_err());
+    }
 }

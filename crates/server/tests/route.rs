@@ -21,9 +21,9 @@ use dnacomp_core::{Context, Deadline};
 use dnacomp_seq::gen::GenomeModel;
 use dnacomp_seq::PackedSeq;
 use dnacomp_server::{
-    rebalance_resumable, synthetic_framework, ClientError, CompressionService, ErrorCode,
-    FaultyStream, NetClient, NetConfig, NetServer, Priority, RebalanceCursor, Response, Ring,
-    RouterConfig, RouterServer, ServiceConfig, ShardSpec, IO_TICK,
+    rebalance_resumable, synthetic_framework, ClientError, CompressionService, ConnConfig,
+    ErrorCode, FaultyStream, NetClient, NetConfig, NetServer, Priority, RebalanceCursor, Response,
+    Ring, RouterConfig, RouterServer, ServiceConfig, ShardSpec, IO_TICK,
 };
 use dnacomp_store::{ContentKey, SequenceStore, StoreConfig};
 use std::net::{SocketAddr, TcpStream};
@@ -118,8 +118,11 @@ impl Shard {
 fn net_for(store: &Arc<SequenceStore>) -> NetConfig {
     NetConfig {
         store: Some(Arc::clone(store)),
-        idle_timeout: Duration::from_secs(5),
-        frame_timeout: Duration::from_millis(500),
+        conn: ConnConfig {
+            idle_timeout: Duration::from_secs(5),
+            frame_timeout: Duration::from_millis(500),
+            ..ConnConfig::default()
+        },
         ..NetConfig::default()
     }
 }

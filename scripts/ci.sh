@@ -79,15 +79,20 @@ step "speed-tier differentials, forced scalar (isolated, 300 s timeout)"
 DNACOMP_FORCE_SCALAR=1 timeout 300 cargo test --release --test speed_tier -- --nocapture
 
 # Loopback chaos soak: concurrent clients at 0/5/25 % injected network
-# faults plus malformed-frame fuzzing against the TCP front-end. Every
-# operation is deadline-bounded by design, so a hang regression (a
-# connection that outlives its budgets, a shutdown that never drains)
-# must fail the pipeline, not wedge it. 300 s is ~100x its observed
-# runtime.
+# faults plus malformed-frame fuzzing against the TCP front-end, and the
+# front-door contract (cap, idle close, shutdown drain) against both
+# doors, the shard and the router. Every operation is deadline-bounded
+# by design, and accept blocks until shutdown wakes it, so a hang
+# regression (a connection that outlives its budgets, a shutdown that
+# never drains or never wakes its accept) must fail the pipeline, not
+# wedge it. 300 s is ~100x its observed runtime.
 step "loopback chaos soak (isolated, 300 s timeout)"
 timeout 300 cargo test --release -p dnacomp-server --test net -- --nocapture \
     chaos_soak_survives_fault_injected_clients \
-    malformed_frames_get_typed_replies_then_the_axe
+    malformed_frames_get_typed_replies_then_the_axe \
+    shutdown_drains_connections_and_stops_accepting \
+    connection_cap_refuses_with_typed_server_busy \
+    idle_timeout_closes_cleanly_without_a_kill
 
 # Router chaos soak: a 3-shard cluster behind the consistent-hash
 # router, fault-injected clients, one shard killed and restarted

@@ -640,7 +640,7 @@ fn serve_listen(
         ..NetConfig::default()
     };
     if let Some(v) = flags.get("max-conns") {
-        net.max_connections = v.parse().map_err(|e| usage(format!("--max-conns: {e}")))?;
+        net.conn.max_connections = v.parse().map_err(|e| usage(format!("--max-conns: {e}")))?;
     }
     // Cluster identity: --shard-id is the id this node answers to in
     // epoch handshakes; --epoch pins the node to one ring epoch (a
@@ -776,7 +776,7 @@ fn cmd_route(args: &[String]) -> Result<(), CliError> {
                 cfg.probe_interval = std::time::Duration::from_millis(ms.max(1));
             }
             if let Some(v) = flags.get("max-conns") {
-                cfg.max_connections =
+                cfg.conn.max_connections =
                     v.parse().map_err(|e| usage(format!("--max-conns: {e}")))?;
             }
             let route_secs: f64 = flags
