@@ -262,7 +262,7 @@ fn accept_loop<H: Handler>(
                 let killed =
                     contain_panic(|| serve_conn(stream, &*handler, &cfg, &stop)).unwrap_or(true);
                 if killed {
-                    stats.record_killed();
+                    stats.killed.inc();
                 }
                 stats.record_closed();
                 active.fetch_sub(1, Ordering::Relaxed);
@@ -277,7 +277,7 @@ fn accept_loop<H: Handler>(
 /// Best-effort `ServerBusy` refusal for an over-cap accept: the peer
 /// gets a typed reason when it can read one, and a close either way.
 fn refuse_busy(stats: &ConnStats, mut stream: TcpStream, cfg: &ConnConfig) {
-    stats.record_refused();
+    stats.refused.inc();
     let _ = stream.set_write_timeout(Some(IO_TICK));
     send_reply(
         &mut stream,
@@ -371,7 +371,7 @@ fn serve_conn<H: Handler>(
                     // frame, mid-frame timeout, transport error. No
                     // frame boundary remains — best-effort typed
                     // refusal, then kill.
-                    stats.record_protocol_error();
+                    stats.protocol_errors.inc();
                     let code = match e {
                         ProtoError::Oversize { .. } => ErrorCode::TooLarge,
                         _ => ErrorCode::BadFrame,
@@ -382,7 +382,7 @@ fn serve_conn<H: Handler>(
             };
         idle = Deadline::after(cfg.idle_timeout);
         if strike {
-            stats.record_protocol_error();
+            stats.protocol_errors.inc();
             strikes += 1;
         }
         let sent = send_reply(&mut stream, stats, cfg, &reply);

@@ -104,8 +104,8 @@ impl DeadLetterQueue {
     /// Quarantine a letter. If the same content key is already present
     /// the existing letter is refreshed (strikes/error updated) rather
     /// than duplicated; otherwise the letter is appended, evicting the
-    /// oldest when full. Returns `(depth, dropped)` after the push.
-    pub fn push(&self, letter: DeadLetter) -> (u64, u64) {
+    /// oldest when full.
+    pub fn push(&self, letter: DeadLetter) {
         let mut st = lock_recover(&self.state);
         if let Some(existing) = st.letters.iter_mut().find(|l| l.key == letter.key) {
             existing.strikes = letter.strikes;
@@ -117,7 +117,6 @@ impl DeadLetterQueue {
             }
             st.letters.push_back(letter);
         }
-        (st.letters.len() as u64, st.dropped)
     }
 
     /// Letters currently held.
@@ -231,8 +230,8 @@ mod tests {
         let dlq = DeadLetterQueue::new(2);
         dlq.push(letter(1, 2));
         dlq.push(letter(2, 2));
-        let (depth, dropped) = dlq.push(letter(3, 2));
-        assert_eq!((depth, dropped), (2, 1));
+        dlq.push(letter(3, 2));
+        assert_eq!((dlq.depth(), dlq.dropped()), (2, 1));
         let files: Vec<String> = dlq.list().into_iter().map(|l| l.file).collect();
         assert_eq!(files, vec!["f2", "f3"]);
         assert_eq!(dlq.dropped(), 1);
@@ -244,8 +243,8 @@ mod tests {
         dlq.push(letter(1, 2));
         let mut updated = letter(1, 5);
         updated.last_error = "again".into();
-        let (depth, dropped) = dlq.push(updated);
-        assert_eq!((depth, dropped), (1, 0));
+        dlq.push(updated);
+        assert_eq!((dlq.depth(), dlq.dropped()), (1, 0));
         assert_eq!(dlq.list()[0].strikes, 5);
         assert_eq!(dlq.list()[0].last_error, "again");
     }

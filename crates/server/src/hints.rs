@@ -8,8 +8,8 @@
 //!
 //! - `<key>-s<shard>.dx` — the canonical container bytes exactly as a
 //!   committed replica serves them, written first;
-//! - `<key>-s<shard>.json` — the hint record (shard id, key, ring
-//!   epoch, FNV-1a checksum of the payload bytes), written second.
+//! - `<key>-s<shard>.json` — the hint record (shard id, key, FNV-1a
+//!   checksum of the payload bytes), written second.
 //!   The JSON file is the commit point: a hint without it (a crash
 //!   between the two writes) is invisible and harmlessly overwritten
 //!   by the next save. The record's checksum covers the *container
@@ -26,7 +26,12 @@
 //! `MigrateBatch` path and deleting the hint only after the shard
 //! acknowledges the batch. Re-opening the directory rebuilds the
 //! pending index, so hints survive a router restart.
+//!
+//! The in-memory index is updated after its files, so it is valid after
+//! any prefix of a save or remove: a panic that poisons its lock is
+//! recovered from (`dlq::lock_recover`), never re-raised.
 
+use crate::dlq::lock_recover;
 use dnacomp_algos::CompressedBlob;
 use dnacomp_codec::checksum::fnv1a;
 use dnacomp_store::ContentKey;
@@ -40,11 +45,10 @@ use std::sync::Mutex;
 struct HintRecord {
     /// Ring id of the shard owed this copy.
     shard: u32,
-    /// Content key, hex-encoded (matches the file stem).
+    /// Content key, hex-encoded (matches the file stem). Records
+    /// from older routers carry an `epoch` key too; unknown keys are
+    /// ignored on load.
     key: String,
-    /// Ring epoch the write was routed under (diagnostic only; the
-    /// drain re-asserts the current epoch on the wire).
-    epoch: u64,
     /// FNV-1a over the `.dx` payload bytes, checked on load.
     #[serde(default)]
     checksum: u64,
@@ -107,7 +111,7 @@ impl HintQueue {
 
     /// Hints currently pending (all shards).
     pub fn pending(&self) -> usize {
-        self.index.lock().expect("hint index poisoned").len()
+        lock_recover(&self.index).len()
     }
 
     /// Persist one hint: the container bytes owed to `shard` under
@@ -116,7 +120,7 @@ impl HintQueue {
     /// is now the only path that converges this replica). Re-hinting
     /// a pending `(shard, key)` overwrites in place and is not a drop.
     pub fn save(&self, shard: u32, key: &[u8; 16], container: &[u8]) -> Result<bool, String> {
-        let mut index = self.index.lock().expect("hint index poisoned");
+        let mut index = lock_recover(&self.index);
         if !index.contains(&(shard, *key)) && index.len() >= self.cap {
             return Ok(false);
         }
@@ -125,7 +129,6 @@ impl HintQueue {
         let record = HintRecord {
             shard,
             key: ContentKey(*key).to_hex(),
-            epoch: 0,
             checksum: fnv1a(container),
         };
         let json = serde_json::to_string(&record)
@@ -138,9 +141,7 @@ impl HintQueue {
 
     /// Keys with pending hints for `shard`, in key order.
     pub fn for_shard(&self, shard: u32) -> Vec<[u8; 16]> {
-        self.index
-            .lock()
-            .expect("hint index poisoned")
+        lock_recover(&self.index)
             .range((shard, [0u8; 16])..=(shard, [0xffu8; 16]))
             .map(|&(_, k)| k)
             .collect()
@@ -167,7 +168,7 @@ impl HintQueue {
     /// Remove a delivered (or condemned) hint — record first, payload
     /// second, the reverse of `save`. Returns `false` if absent.
     pub fn remove(&self, shard: u32, key: &[u8; 16]) -> Result<bool, String> {
-        let mut index = self.index.lock().expect("hint index poisoned");
+        let mut index = lock_recover(&self.index);
         let json = self.json_path(shard, key);
         if json.exists() {
             std::fs::remove_file(&json)
@@ -242,6 +243,30 @@ mod tests {
         assert!(!q.save(1, &k3, &b3).unwrap(), "over-cap hint must drop");
         assert!(q.save(1, &k2, &b2).unwrap(), "re-hint is not a drop");
         assert_eq!(q.pending(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_poisoned_index_still_serves_every_operation() {
+        let dir = tmp("poison");
+        let _ = std::fs::remove_dir_all(&dir);
+        let q = std::sync::Arc::new(HintQueue::open(&dir, 4).unwrap());
+        let (k1, b1) = payload(7);
+        assert!(q.save(3, &k1, &b1).unwrap());
+        let holder = std::sync::Arc::clone(&q);
+        let died = std::thread::spawn(move || {
+            let _guard = holder.index.lock().unwrap();
+            panic!("panic while holding the hint index");
+        })
+        .join();
+        assert!(died.is_err() && q.index.is_poisoned());
+        assert_eq!(q.pending(), 1);
+        let (k2, b2) = payload(8);
+        assert!(q.save(3, &k2, &b2).unwrap());
+        assert_eq!(q.for_shard(3).len(), 2);
+        assert!(q.remove(3, &k1).unwrap());
+        assert_eq!(q.for_shard(3), vec![k2]);
+        assert_eq!(q.load(3, &k2).unwrap(), b2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

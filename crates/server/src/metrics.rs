@@ -1,10 +1,19 @@
-//! Lock-free service metrics: counters, gauges and a latency histogram.
+//! Service metrics: counters bumped in place, gauges read from their
+//! owners when a snapshot is taken.
 //!
-//! Workers record events with relaxed atomics (monotonic counters need
-//! no ordering), so metrics never serialize the hot path. A
-//! [`snapshot`](Metrics::snapshot) materialises a consistent-enough
-//! view as a plain serialisable struct — the payload `dnacomp serve`
-//! prints and `BENCH_serve.json` archives.
+//! The code that sees an event bumps the matching `Counter` field
+//! directly (`metrics.expired.inc()`) with a relaxed atomic (monotonic
+//! counters need no ordering), so metrics never serialize the hot
+//! path. The few `record_*` methods left each keep an invariant a bare
+//! increment would not: queue-depth pairing and its peak, the
+//! completion histogram, and the connection open gauge.
+//!
+//! Gauges are never copied in: a registry built over its `Owners`
+//! reads the store, the dead-letter queue, the block pool and the
+//! worker heartbeats when [`snapshot`](Metrics::snapshot) runs, so a
+//! gauge is its owner's value at snapshot time. The snapshot is a
+//! plain serialisable struct — the payload `dnacomp serve` prints and
+//! `BENCH_serve.json` archives.
 //!
 //! Latency is tracked on the **simulated clock** (the same millisecond
 //! accounting the `PerfModel` prices every exchange with), in a
@@ -14,9 +23,13 @@
 //! overestimate by construction, which is enough to watch p50/p95
 //! drift under load without storing samples.
 
-use dnacomp_algos::{Algorithm, PoolStats};
+use crate::dlq::DeadLetterQueue;
+use crate::supervisor::WorkerSlot;
+use dnacomp_algos::{Algorithm, TaskPool};
+use dnacomp_store::SequenceStore;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Histogram bucket count.
 const HIST_BUCKETS: usize = 48;
@@ -41,98 +54,99 @@ fn bucket_for(ms: f64) -> usize {
     i
 }
 
-/// Live metrics registry shared by every worker of one service.
-#[derive(Debug)]
-pub struct Metrics {
-    accepted: AtomicU64,
-    rejected_full: AtomicU64,
-    expired: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    queue_depth: AtomicU64,
-    peak_queue_depth: AtomicU64,
-    wins: [AtomicU64; ALG_SLOTS],
-    latency: [AtomicU64; HIST_BUCKETS],
-    latency_sum_us: AtomicU64,
-    store_puts: AtomicU64,
-    store_dedup_hits: AtomicU64,
-    store_bytes_on_disk: AtomicU64,
-    store_scrub_failures: AtomicU64,
-    store_runs: AtomicU64,
-    store_tombstones: AtomicU64,
-    store_compactions: AtomicU64,
-    store_cache_hits: AtomicU64,
-    store_cache_misses: AtomicU64,
-    store_bloom_negatives: AtomicU64,
-    store_wal_appends: AtomicU64,
-    store_wal_batches: AtomicU64,
-    worker_restarts: AtomicU64,
-    jobs_panicked: AtomicU64,
-    jobs_quarantined: AtomicU64,
-    jobs_shed: AtomicU64,
-    jobs_crashed: AtomicU64,
-    dlq_depth: AtomicU64,
-    dlq_dropped: AtomicU64,
-    last_heartbeat_age_ms: AtomicU64,
-    blocks_compressed: AtomicU64,
-    block_parallel_jobs: AtomicU64,
-    pool_tasks_run_by_pool: AtomicU64,
-    pool_tasks_run_inline: AtomicU64,
-    pool_batches: AtomicU64,
-    conn: ConnStats,
-}
+/// A monotonic event counter, bumped in place where the event happens.
+#[derive(Debug, Default)]
+pub(crate) struct Counter(AtomicU64);
 
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics {
-            accepted: AtomicU64::new(0),
-            rejected_full: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            peak_queue_depth: AtomicU64::new(0),
-            wins: std::array::from_fn(|_| AtomicU64::new(0)),
-            latency: std::array::from_fn(|_| AtomicU64::new(0)),
-            latency_sum_us: AtomicU64::new(0),
-            store_puts: AtomicU64::new(0),
-            store_dedup_hits: AtomicU64::new(0),
-            store_bytes_on_disk: AtomicU64::new(0),
-            store_scrub_failures: AtomicU64::new(0),
-            store_runs: AtomicU64::new(0),
-            store_tombstones: AtomicU64::new(0),
-            store_compactions: AtomicU64::new(0),
-            store_cache_hits: AtomicU64::new(0),
-            store_cache_misses: AtomicU64::new(0),
-            store_bloom_negatives: AtomicU64::new(0),
-            store_wal_appends: AtomicU64::new(0),
-            store_wal_batches: AtomicU64::new(0),
-            worker_restarts: AtomicU64::new(0),
-            jobs_panicked: AtomicU64::new(0),
-            jobs_quarantined: AtomicU64::new(0),
-            jobs_shed: AtomicU64::new(0),
-            jobs_crashed: AtomicU64::new(0),
-            dlq_depth: AtomicU64::new(0),
-            dlq_dropped: AtomicU64::new(0),
-            last_heartbeat_age_ms: AtomicU64::new(0),
-            blocks_compressed: AtomicU64::new(0),
-            block_parallel_jobs: AtomicU64::new(0),
-            pool_tasks_run_by_pool: AtomicU64::new(0),
-            pool_tasks_run_inline: AtomicU64::new(0),
-            pool_batches: AtomicU64::new(0),
-            conn: ConnStats::default(),
-        }
+impl Counter {
+    /// Count one event.
+    pub(crate) fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Count `n` events.
+    pub(crate) fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
     }
 }
 
+/// Read handles to the components whose state the gauges report. An
+/// absent owner reads as 0.
+#[derive(Default)]
+pub(crate) struct Owners {
+    pub(crate) store: Option<Arc<SequenceStore>>,
+    pub(crate) dlq: Option<Arc<DeadLetterQueue>>,
+    pub(crate) pool: Option<Arc<TaskPool>>,
+    pub(crate) workers: Vec<Arc<WorkerSlot>>,
+}
+
+impl std::fmt::Debug for Owners {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Owners")
+            .field("store", &self.store.is_some())
+            .field("workers", &self.workers.len())
+            .finish_non_exhaustive()
+    }
+}
+
+/// The latency histogram's bucket counts.
+#[derive(Debug)]
+struct Buckets([Counter; HIST_BUCKETS]);
+
+impl Default for Buckets {
+    fn default() -> Self {
+        Buckets(std::array::from_fn(|_| Counter::default()))
+    }
+}
+
+/// Live metrics registry shared by every worker of one service.
+///
+/// Each `pub(crate)` counter is documented on the [`MetricsSnapshot`]
+/// field of the same name.
+#[derive(Debug, Default)]
+pub struct Metrics {
+    pub(crate) accepted: Counter,
+    pub(crate) rejected_full: Counter,
+    pub(crate) expired: Counter,
+    pub(crate) failed: Counter,
+    pub(crate) cache_hits: Counter,
+    pub(crate) cache_misses: Counter,
+    pub(crate) store_puts: Counter,
+    pub(crate) store_dedup_hits: Counter,
+    pub(crate) worker_restarts: Counter,
+    pub(crate) jobs_panicked: Counter,
+    pub(crate) jobs_quarantined: Counter,
+    pub(crate) jobs_shed: Counter,
+    pub(crate) jobs_crashed: Counter,
+    pub(crate) blocks_compressed: Counter,
+    pub(crate) block_parallel_jobs: Counter,
+    completed: Counter,
+    queue_depth: AtomicU64,
+    peak_queue_depth: AtomicU64,
+    wins: [Counter; ALG_SLOTS],
+    latency: Buckets,
+    latency_sum_us: Counter,
+    conn: ConnStats,
+    owners: Owners,
+}
+
 impl Metrics {
-    /// Fresh registry, all zeros.
+    /// Fresh registry, all zeros, with no owners: its store, DLQ, pool
+    /// and heartbeat gauges read 0.
     pub fn new() -> Self {
         Metrics::default()
+    }
+
+    /// Fresh registry whose gauges read `owners` at snapshot time.
+    pub(crate) fn reading(owners: Owners) -> Self {
+        Metrics {
+            owners,
+            ..Metrics::default()
+        }
     }
 
     /// A submission entered admission. The depth gauge must rise
@@ -147,16 +161,6 @@ impl Metrics {
         self.peak_queue_depth.fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// A job passed admission and entered the queue.
-    pub fn record_accepted(&self) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A submission bounced off the full queue (backpressure).
-    pub fn record_rejected_full(&self) {
-        self.rejected_full.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A counted job left the queue: a worker dequeued it, or a
     /// rejected submission is undoing its [`record_enqueued`](Self::record_enqueued).
     pub fn record_dequeued(&self) {
@@ -169,128 +173,12 @@ impl Metrics {
             });
     }
 
-    /// A dequeued job was past its deadline and answered `Expired`.
-    pub fn record_expired(&self) {
-        self.expired.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A job finished successfully with `alg` at simulated cost `sim_ms`.
     pub fn record_completed(&self, alg: Algorithm, sim_ms: f64) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.wins[alg.tag() as usize % ALG_SLOTS].fetch_add(1, Ordering::Relaxed);
-        self.latency[bucket_for(sim_ms)].fetch_add(1, Ordering::Relaxed);
-        self.latency_sum_us
-            .fetch_add((sim_ms * 1_000.0).max(0.0) as u64, Ordering::Relaxed);
-    }
-
-    /// A job failed (typed exchange/codec error after the ladder).
-    pub fn record_failed(&self) {
-        self.failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The decision cache answered without touching the rule tree.
-    pub fn record_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The decision cache missed; the rule tree was consulted.
-    pub fn record_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A completed job was persisted into the attached store;
-    /// `deduped` says whether the content was already present.
-    pub fn record_store_put(&self, deduped: bool) {
-        self.store_puts.fetch_add(1, Ordering::Relaxed);
-        if deduped {
-            self.store_dedup_hits.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Refresh the store gauges from a store snapshot: disk usage, LSM
-    /// shape (runs, tombstones, compactions), read-path efficiency
-    /// (block cache, bloom negatives), and WAL group-commit batching.
-    pub fn set_store_state(&self, snap: &dnacomp_store::StoreSnapshot) {
-        self.store_bytes_on_disk
-            .store(snap.bytes_on_disk, Ordering::Relaxed);
-        self.store_scrub_failures
-            .fetch_max(snap.scrub_failures, Ordering::Relaxed);
-        self.store_runs.store(snap.runs, Ordering::Relaxed);
-        self.store_tombstones
-            .store(snap.tombstones, Ordering::Relaxed);
-        self.store_compactions
-            .store(snap.seals + snap.merges, Ordering::Relaxed);
-        self.store_cache_hits
-            .store(snap.cache_hits, Ordering::Relaxed);
-        self.store_cache_misses
-            .store(snap.cache_misses, Ordering::Relaxed);
-        self.store_bloom_negatives
-            .store(snap.bloom_negatives, Ordering::Relaxed);
-        self.store_wal_appends
-            .store(snap.wal_appends, Ordering::Relaxed);
-        self.store_wal_batches
-            .store(snap.wal_batches, Ordering::Relaxed);
-    }
-
-    /// The supervisor replaced a dead worker thread.
-    pub fn record_worker_restart(&self) {
-        self.worker_restarts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A job panicked; the panic was contained and the ticket answered
-    /// `Err(JobError::Panicked)`.
-    pub fn record_panicked(&self) {
-        self.jobs_panicked.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A job was refused execution because its content fingerprint is
-    /// quarantined (ticket answered `Err(JobError::Quarantined)`).
-    pub fn record_quarantined(&self) {
-        self.jobs_quarantined.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Admission control shed a job under overload (ticket answered
-    /// `Err(JobError::Shed)` without the job ever entering the queue).
-    pub fn record_shed(&self) {
-        self.jobs_shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A job died with its worker (thread killed outside containment);
-    /// its ticket resolved `Err(JobError::WorkerGone)` via channel
-    /// disconnect and the supervisor attributed the loss here.
-    pub fn record_crashed(&self) {
-        self.jobs_crashed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Refresh the dead-letter-queue gauges: current depth and letters
-    /// dropped because the bounded queue was full.
-    pub fn set_dlq_state(&self, depth: u64, dropped: u64) {
-        self.dlq_depth.store(depth, Ordering::Relaxed);
-        self.dlq_dropped.fetch_max(dropped, Ordering::Relaxed);
-    }
-
-    /// Refresh the watchdog gauge: age of the stalest live worker
-    /// heartbeat, wall-clock ms.
-    pub fn set_heartbeat_age_ms(&self, age_ms: u64) {
-        self.last_heartbeat_age_ms.store(age_ms, Ordering::Relaxed);
-    }
-
-    /// A job ran the block-parallel frame path, producing `blocks`
-    /// independently compressed blocks.
-    pub fn record_block_parallel(&self, blocks: u64) {
-        self.block_parallel_jobs.fetch_add(1, Ordering::Relaxed);
-        self.blocks_compressed.fetch_add(blocks, Ordering::Relaxed);
-    }
-
-    /// Refresh the pool-sharing gauges from the shared block pool's
-    /// running totals (monotonic, so `fetch_max` tolerates stale
-    /// publications racing fresher ones).
-    pub fn set_pool_stats(&self, stats: PoolStats) {
-        self.pool_tasks_run_by_pool
-            .fetch_max(stats.tasks_run_by_pool, Ordering::Relaxed);
-        self.pool_tasks_run_inline
-            .fetch_max(stats.tasks_run_inline, Ordering::Relaxed);
-        self.pool_batches.fetch_max(stats.batches, Ordering::Relaxed);
+        self.completed.inc();
+        self.wins[alg.tag() as usize % ALG_SLOTS].inc();
+        self.latency.0[bucket_for(sim_ms)].inc();
+        self.latency_sum_us.add((sim_ms * 1_000.0).max(0.0) as u64);
     }
 
     /// The TCP front-end's connection counters.
@@ -311,11 +199,7 @@ impl Metrics {
     /// Simulated-latency quantile (0 < `q` ≤ 1) over completed jobs:
     /// upper bound of the bucket holding the rank-`⌈q·n⌉` sample.
     pub fn latency_quantile_ms(&self, q: f64) -> f64 {
-        let counts: Vec<u64> = self
-            .latency
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
+        let counts: Vec<u64> = self.latency.0.iter().map(Counter::get).collect();
         let total: u64 = counts.iter().sum();
         if total == 0 {
             return 0.0;
@@ -331,28 +215,49 @@ impl Metrics {
         bucket_upper_ms(HIST_BUCKETS - 1)
     }
 
-    /// Materialise a serialisable snapshot of every counter.
+    /// Materialise a serialisable snapshot: every counter, and every
+    /// gauge read from its owner now.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let hits = self.cache_hits.load(Ordering::Relaxed);
-        let misses = self.cache_misses.load(Ordering::Relaxed);
-        let completed = self.completed.load(Ordering::Relaxed);
+        let hits = self.cache_hits.get();
+        let misses = self.cache_misses.get();
+        let completed = self.completed.get();
         let conn = &self.conn;
         let wins = Algorithm::ALL
             .into_iter()
             .filter_map(|alg| {
-                let n = self.wins[alg.tag() as usize % ALG_SLOTS].load(Ordering::Relaxed);
+                let n = self.wins[alg.tag() as usize % ALG_SLOTS].get();
                 (n > 0).then(|| AlgorithmWins {
                     algorithm: alg.name().to_owned(),
                     wins: n,
                 })
             })
             .collect();
+        let owners = &self.owners;
+        let store = owners
+            .store
+            .as_ref()
+            .map(|s| s.snapshot())
+            .unwrap_or_default();
+        let (dlq_depth, dlq_dropped) = owners
+            .dlq
+            .as_ref()
+            .map_or((0, 0), |d| (d.depth() as u64, d.dropped()));
+        let pool = owners.pool.as_ref().map(|p| p.stats()).unwrap_or_default();
+        // Staleness only means something for a worker claiming to be
+        // busy: an idle pool reports 0.
+        let last_heartbeat_age_ms = owners
+            .workers
+            .iter()
+            .filter(|w| w.is_busy())
+            .map(|w| w.heartbeat_age_ms())
+            .max()
+            .unwrap_or(0);
         MetricsSnapshot {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected_full: self.rejected_full.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
+            accepted: self.accepted.get(),
+            rejected_full: self.rejected_full.get(),
+            expired: self.expired.get(),
             completed,
-            failed: self.failed.load(Ordering::Relaxed),
+            failed: self.failed.get(),
             cache_hits: hits,
             cache_misses: misses,
             cache_hit_rate: if hits + misses == 0 {
@@ -360,7 +265,7 @@ impl Metrics {
             } else {
                 hits as f64 / (hits + misses) as f64
             },
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
+            queue_depth: self.queue_depth(),
             peak_queue_depth: self.peak_queue_depth.load(Ordering::Relaxed),
             algorithm_wins: wins,
             latency_p50_ms: self.latency_quantile_ms(0.50),
@@ -368,42 +273,43 @@ impl Metrics {
             latency_mean_ms: if completed == 0 {
                 0.0
             } else {
-                self.latency_sum_us.load(Ordering::Relaxed) as f64 / 1_000.0 / completed as f64
+                self.latency_sum_us.get() as f64 / 1_000.0 / completed as f64
             },
-            store_puts: self.store_puts.load(Ordering::Relaxed),
-            store_dedup_hits: self.store_dedup_hits.load(Ordering::Relaxed),
-            store_bytes_on_disk: self.store_bytes_on_disk.load(Ordering::Relaxed),
-            store_scrub_failures: self.store_scrub_failures.load(Ordering::Relaxed),
-            store_runs: self.store_runs.load(Ordering::Relaxed),
-            store_tombstones: self.store_tombstones.load(Ordering::Relaxed),
-            store_compactions: self.store_compactions.load(Ordering::Relaxed),
-            store_cache_hits: self.store_cache_hits.load(Ordering::Relaxed),
-            store_cache_misses: self.store_cache_misses.load(Ordering::Relaxed),
-            store_bloom_negatives: self.store_bloom_negatives.load(Ordering::Relaxed),
-            store_wal_appends: self.store_wal_appends.load(Ordering::Relaxed),
-            store_wal_batches: self.store_wal_batches.load(Ordering::Relaxed),
-            worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
-            jobs_panicked: self.jobs_panicked.load(Ordering::Relaxed),
-            jobs_quarantined: self.jobs_quarantined.load(Ordering::Relaxed),
-            jobs_shed: self.jobs_shed.load(Ordering::Relaxed),
-            jobs_crashed: self.jobs_crashed.load(Ordering::Relaxed),
-            dlq_depth: self.dlq_depth.load(Ordering::Relaxed),
-            dlq_dropped: self.dlq_dropped.load(Ordering::Relaxed),
-            last_heartbeat_age_ms: self.last_heartbeat_age_ms.load(Ordering::Relaxed),
-            blocks_compressed: self.blocks_compressed.load(Ordering::Relaxed),
-            block_parallel_jobs: self.block_parallel_jobs.load(Ordering::Relaxed),
-            pool_tasks_run_by_pool: self.pool_tasks_run_by_pool.load(Ordering::Relaxed),
-            pool_tasks_run_inline: self.pool_tasks_run_inline.load(Ordering::Relaxed),
-            pool_batches: self.pool_batches.load(Ordering::Relaxed),
-            connections_open: conn.open.load(Ordering::Relaxed),
-            connections_accepted: conn.accepted.load(Ordering::Relaxed),
-            connections_refused: conn.refused.load(Ordering::Relaxed),
-            connections_killed: conn.killed.load(Ordering::Relaxed),
-            frames_rx: conn.frames_rx.load(Ordering::Relaxed),
-            frames_tx: conn.frames_tx.load(Ordering::Relaxed),
-            net_bytes_rx: conn.bytes_rx.load(Ordering::Relaxed),
-            net_bytes_tx: conn.bytes_tx.load(Ordering::Relaxed),
-            protocol_errors: conn.protocol_errors.load(Ordering::Relaxed),
+            store_puts: self.store_puts.get(),
+            store_dedup_hits: self.store_dedup_hits.get(),
+            store_bytes_on_disk: store.bytes_on_disk,
+            store_scrub_failures: store.scrub_failures,
+            store_runs: store.runs,
+            store_tombstones: store.tombstones,
+            store_compactions: store.seals + store.merges,
+            store_cache_hits: store.cache_hits,
+            store_cache_misses: store.cache_misses,
+            store_bloom_negatives: store.bloom_negatives,
+            store_wal_appends: store.wal_appends,
+            store_wal_batches: store.wal_batches,
+            store_maintenance_failures: store.maintenance_failures,
+            worker_restarts: self.worker_restarts.get(),
+            jobs_panicked: self.jobs_panicked.get(),
+            jobs_quarantined: self.jobs_quarantined.get(),
+            jobs_shed: self.jobs_shed.get(),
+            jobs_crashed: self.jobs_crashed.get(),
+            dlq_depth,
+            dlq_dropped,
+            last_heartbeat_age_ms,
+            blocks_compressed: self.blocks_compressed.get(),
+            block_parallel_jobs: self.block_parallel_jobs.get(),
+            pool_tasks_run_by_pool: pool.tasks_run_by_pool,
+            pool_tasks_run_inline: pool.tasks_run_inline,
+            pool_batches: pool.batches,
+            connections_open: self.connections_open(),
+            connections_accepted: conn.accepted.get(),
+            connections_refused: conn.refused.get(),
+            connections_killed: conn.killed.get(),
+            frames_rx: conn.frames_rx.get(),
+            frames_tx: conn.frames_tx.get(),
+            net_bytes_rx: conn.bytes_rx.get(),
+            net_bytes_tx: conn.bytes_tx.get(),
+            protocol_errors: conn.protocol_errors.get(),
         }
     }
 }
@@ -415,21 +321,29 @@ impl Metrics {
 #[derive(Debug, Default)]
 pub(crate) struct ConnStats {
     open: AtomicU64,
-    accepted: AtomicU64,
-    refused: AtomicU64,
-    closed: AtomicU64,
-    killed: AtomicU64,
-    frames_rx: AtomicU64,
-    frames_tx: AtomicU64,
-    bytes_rx: AtomicU64,
-    bytes_tx: AtomicU64,
-    protocol_errors: AtomicU64,
+    accepted: Counter,
+    /// Connections refused at accept (cap reached): never open, so
+    /// only this counter moves.
+    pub(crate) refused: Counter,
+    closed: Counter,
+    /// Connections killed by their supervisor (strikes, desync,
+    /// mid-frame deadline), counted *in addition to* the close.
+    pub(crate) killed: Counter,
+    frames_rx: Counter,
+    frames_tx: Counter,
+    bytes_rx: Counter,
+    bytes_tx: Counter,
+    /// Protocol violations (bad magic/version/checksum, unknown type,
+    /// oversize declaration, malformed payload, torn frame, traffic
+    /// before `Hello`): one per violation, whether it cost a strike or
+    /// the connection.
+    pub(crate) protocol_errors: Counter,
 }
 
 impl ConnStats {
     /// A connection was accepted (the open gauge rises).
     pub(crate) fn record_accepted(&self) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
+        self.accepted.inc();
         self.open.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -438,7 +352,7 @@ impl ConnStats {
     /// [`record_accepted`](Self::record_accepted) is paired with
     /// exactly one of these by the connection thread's exit path.
     pub(crate) fn record_closed(&self) {
-        self.closed.fetch_add(1, Ordering::Relaxed);
+        self.closed.inc();
         let _ = self
             .open
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
@@ -446,36 +360,16 @@ impl ConnStats {
             });
     }
 
-    /// A connection was refused at accept (cap reached): it was never
-    /// open, so only the refusal counter moves.
-    pub(crate) fn record_refused(&self) {
-        self.refused.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A connection was killed by its supervisor (strikes, desync,
-    /// mid-frame deadline). Counted *in addition to* the close.
-    pub(crate) fn record_killed(&self) {
-        self.killed.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A complete, checksum-valid frame arrived (`bytes` on the wire).
     pub(crate) fn record_frame_rx(&self, bytes: u64) {
-        self.frames_rx.fetch_add(1, Ordering::Relaxed);
-        self.bytes_rx.fetch_add(bytes, Ordering::Relaxed);
+        self.frames_rx.inc();
+        self.bytes_rx.add(bytes);
     }
 
     /// A complete frame was written to a peer (`bytes` on the wire).
     pub(crate) fn record_frame_tx(&self, bytes: u64) {
-        self.frames_tx.fetch_add(1, Ordering::Relaxed);
-        self.bytes_tx.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// A peer violated the protocol (bad magic/version/checksum,
-    /// unknown type, oversize declaration, malformed payload, torn
-    /// frame, traffic before `Hello`). One increment per violation,
-    /// whether it cost a strike or the connection.
-    pub(crate) fn record_protocol_error(&self) {
-        self.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        self.frames_tx.inc();
+        self.bytes_tx.add(bytes);
     }
 }
 
@@ -488,7 +382,11 @@ pub struct AlgorithmWins {
     pub wins: u64,
 }
 
-/// Point-in-time copy of the registry, ready for JSON export.
+/// Point-in-time copy of the registry, ready for JSON export. Gauges —
+/// the `store_*` fields except `store_puts` and `store_dedup_hits`
+/// (which count this service's persists), the `dlq_*` and `pool_*`
+/// fields and `last_heartbeat_age_ms` — are their owner's values when
+/// the snapshot was taken.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Jobs admitted into the queue.
@@ -524,11 +422,11 @@ pub struct MetricsSnapshot {
     pub store_puts: u64,
     /// Persisted results the store already held (deduplicated).
     pub store_dedup_hits: u64,
-    /// Committed store bytes on disk at the last persist.
+    /// Committed store bytes on disk.
     pub store_bytes_on_disk: u64,
     /// Store records that ever failed checksum validation.
     pub store_scrub_failures: u64,
-    /// Sorted runs (level ≥ 1 files) in the store at the last persist.
+    /// Sorted runs (level ≥ 1 files) in the store.
     #[serde(default)]
     pub store_runs: u64,
     /// Run-resident records removed but not yet merged away.
@@ -553,6 +451,9 @@ pub struct MetricsSnapshot {
     /// `store_wal_appends` is the group-commit saving.
     #[serde(default)]
     pub store_wal_batches: u64,
+    /// Store seals or merges that failed after a put had committed.
+    #[serde(default)]
+    pub store_maintenance_failures: u64,
     /// Dead worker threads the supervisor replaced.
     pub worker_restarts: u64,
     /// Jobs whose panic was contained (`Err(JobError::Panicked)`).
@@ -608,58 +509,45 @@ impl MetricsSnapshot {
     }
 }
 
-/// Live counters for one back-end shard of a router.
+/// Live counters for one back-end shard of a router, bumped in place
+/// through `RouterMetrics::shard`.
 ///
 /// The byte counters are `Arc`-shared so a
 /// [`crate::conn::CountingStream`] wrapped around each pooled
 /// connection feeds them directly — the rollup's per-shard byte
 /// numbers are exact wire bytes, not estimates.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ShardCounters {
-    forwards: AtomicU64,
-    retries: AtomicU64,
-    errors: AtomicU64,
-    frames_tx: AtomicU64,
-    frames_rx: AtomicU64,
-    bytes_tx: std::sync::Arc<AtomicU64>,
-    bytes_rx: std::sync::Arc<AtomicU64>,
-    ejections: AtomicU64,
-    readmissions: AtomicU64,
-}
-
-impl Default for ShardCounters {
-    fn default() -> Self {
-        ShardCounters {
-            forwards: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            frames_tx: AtomicU64::new(0),
-            frames_rx: AtomicU64::new(0),
-            bytes_tx: std::sync::Arc::new(AtomicU64::new(0)),
-            bytes_rx: std::sync::Arc::new(AtomicU64::new(0)),
-            ejections: AtomicU64::new(0),
-            readmissions: AtomicU64::new(0),
-        }
-    }
+    pub(crate) forwards: Counter,
+    pub(crate) retries: Counter,
+    pub(crate) errors: Counter,
+    /// Request/response exchanges: one frame each way, so the rollup
+    /// exports it as both `frames_tx` and `frames_rx`.
+    pub(crate) frames: Counter,
+    bytes_tx: Arc<AtomicU64>,
+    bytes_rx: Arc<AtomicU64>,
+    pub(crate) ejections: Counter,
+    pub(crate) readmissions: Counter,
 }
 
 /// Live metrics registry for one router: fleet-wide counters plus a
-/// fixed slot of [`ShardCounters`] per configured shard.
-#[derive(Debug)]
+/// fixed slot of [`ShardCounters`] per configured shard. The fleet
+/// totals of per-shard events are summed from the rows at snapshot
+/// time, and `hints_pending` is read from the hint queue by the caller.
+///
+/// Each `pub(crate)` counter is documented on the
+/// [`RouterMetricsSnapshot`] (or [`ShardCountersSnapshot`]) field of
+/// the same name.
+#[derive(Debug, Default)]
 pub struct RouterMetrics {
     conn: ConnStats,
-    route_forwards: AtomicU64,
-    route_retries: AtomicU64,
-    shard_ejections: AtomicU64,
-    shard_readmissions: AtomicU64,
-    replica_writes: AtomicU64,
-    quorum_failures: AtomicU64,
-    read_repairs: AtomicU64,
-    hints_queued: AtomicU64,
-    hints_drained: AtomicU64,
-    hints_dropped: AtomicU64,
-    hints_pending: AtomicU64,
-    repair_buckets_shipped: AtomicU64,
+    pub(crate) replica_writes: Counter,
+    pub(crate) quorum_failures: Counter,
+    pub(crate) read_repairs: Counter,
+    pub(crate) hints_queued: Counter,
+    pub(crate) hints_drained: Counter,
+    pub(crate) hints_dropped: Counter,
+    pub(crate) repair_buckets_shipped: Counter,
     per_shard: Vec<ShardCounters>,
 }
 
@@ -667,20 +555,8 @@ impl RouterMetrics {
     /// A zeroed registry with one counter slot per shard.
     pub fn new(shards: usize) -> Self {
         RouterMetrics {
-            conn: ConnStats::default(),
-            route_forwards: AtomicU64::new(0),
-            route_retries: AtomicU64::new(0),
-            shard_ejections: AtomicU64::new(0),
-            shard_readmissions: AtomicU64::new(0),
-            replica_writes: AtomicU64::new(0),
-            quorum_failures: AtomicU64::new(0),
-            read_repairs: AtomicU64::new(0),
-            hints_queued: AtomicU64::new(0),
-            hints_drained: AtomicU64::new(0),
-            hints_dropped: AtomicU64::new(0),
-            hints_pending: AtomicU64::new(0),
-            repair_buckets_shipped: AtomicU64::new(0),
             per_shard: (0..shards).map(|_| ShardCounters::default()).collect(),
+            ..RouterMetrics::default()
         }
     }
 
@@ -689,116 +565,28 @@ impl RouterMetrics {
         &self.conn
     }
 
-    /// A request was forwarded to `shard`.
-    pub fn record_forward(&self, shard: usize) {
-        self.route_forwards.fetch_add(1, Ordering::Relaxed);
-        if let Some(s) = self.per_shard.get(shard) {
-            s.forwards.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// A forward against `shard` failed in transport and was retried.
-    pub fn record_retry(&self, shard: usize) {
-        self.route_retries.fetch_add(1, Ordering::Relaxed);
-        if let Some(s) = self.per_shard.get(shard) {
-            s.retries.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// `shard` answered a forward with a typed error frame.
-    pub fn record_shard_error(&self, shard: usize) {
-        if let Some(s) = self.per_shard.get(shard) {
-            s.errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Count one request/response frame pair exchanged with `shard`.
-    pub fn record_shard_frames(&self, shard: usize, tx: u64, rx: u64) {
-        if let Some(s) = self.per_shard.get(shard) {
-            s.frames_tx.fetch_add(tx, Ordering::Relaxed);
-            s.frames_rx.fetch_add(rx, Ordering::Relaxed);
-        }
-    }
-
-    /// `shard` struck out on health probes and was ejected.
-    pub fn record_ejection(&self, shard: usize) {
-        self.shard_ejections.fetch_add(1, Ordering::Relaxed);
-        if let Some(s) = self.per_shard.get(shard) {
-            s.ejections.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// `shard` answered a probe again and was re-admitted.
-    pub fn record_readmission(&self, shard: usize) {
-        self.shard_readmissions.fetch_add(1, Ordering::Relaxed);
-        if let Some(s) = self.per_shard.get(shard) {
-            s.readmissions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// One replica of a quorum write committed (per-shard attribution
-    /// already lands in that slot's `forwards`).
-    pub fn record_replica_write(&self) {
-        self.replica_writes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A replicated write fell short of its write quorum.
-    pub fn record_quorum_failure(&self) {
-        self.quorum_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A Get repaired a stale replica with the canonical bytes.
-    pub fn record_read_repair(&self) {
-        self.read_repairs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A handoff hint was persisted for a missed replica.
-    pub fn record_hint_queued(&self) {
-        self.hints_queued.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A persisted hint was delivered to its shard and removed.
-    pub fn record_hint_drained(&self) {
-        self.hints_drained.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A hint was dropped (queue at capacity, or condemned as
-    /// corrupt); anti-entropy repair is now that replica's only path
-    /// to convergence.
-    pub fn record_hint_dropped(&self) {
-        self.hints_dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Set the hints-pending **gauge** (hints currently persisted and
-    /// undelivered — it falls as hints drain, unlike the counters).
-    pub fn set_hints_pending(&self, pending: u64) {
-        self.hints_pending.store(pending, Ordering::Relaxed);
-    }
-
-    /// An anti-entropy sweep shipped `buckets` differing digest
-    /// buckets.
-    pub fn record_repair_buckets(&self, buckets: u64) {
-        self.repair_buckets_shipped
-            .fetch_add(buckets, Ordering::Relaxed);
+    /// The counters of the shard in ring slot `slot`.
+    pub(crate) fn shard(&self, slot: usize) -> &ShardCounters {
+        &self.per_shard[slot]
     }
 
     /// Shared byte counters for `shard`, to hand to a
     /// [`crate::conn::CountingStream`] around each pooled connection.
-    pub fn byte_counters(
-        &self,
-        shard: usize,
-    ) -> (std::sync::Arc<AtomicU64>, std::sync::Arc<AtomicU64>) {
+    pub fn byte_counters(&self, shard: usize) -> (Arc<AtomicU64>, Arc<AtomicU64>) {
         let s = &self.per_shard[shard];
-        (
-            std::sync::Arc::clone(&s.bytes_tx),
-            std::sync::Arc::clone(&s.bytes_rx),
-        )
+        (Arc::clone(&s.bytes_tx), Arc::clone(&s.bytes_rx))
     }
 
     /// Materialise the aggregated rollup. `labels` carries the ring's
-    /// per-shard identity and current health, in slot order.
-    pub fn snapshot(&self, epoch: u64, labels: &[ShardLabel]) -> RouterMetricsSnapshot {
-        let shards = self
+    /// per-shard identity and current health, in slot order;
+    /// `hints_pending` is the hint queue's length now.
+    pub fn snapshot(
+        &self,
+        epoch: u64,
+        labels: &[ShardLabel],
+        hints_pending: u64,
+    ) -> RouterMetricsSnapshot {
+        let shards: Vec<ShardCountersSnapshot> = self
             .per_shard
             .iter()
             .enumerate()
@@ -808,42 +596,43 @@ impl RouterMetrics {
                     shard: label.map_or(i as u32, |l| l.id),
                     addr: label.map_or_else(String::new, |l| l.addr.clone()),
                     healthy: label.is_none_or(|l| l.healthy),
-                    forwards: s.forwards.load(Ordering::Relaxed),
-                    retries: s.retries.load(Ordering::Relaxed),
-                    errors: s.errors.load(Ordering::Relaxed),
-                    frames_tx: s.frames_tx.load(Ordering::Relaxed),
-                    frames_rx: s.frames_rx.load(Ordering::Relaxed),
+                    forwards: s.forwards.get(),
+                    retries: s.retries.get(),
+                    errors: s.errors.get(),
+                    frames_tx: s.frames.get(),
+                    frames_rx: s.frames.get(),
                     bytes_tx: s.bytes_tx.load(Ordering::Relaxed),
                     bytes_rx: s.bytes_rx.load(Ordering::Relaxed),
-                    ejections: s.ejections.load(Ordering::Relaxed),
-                    readmissions: s.readmissions.load(Ordering::Relaxed),
+                    ejections: s.ejections.get(),
+                    readmissions: s.readmissions.get(),
                 }
             })
             .collect();
+        let total = |col: fn(&ShardCountersSnapshot) -> u64| shards.iter().map(col).sum();
         let conn = &self.conn;
         RouterMetricsSnapshot {
             epoch,
-            connections_accepted: conn.accepted.load(Ordering::Relaxed),
-            connections_refused: conn.refused.load(Ordering::Relaxed),
-            connections_closed: conn.closed.load(Ordering::Relaxed),
-            connections_killed: conn.killed.load(Ordering::Relaxed),
-            frames_rx: conn.frames_rx.load(Ordering::Relaxed),
-            frames_tx: conn.frames_tx.load(Ordering::Relaxed),
-            net_bytes_rx: conn.bytes_rx.load(Ordering::Relaxed),
-            net_bytes_tx: conn.bytes_tx.load(Ordering::Relaxed),
-            protocol_errors: conn.protocol_errors.load(Ordering::Relaxed),
-            route_forwards: self.route_forwards.load(Ordering::Relaxed),
-            route_retries: self.route_retries.load(Ordering::Relaxed),
-            shard_ejections: self.shard_ejections.load(Ordering::Relaxed),
-            shard_readmissions: self.shard_readmissions.load(Ordering::Relaxed),
-            replica_writes: self.replica_writes.load(Ordering::Relaxed),
-            quorum_failures: self.quorum_failures.load(Ordering::Relaxed),
-            read_repairs: self.read_repairs.load(Ordering::Relaxed),
-            hints_queued: self.hints_queued.load(Ordering::Relaxed),
-            hints_drained: self.hints_drained.load(Ordering::Relaxed),
-            hints_dropped: self.hints_dropped.load(Ordering::Relaxed),
-            hints_pending: self.hints_pending.load(Ordering::Relaxed),
-            repair_buckets_shipped: self.repair_buckets_shipped.load(Ordering::Relaxed),
+            connections_accepted: conn.accepted.get(),
+            connections_refused: conn.refused.get(),
+            connections_closed: conn.closed.get(),
+            connections_killed: conn.killed.get(),
+            frames_rx: conn.frames_rx.get(),
+            frames_tx: conn.frames_tx.get(),
+            net_bytes_rx: conn.bytes_rx.get(),
+            net_bytes_tx: conn.bytes_tx.get(),
+            protocol_errors: conn.protocol_errors.get(),
+            route_forwards: total(|s| s.forwards),
+            route_retries: total(|s| s.retries),
+            shard_ejections: total(|s| s.ejections),
+            shard_readmissions: total(|s| s.readmissions),
+            replica_writes: self.replica_writes.get(),
+            quorum_failures: self.quorum_failures.get(),
+            read_repairs: self.read_repairs.get(),
+            hints_queued: self.hints_queued.get(),
+            hints_drained: self.hints_drained.get(),
+            hints_dropped: self.hints_dropped.get(),
+            hints_pending,
+            repair_buckets_shipped: self.repair_buckets_shipped.get(),
             shards,
         }
     }
@@ -923,13 +712,15 @@ pub struct RouterMetricsSnapshot {
     pub net_bytes_tx: u64,
     /// Client-side protocol violations observed.
     pub protocol_errors: u64,
-    /// Requests forwarded to a shard (primary or successor).
+    /// Requests forwarded to a shard (primary or successor): the sum
+    /// of the per-shard `forwards`.
     pub route_forwards: u64,
-    /// Forwards that failed in transport and were retried.
+    /// Forwards that failed in transport and were retried: the sum of
+    /// the per-shard `retries`.
     pub route_retries: u64,
-    /// Health-probe ejections across all shards.
+    /// Health-probe ejections: the sum of the per-shard `ejections`.
     pub shard_ejections: u64,
-    /// Re-admissions across all shards.
+    /// Re-admissions: the sum of the per-shard `readmissions`.
     pub shard_readmissions: u64,
     /// Replica commits across all quorum writes (counter; divide by
     /// acknowledged writes for the write amplification factor).
@@ -979,24 +770,29 @@ mod tests {
     fn router_rollup_aggregates_per_shard_counters() {
         let m = RouterMetrics::new(2);
         m.conn().record_accepted();
-        m.record_forward(0);
-        m.record_forward(1);
-        m.record_forward(1);
-        m.record_retry(1);
-        m.record_shard_error(0);
-        m.record_shard_frames(0, 3, 3);
-        m.record_ejection(1);
-        m.record_readmission(1);
-        m.record_replica_write();
-        m.record_replica_write();
-        m.record_quorum_failure();
-        m.record_read_repair();
-        m.record_hint_queued();
-        m.record_hint_queued();
-        m.record_hint_drained();
-        m.record_hint_dropped();
-        m.set_hints_pending(1);
-        m.record_repair_buckets(3);
+        m.conn().record_frame_rx(30);
+        m.conn().record_frame_tx(20);
+        m.conn().refused.inc();
+        m.conn().killed.inc();
+        m.conn().protocol_errors.add(4);
+        m.conn().record_closed();
+        m.shard(0).forwards.inc();
+        m.shard(1).forwards.inc();
+        m.shard(1).forwards.inc();
+        m.shard(1).retries.inc();
+        m.shard(0).errors.inc();
+        m.shard(0).frames.add(3);
+        m.shard(1).ejections.inc();
+        m.shard(1).readmissions.inc();
+        m.replica_writes.inc();
+        m.replica_writes.inc();
+        m.quorum_failures.inc();
+        m.read_repairs.inc();
+        m.hints_queued.inc();
+        m.hints_queued.inc();
+        m.hints_drained.inc();
+        m.hints_dropped.inc();
+        m.repair_buckets_shipped.add(3);
         let (tx, rx) = m.byte_counters(0);
         tx.fetch_add(100, Ordering::Relaxed);
         rx.fetch_add(40, Ordering::Relaxed);
@@ -1012,28 +808,34 @@ mod tests {
                 healthy: false,
             },
         ];
-        let snap = m.snapshot(0xABC, &labels);
-        assert_eq!(snap.epoch, 0xABC);
-        assert_eq!(snap.route_forwards, 3);
-        assert_eq!(snap.route_retries, 1);
-        assert_eq!(snap.shard_ejections, 1);
-        assert_eq!(snap.shard_readmissions, 1);
-        assert_eq!(snap.replica_writes, 2);
-        assert_eq!(snap.quorum_failures, 1);
-        assert_eq!(snap.read_repairs, 1);
-        assert_eq!(snap.hints_queued, 2);
-        assert_eq!(snap.hints_drained, 1);
-        assert_eq!(snap.hints_dropped, 1);
-        assert_eq!(snap.hints_pending, 1);
-        assert_eq!(snap.repair_buckets_shipped, 3);
+        let snap = m.snapshot(0xABC, &labels, 1);
+        // Every key of the rollup and of its shard rows, by name and value.
+        assert_eq!(
+            snap.to_json(),
+            concat!(
+                r#"{"epoch":2748,"connections_accepted":1,"connections_refused":1,"#,
+                r#""connections_closed":1,"connections_killed":1,"frames_rx":1,"frames_tx":1,"#,
+                r#""net_bytes_rx":30,"net_bytes_tx":20,"protocol_errors":4,"route_forwards":3,"#,
+                r#""route_retries":1,"shard_ejections":1,"shard_readmissions":1,"#,
+                r#""replica_writes":2,"quorum_failures":1,"read_repairs":1,"hints_queued":2,"#,
+                r#""hints_drained":1,"hints_dropped":1,"hints_pending":1,"#,
+                r#""repair_buckets_shipped":3,"shards":[{"shard":1,"addr":"a:1","#,
+                r#""healthy":true,"forwards":1,"retries":0,"errors":1,"frames_tx":3,"#,
+                r#""frames_rx":3,"bytes_tx":100,"bytes_rx":40,"ejections":0,"readmissions":0},"#,
+                r#"{"shard":2,"addr":"b:2","healthy":false,"forwards":2,"retries":1,"#,
+                r#""errors":0,"frames_tx":0,"frames_rx":0,"bytes_tx":0,"bytes_rx":0,"#,
+                r#""ejections":1,"readmissions":1}]}"#,
+            )
+        );
+        // Each fleet total is the sum of its per-shard column.
+        let col = |f: fn(&ShardCountersSnapshot) -> u64| snap.shards.iter().map(f).sum::<u64>();
+        assert_eq!(snap.route_forwards, col(|s| s.forwards));
+        assert_eq!(snap.route_retries, col(|s| s.retries));
+        assert_eq!(snap.shard_ejections, col(|s| s.ejections));
+        assert_eq!(snap.shard_readmissions, col(|s| s.readmissions));
         // The gauge moves both ways; counters never do.
-        m.set_hints_pending(0);
-        assert_eq!(m.snapshot(0xABC, &labels).hints_pending, 0);
+        assert_eq!(m.snapshot(0xABC, &labels, 0).hints_pending, 0);
         assert_eq!(snap.shards.len(), 2);
-        assert_eq!(snap.shards[0].forwards, 1);
-        assert_eq!(snap.shards[0].errors, 1);
-        assert_eq!(snap.shards[0].bytes_tx, 100);
-        assert_eq!(snap.shards[0].bytes_rx, 40);
         assert_eq!(snap.shards[1].forwards, 2);
         assert_eq!(snap.shards[1].retries, 1);
         assert!(!snap.shards[1].healthy);
@@ -1051,12 +853,12 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..250 {
                         m.record_enqueued();
-                        m.record_accepted();
+                        m.accepted.inc();
                         m.record_dequeued();
                         if i % 5 == 0 {
-                            m.record_cache_miss();
+                            m.cache_misses.inc();
                         } else {
-                            m.record_cache_hit();
+                            m.cache_hits.inc();
                         }
                         m.record_completed(Algorithm::Dnax, 10.0);
                     }
@@ -1098,9 +900,9 @@ mod tests {
     #[test]
     fn snapshot_roundtrips_through_json() {
         let m = Metrics::new();
-        m.record_accepted();
+        m.accepted.inc();
         m.record_dequeued();
-        m.record_cache_miss();
+        m.cache_misses.inc();
         m.record_completed(Algorithm::GenCompress, 3.0);
         let s = m.snapshot();
         let json = s.to_json();
@@ -1115,12 +917,12 @@ mod tests {
         for _ in 0..5 {
             c.record_accepted();
         }
-        c.record_refused();
-        c.record_killed();
+        c.refused.inc();
+        c.killed.inc();
         c.record_frame_rx(100);
         c.record_frame_rx(28);
         c.record_frame_tx(64);
-        c.record_protocol_error();
+        c.protocol_errors.inc();
         assert_eq!(m.connections_open(), 5);
         for _ in 0..5 {
             c.record_closed();

@@ -196,40 +196,10 @@ impl Handler for Shard {
                 ),
                 Err(e) => err(ErrorCode::JobFailed, format!("store read failed: {e}")),
             },
-            Request::Stat { key: None } => {
-                let s = store.snapshot();
-                let json = format!(
-                    concat!(
-                        "{{\"records\":{},\"segments\":{},",
-                        "\"runs\":{},\"tombstones\":{},",
-                        "\"bytes_on_disk\":{},\"live_bytes\":{},",
-                        "\"puts\":{},\"dedup_hits\":{},",
-                        "\"removes\":{},\"scrub_failures\":{},",
-                        "\"seals\":{},\"merges\":{},",
-                        "\"bloom_negatives\":{},",
-                        "\"cache_hits\":{},\"cache_misses\":{},",
-                        "\"wal_appends\":{},\"wal_batches\":{}}}"
-                    ),
-                    s.records,
-                    s.segments,
-                    s.runs,
-                    s.tombstones,
-                    s.bytes_on_disk,
-                    s.live_bytes,
-                    s.puts,
-                    s.dedup_hits,
-                    s.removes,
-                    s.scrub_failures,
-                    s.seals,
-                    s.merges,
-                    s.bloom_negatives,
-                    s.cache_hits,
-                    s.cache_misses,
-                    s.wal_appends,
-                    s.wal_batches
-                );
-                Response::StatOk { json }
-            }
+            Request::Stat { key: None } => Response::StatOk {
+                json: serde_json::to_string(&store.snapshot())
+                    .expect("stat serialisation cannot fail"),
+            },
             Request::Stat { key: Some(key) } => match store.stat(&ContentKey(key)) {
                 Some(rs) => Response::StatOk {
                     json: format!(

@@ -73,7 +73,7 @@ use dnacomp_algos::{compressor_for, Algorithm, CompressedBlob};
 use dnacomp_codec::checksum::{fnv1a, mix64};
 use dnacomp_core::{contain_panic, Context, Deadline};
 use dnacomp_seq::PackedSeq;
-use dnacomp_store::ContentKey;
+use dnacomp_store::{ContentKey, StoreSnapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -170,7 +170,9 @@ impl RouterShared {
     }
 
     fn snapshot(&self) -> RouterMetricsSnapshot {
-        self.metrics.snapshot(self.ring.epoch(), &self.labels())
+        let pending = self.hints.as_ref().map_or(0, |h| h.pending() as u64);
+        self.metrics
+            .snapshot(self.ring.epoch(), &self.labels(), pending)
     }
 }
 
@@ -327,12 +329,12 @@ fn forward(
     let mut last_miss: Option<Response> = None;
     let mut last_failure = String::from("no healthy candidate");
     for (i, &slot) in candidates.iter().enumerate() {
-        shared.metrics.record_forward(slot);
+        shared.metrics.shard(slot).forwards.inc();
         match with_backend(shared, slot, shared.cfg.shard_timeout, &run) {
             Ok(resp) => {
-                shared.metrics.record_shard_frames(slot, 1, 1);
+                shared.metrics.shard(slot).frames.inc();
                 if let Response::Error { code, .. } = &resp {
-                    shared.metrics.record_shard_error(slot);
+                    shared.metrics.shard(slot).errors.inc();
                     if *code == ErrorCode::UnknownKey {
                         if i < last {
                             last_miss = Some(resp);
@@ -346,7 +348,7 @@ fn forward(
             Err(e) => {
                 last_failure = backend_failure(shared, slot, &e);
                 if i < last {
-                    shared.metrics.record_retry(slot);
+                    shared.metrics.shard(slot).retries.inc();
                 }
             }
         }
@@ -360,66 +362,12 @@ fn forward(
     })
 }
 
-/// One shard's store stat, as its `Stat {key: None}` reply decodes.
-#[derive(Clone, Debug, Default, Deserialize)]
-struct ShardStat {
-    records: u64,
-    segments: u64,
-    // Engine fields newer shards report; `default` keeps a mixed-epoch
-    // cluster aggregating instead of dropping the older shards.
-    #[serde(default)]
-    runs: u64,
-    #[serde(default)]
-    tombstones: u64,
-    bytes_on_disk: u64,
-    live_bytes: u64,
-    puts: u64,
-    dedup_hits: u64,
-    removes: u64,
-    scrub_failures: u64,
-    #[serde(default)]
-    seals: u64,
-    #[serde(default)]
-    merges: u64,
-    #[serde(default)]
-    bloom_negatives: u64,
-    #[serde(default)]
-    cache_hits: u64,
-    #[serde(default)]
-    cache_misses: u64,
-    #[serde(default)]
-    wal_appends: u64,
-    #[serde(default)]
-    wal_batches: u64,
-}
-
-/// The merged store stat the router reports for `Stat {key: None}`:
-/// the field-wise sum across every shard that answered.
-#[derive(Clone, Debug, Default, Serialize)]
-struct ClusterStat {
-    shards_reporting: u64,
-    records: u64,
-    segments: u64,
-    runs: u64,
-    tombstones: u64,
-    bytes_on_disk: u64,
-    live_bytes: u64,
-    puts: u64,
-    dedup_hits: u64,
-    removes: u64,
-    scrub_failures: u64,
-    seals: u64,
-    merges: u64,
-    bloom_negatives: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    wal_appends: u64,
-    wal_batches: u64,
-}
-
-/// Aggregate `Stat {key: None}` across every healthy shard.
+/// Aggregate `Stat {key: None}` across every healthy shard: the
+/// field-wise sum of the [`StoreSnapshot`] each shard answered with,
+/// plus how many shards answered.
 fn aggregate_stat(shared: &RouterShared) -> Response {
-    let mut sum = ClusterStat::default();
+    let mut sum = StoreSnapshot::default();
+    let mut reporting = 0u64;
     for (slot, shard) in shared.shards.iter().enumerate() {
         if !shard.healthy.load(Ordering::Relaxed) {
             continue;
@@ -427,32 +375,18 @@ fn aggregate_stat(shared: &RouterShared) -> Response {
         let got = with_backend(shared, slot, shared.cfg.shard_timeout, |c| {
             c.call(&Request::Stat { key: None })
         });
-        shared.metrics.record_shard_frames(slot, 1, 1);
+        shared.metrics.shard(slot).frames.inc();
         if let Ok(Response::StatOk { json }) = got {
-            if let Ok(stat) = serde_json::from_str::<ShardStat>(&json) {
-                sum.shards_reporting += 1;
-                sum.records += stat.records;
-                sum.segments += stat.segments;
-                sum.runs += stat.runs;
-                sum.tombstones += stat.tombstones;
-                sum.bytes_on_disk += stat.bytes_on_disk;
-                sum.live_bytes += stat.live_bytes;
-                sum.puts += stat.puts;
-                sum.dedup_hits += stat.dedup_hits;
-                sum.removes += stat.removes;
-                sum.scrub_failures += stat.scrub_failures;
-                sum.seals += stat.seals;
-                sum.merges += stat.merges;
-                sum.bloom_negatives += stat.bloom_negatives;
-                sum.cache_hits += stat.cache_hits;
-                sum.cache_misses += stat.cache_misses;
-                sum.wal_appends += stat.wal_appends;
-                sum.wal_batches += stat.wal_batches;
+            if let Ok(stat) = serde_json::from_str::<StoreSnapshot>(&json) {
+                reporting += 1;
+                sum += stat;
             }
         }
     }
+    // The summed snapshot's object, led by `shards_reporting`.
+    let json = serde_json::to_string(&sum).expect("stat serialisation cannot fail");
     Response::StatOk {
-        json: serde_json::to_string(&sum).expect("stat serialisation cannot fail"),
+        json: format!("{{\"shards_reporting\":{reporting},{}", &json[1..]),
     }
 }
 
@@ -470,23 +404,22 @@ fn queue_hints(shared: &RouterShared, key: &[u8; 16], holder: usize, missed: &[u
     });
     let blob = match got {
         Ok(Response::GetOk { blob }) => {
-            shared.metrics.record_shard_frames(holder, 1, 1);
+            shared.metrics.shard(holder).frames.inc();
             blob
         }
         _ => {
             for _ in missed {
-                shared.metrics.record_hint_dropped();
+                shared.metrics.hints_dropped.inc();
             }
             return;
         }
     };
     for &slot in missed {
         match hints.save(shared.shards[slot].spec.id, key, &blob) {
-            Ok(true) => shared.metrics.record_hint_queued(),
-            Ok(false) | Err(_) => shared.metrics.record_hint_dropped(),
+            Ok(true) => shared.metrics.hints_queued.inc(),
+            Ok(false) | Err(_) => shared.metrics.hints_dropped.inc(),
         }
     }
-    shared.metrics.set_hints_pending(hints.pending() as u64);
 }
 
 /// Route a fully assembled sequence through a quorum write: its
@@ -519,15 +452,15 @@ fn route_compress(
             last_failure = format!("shard {} is ejected", shared.shards[slot].spec.id);
             continue;
         }
-        shared.metrics.record_forward(slot);
+        shared.metrics.shard(slot).forwards.inc();
         match with_backend(shared, slot, shared.cfg.shard_timeout, |c| {
             c.compress(&file, &seq, priority, context.clone())
         }) {
             Ok(resp) => {
-                shared.metrics.record_shard_frames(slot, 1, 1);
+                shared.metrics.shard(slot).frames.inc();
                 match resp {
                     Response::CompressOk { .. } => {
-                        shared.metrics.record_replica_write();
+                        shared.metrics.replica_writes.inc();
                         commits += 1;
                         holder.get_or_insert(slot);
                         if first_ok.is_none() {
@@ -535,7 +468,7 @@ fn route_compress(
                         }
                     }
                     other => {
-                        shared.metrics.record_shard_error(slot);
+                        shared.metrics.shard(slot).errors.inc();
                         missed.push(slot);
                         last_failure = match &other {
                             Response::Error { code, message } => format!(
@@ -564,7 +497,7 @@ fn route_compress(
     if commits >= quorum {
         first_ok.expect("a committed replica produced the CompressOk")
     } else {
-        shared.metrics.record_quorum_failure();
+        shared.metrics.quorum_failures.inc();
         Response::Error {
             code: ErrorCode::QuorumFailed,
             message: format!(
@@ -599,8 +532,8 @@ fn read_repair(shared: &RouterShared, key: &[u8; 16], blob: &[u8], stale: &[usiz
             c.migrate_batch(epoch, vec![(*key, blob.to_vec())])
         });
         if got.is_ok() {
-            shared.metrics.record_shard_frames(slot, 1, 1);
-            shared.metrics.record_read_repair();
+            shared.metrics.shard(slot).frames.inc();
+            shared.metrics.read_repairs.inc();
         }
     }
 }
@@ -620,16 +553,16 @@ fn route_get(shared: &RouterShared, key: [u8; 16]) -> Response {
     let mut last_miss: Option<Response> = None;
     let mut last_failure = String::from("no healthy candidate");
     for (i, &slot) in candidates.iter().enumerate() {
-        shared.metrics.record_forward(slot);
+        shared.metrics.shard(slot).forwards.inc();
         match with_backend(shared, slot, shared.cfg.shard_timeout, |c| {
             c.call(&Request::Get { key })
         }) {
             Ok(Response::GetOk { blob }) => {
-                shared.metrics.record_shard_frames(slot, 1, 1);
+                shared.metrics.shard(slot).frames.inc();
                 if CompressedBlob::from_bytes(&blob).is_err() {
                     // Divergent replica: what it serves is not even a
                     // valid container. Treat as a miss and repair it.
-                    shared.metrics.record_shard_error(slot);
+                    shared.metrics.shard(slot).errors.inc();
                     if replica_set.contains(&slot) {
                         stale.push(slot);
                     }
@@ -645,8 +578,8 @@ fn route_get(shared: &RouterShared, key: [u8; 16]) -> Response {
                 return Response::GetOk { blob };
             }
             Ok(resp @ Response::Error { .. }) => {
-                shared.metrics.record_shard_frames(slot, 1, 1);
-                shared.metrics.record_shard_error(slot);
+                shared.metrics.shard(slot).frames.inc();
+                shared.metrics.shard(slot).errors.inc();
                 let is_miss = matches!(
                     &resp,
                     Response::Error {
@@ -663,13 +596,13 @@ fn route_get(shared: &RouterShared, key: [u8; 16]) -> Response {
                 last_miss = Some(resp);
             }
             Ok(other) => {
-                shared.metrics.record_shard_frames(slot, 1, 1);
+                shared.metrics.shard(slot).frames.inc();
                 return other;
             }
             Err(e) => {
                 last_failure = backend_failure(shared, slot, &e);
                 if i < last {
-                    shared.metrics.record_retry(slot);
+                    shared.metrics.shard(slot).retries.inc();
                 }
             }
         }
@@ -755,7 +688,7 @@ fn probe_pass(shared: &RouterShared) {
             Ok(()) | Err(BackendError::PoolBusy) => {
                 shard.probe_strikes.store(0, Ordering::Relaxed);
                 if !shard.healthy.swap(true, Ordering::Relaxed) {
-                    shared.metrics.record_readmission(slot);
+                    shared.metrics.shard(slot).readmissions.inc();
                 }
             }
             Err(BackendError::Transport(_)) => {
@@ -763,7 +696,7 @@ fn probe_pass(shared: &RouterShared) {
                 if strikes >= shared.cfg.probe_strikes
                     && shard.healthy.swap(false, Ordering::Relaxed)
                 {
-                    shared.metrics.record_ejection(slot);
+                    shared.metrics.shard(slot).ejections.inc();
                     // Close every idle socket to the dead shard now:
                     // the next forward dials fresh instead of timing
                     // out on a corpse.
@@ -797,7 +730,7 @@ fn drain_hints(shared: &RouterShared) {
                 Ok(bytes) => bytes,
                 Err(_) => {
                     let _ = hints.remove(shard.spec.id, &key);
-                    shared.metrics.record_hint_dropped();
+                    shared.metrics.hints_dropped.inc();
                     continue;
                 }
             };
@@ -806,15 +739,14 @@ fn drain_hints(shared: &RouterShared) {
             });
             match got {
                 Ok(_) => {
-                    shared.metrics.record_shard_frames(slot, 1, 1);
+                    shared.metrics.shard(slot).frames.inc();
                     let _ = hints.remove(shard.spec.id, &key);
-                    shared.metrics.record_hint_drained();
+                    shared.metrics.hints_drained.inc();
                 }
                 Err(_) => break,
             }
         }
     }
-    shared.metrics.set_hints_pending(hints.pending() as u64);
 }
 
 /// A running shard router. [`shutdown`](RouterServer::shutdown) (or
@@ -862,11 +794,6 @@ impl RouterServer {
             metrics,
             hints,
         });
-        if let Some(h) = &shared.hints {
-            // Hints from a previous router process survive its restart;
-            // the gauge reflects them from the first snapshot on.
-            shared.metrics.set_hints_pending(h.pending() as u64);
-        }
 
         let endpoint = serve(listener, shared.cfg.conn, Arc::clone(&shared))?;
         let prober_stop = Arc::new(AtomicBool::new(false));
@@ -915,7 +842,8 @@ impl RouterServer {
         let report = repair(&self.shared.ring, self.shared.cfg.replicas, timeout, buckets)?;
         self.shared
             .metrics
-            .record_repair_buckets(report.buckets_shipped);
+            .repair_buckets_shipped
+            .add(report.buckets_shipped);
         Ok(report)
     }
 

@@ -38,7 +38,7 @@
 
 use crate::cache::{ContextKey, LruCache};
 use crate::dlq::{DeadLetter, DeadLetterInfo, DeadLetterQueue, QuarantineRegistry};
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::{Metrics, MetricsSnapshot, Owners};
 use crate::queue::{JobQueue, Priority, PushError};
 use crate::supervisor;
 use dnacomp_algos::{Algorithm, TaskPool};
@@ -381,7 +381,6 @@ impl CompressionService {
             config.block_bytes = Some(bases.div_ceil(4).max(1));
         }
         let queue = Arc::new(JobQueue::new(config.queue_capacity));
-        let metrics = Arc::new(Metrics::new());
         let cache = Arc::new(Mutex::new(LruCache::new(config.cache_capacity)));
         let dlq = Arc::new(DeadLetterQueue::new(config.dlq_capacity));
         let registry = Arc::new(QuarantineRegistry::new(config.quarantine_after));
@@ -390,6 +389,17 @@ impl CompressionService {
         // worker running a framed job helps drain its own batch, so
         // total concurrency stays bounded by `2 × workers`.
         let block_pool = Arc::new(TaskPool::new(config.workers));
+        let epoch = Instant::now();
+        let slots: Vec<Arc<supervisor::WorkerSlot>> = (0..config.workers)
+            .map(|id| Arc::new(supervisor::WorkerSlot::new(id, epoch)))
+            .collect();
+        // The gauges read these owners when a snapshot is taken.
+        let metrics = Arc::new(Metrics::reading(Owners {
+            store: config.store.clone(),
+            dlq: Some(Arc::clone(&dlq)),
+            pool: Some(Arc::clone(&block_pool)),
+            workers: slots.clone(),
+        }));
         let shed_above = config.shed_above;
         let restart_budget = config.restart_budget;
         // Background scrub: only meaningful with a store to audit.
@@ -411,10 +421,6 @@ impl CompressionService {
             registry: Arc::clone(&registry),
             block_pool: Arc::clone(&block_pool),
         };
-        let epoch = Instant::now();
-        let slots: Vec<Arc<supervisor::WorkerSlot>> = (0..shared.config.workers)
-            .map(|id| Arc::new(supervisor::WorkerSlot::new(id, epoch)))
-            .collect();
         let handles = slots
             .iter()
             .map(|slot| Some(supervisor::spawn_worker(&shared, Arc::clone(slot), 0)))
@@ -465,7 +471,7 @@ impl CompressionService {
             if let Some(lane_limit) = lane_limit {
                 let depth = self.queue.len();
                 if depth >= lane_limit.max(1) {
-                    self.metrics.record_shed();
+                    self.metrics.jobs_shed.inc();
                     let _ = tx.send(Err(JobError::Shed { depth }));
                     return Ok(JobTicket { rx });
                 }
@@ -482,12 +488,12 @@ impl CompressionService {
         self.metrics.record_enqueued();
         match self.queue.try_push(job, priority) {
             Ok(()) => {
-                self.metrics.record_accepted();
+                self.metrics.accepted.inc();
                 Ok(JobTicket { rx })
             }
             Err(PushError::Full(_)) => {
                 self.metrics.record_dequeued();
-                self.metrics.record_rejected_full();
+                self.metrics.rejected_full.inc();
                 Err(SubmitError::QueueFull)
             }
             Err(PushError::Closed(_)) => {
@@ -534,8 +540,6 @@ impl CompressionService {
     pub fn dlq_drop(&self, key: &ContentKey) -> Option<DeadLetter> {
         let letter = self.dlq.take(key)?;
         self.registry.clear(key);
-        self.metrics
-            .set_dlq_state(self.dlq.depth() as u64, self.dlq.dropped());
         Some(letter)
     }
 
@@ -548,11 +552,7 @@ impl CompressionService {
         let letter = self.dlq.take(key)?;
         self.registry.clear(key);
         match self.submit(letter.request.clone()) {
-            Ok(ticket) => {
-                self.metrics
-                    .set_dlq_state(self.dlq.depth() as u64, self.dlq.dropped());
-                Some(Ok(ticket))
-            }
+            Ok(ticket) => Some(Ok(ticket)),
             Err(e) => {
                 self.dlq.push(letter);
                 Some(Err(e))
@@ -563,9 +563,7 @@ impl CompressionService {
     /// Remove and return every dead letter, oldest first — how `dnacomp
     /// serve --dlq-dir` persists the quarantine before shutdown.
     pub fn dlq_drain(&self) -> Vec<DeadLetter> {
-        let letters = self.dlq.drain();
-        self.metrics.set_dlq_state(0, self.dlq.dropped());
-        letters
+        self.dlq.drain()
     }
 
     /// Close the queue, drain it, join the supervision tree, and return
@@ -587,9 +585,6 @@ impl CompressionService {
             // a typed job outcome, never re-raised into the caller.
             let _ = h.join();
         }
-        // Final pool-sharing gauges: workers publish after every framed
-        // job, but the last publication may predate the last task.
-        self.metrics.set_pool_stats(self.block_pool.stats());
     }
 }
 

@@ -23,11 +23,11 @@
 //!    and resolves every remaining ticket `Err(WorkerGone)` so no
 //!    caller blocks on a pool that no longer exists.
 //!
-//! The supervisor also exports liveness: each worker heartbeats its
-//! slot at job boundaries, and the supervisor publishes the worst
-//! heartbeat age over *busy* workers as the `last_heartbeat_age_ms`
+//! Liveness is exported without the supervisor: each worker heartbeats
+//! its slot at job boundaries, and a metrics snapshot reads the worst
+//! heartbeat age over *busy* slots as the `last_heartbeat_age_ms`
 //! gauge (an idle pool reports 0 — staleness only means something when
-//! someone claims to be working).
+//! someone claims to be working). The supervisor publishes no gauge.
 
 use crate::dlq::{lock_recover, DeadLetter, DeadLetterQueue, QuarantineRegistry};
 use crate::metrics::Metrics;
@@ -82,7 +82,7 @@ impl WorkerSlot {
     }
 
     /// Milliseconds since the last heartbeat.
-    fn heartbeat_age_ms(&self) -> u64 {
+    pub(crate) fn heartbeat_age_ms(&self) -> u64 {
         (self.epoch.elapsed().as_millis() as u64)
             .saturating_sub(self.heartbeat_ms.load(Ordering::Relaxed))
     }
@@ -96,7 +96,9 @@ impl WorkerSlot {
         lock_recover(&self.in_flight).take()
     }
 
-    fn is_busy(&self) -> bool {
+    /// Whether the slot holds a job: it is executing one, or its
+    /// thread died under one not yet reaped.
+    pub(crate) fn is_busy(&self) -> bool {
         lock_recover(&self.in_flight).is_some()
     }
 }
@@ -151,22 +153,6 @@ pub(crate) struct Supervisor {
 }
 
 impl Supervisor {
-    /// Publish the watchdog + DLQ gauges.
-    fn publish_gauges(&self) {
-        let age = self
-            .slots
-            .iter()
-            .zip(&self.handles)
-            .filter(|(slot, handle)| handle.is_some() && slot.is_busy())
-            .map(|(slot, _)| slot.heartbeat_age_ms())
-            .max()
-            .unwrap_or(0);
-        self.shared.metrics.set_heartbeat_age_ms(age);
-        self.shared
-            .metrics
-            .set_dlq_state(self.shared.dlq.depth() as u64, self.shared.dlq.dropped());
-    }
-
     /// Handle one finished worker thread at `i`. Returns `true` if the
     /// slot is live again (a replacement was spawned).
     fn reap(&mut self, i: usize, handle: JoinHandle<()>) -> bool {
@@ -177,20 +163,19 @@ impl Supervisor {
         if let Some(inf) = crashed {
             // Died mid-job. The ticket already resolved WorkerGone when
             // the reply sender dropped; here we do the bookkeeping.
-            self.shared.metrics.record_crashed();
+            self.shared.metrics.jobs_crashed.inc();
             let msg = join_err
                 .as_ref()
                 .map(|p| panic_message(p.as_ref()))
                 .unwrap_or_else(|| "worker exited mid-job".to_owned());
             let (strikes, crossed) = self.shared.registry.strike(&inf.key);
             if crossed {
-                let (depth, dropped) = self.shared.dlq.push(DeadLetter {
+                self.shared.dlq.push(DeadLetter {
                     key: inf.key,
                     strikes,
                     last_error: format!("crashed worker {}: {msg}", self.slots[i].id),
                     request: inf.req,
                 });
-                self.shared.metrics.set_dlq_state(depth, dropped);
             }
         }
         // Drained pools don't need replacements; neither do workers that
@@ -203,7 +188,7 @@ impl Supervisor {
         }
         self.restarts_left -= 1;
         self.generations[i] += 1;
-        self.shared.metrics.record_worker_restart();
+        self.shared.metrics.worker_restarts.inc();
         self.handles[i] = Some(spawn_worker(
             &self.shared,
             Arc::clone(&self.slots[i]),
@@ -220,7 +205,7 @@ impl Supervisor {
         self.shared.queue.close();
         while let Some(job) = self.shared.queue.pop() {
             self.shared.metrics.record_dequeued();
-            self.shared.metrics.record_crashed();
+            self.shared.metrics.jobs_crashed.inc();
             let _ = job.reply.send(Err(JobError::WorkerGone));
         }
     }
@@ -244,7 +229,6 @@ pub(crate) fn run(mut sup: Supervisor) {
                 None => {}
             }
         }
-        sup.publish_gauges();
         if live == 0 {
             let drained = sup.shared.queue.is_closed() && sup.shared.queue.is_empty();
             if !drained {
@@ -254,5 +238,4 @@ pub(crate) fn run(mut sup: Supervisor) {
         }
         std::thread::sleep(POLL);
     }
-    sup.publish_gauges();
 }

@@ -87,7 +87,7 @@ pub(crate) fn run(ctx: WorkerContext) {
         let waited = job.submitted.elapsed();
         if let Some(deadline) = job.req.deadline {
             if waited > deadline {
-                ctx.metrics.record_expired();
+                ctx.metrics.expired.inc();
                 let _ = job.reply.send(Err(JobError::Expired {
                     waited_ms: waited.as_secs_f64() * 1e3,
                 }));
@@ -100,7 +100,7 @@ pub(crate) fn run(ctx: WorkerContext) {
         // *without being processed*, so a repeat worker-killer can
         // never claim another thread.
         if ctx.registry.is_quarantined(&key) {
-            ctx.metrics.record_quarantined();
+            ctx.metrics.jobs_quarantined.inc();
             let _ = job.reply.send(Err(JobError::Quarantined {
                 key_hex: key.to_hex(),
             }));
@@ -124,16 +124,15 @@ pub(crate) fn run(ctx: WorkerContext) {
         let result = match contain_panic(|| execute(&ctx, &mut sim, &mut breaker, &job)) {
             Ok(result) => result,
             Err(message) => {
-                ctx.metrics.record_panicked();
+                ctx.metrics.jobs_panicked.inc();
                 let (strikes, crossed) = ctx.registry.strike(&key);
                 if crossed {
-                    let (depth, dropped) = ctx.dlq.push(DeadLetter {
+                    ctx.dlq.push(DeadLetter {
                         key,
                         strikes,
                         last_error: message.clone(),
                         request: job.req.clone(),
                     });
-                    ctx.metrics.set_dlq_state(depth, dropped);
                 }
                 Err(JobError::Panicked { message, strikes })
             }
@@ -142,7 +141,7 @@ pub(crate) fn run(ctx: WorkerContext) {
         match &result {
             Ok(r) => ctx.metrics.record_completed(r.algorithm, r.sim_ms),
             Err(JobError::Panicked { .. }) => {} // counted as panicked above
-            Err(_) => ctx.metrics.record_failed(),
+            Err(_) => ctx.metrics.failed.inc(),
         }
         // A dropped ticket is a caller choice, not a service error.
         let _ = job.reply.send(result);
@@ -152,8 +151,9 @@ pub(crate) fn run(ctx: WorkerContext) {
 
 /// Persist-on-complete: `put` the container the job produced — the
 /// bytes its response describes — into the attached store (no-op when
-/// the service is stateless) and roll the outcome into the metrics
-/// registry. Nothing is compressed here.
+/// the service is stateless) and count the put. Nothing is compressed
+/// here, and the store's own gauges are read only when a metrics
+/// snapshot is taken.
 fn persist(
     ctx: &WorkerContext,
     job: &Job,
@@ -165,9 +165,10 @@ fn persist(
     let outcome = store
         .put(&job.req.sequence, blob)
         .map_err(JobError::Store)?;
-    ctx.metrics.record_store_put(outcome.deduped);
-    let snap = store.snapshot();
-    ctx.metrics.set_store_state(&snap);
+    ctx.metrics.store_puts.inc();
+    if outcome.deduped {
+        ctx.metrics.store_dedup_hits.inc();
+    }
     Ok(Some(outcome))
 }
 
@@ -197,11 +198,11 @@ fn execute(
     let cached = lock_cache(&ctx.cache).get(&key).copied();
     let (decided, cache_hit) = match cached {
         Some(alg) => {
-            ctx.metrics.record_cache_hit();
+            ctx.metrics.cache_hits.inc();
             (alg, true)
         }
         None => {
-            ctx.metrics.record_cache_miss();
+            ctx.metrics.cache_misses.inc();
             let alg = ctx.framework.decide(&key.canonical());
             lock_cache(&ctx.cache).insert(key, alg);
             (alg, false)
@@ -241,8 +242,8 @@ fn execute(
         Some(block_size) => {
             let pc = ParallelCompressor::new(decided, block_size, Arc::clone(&ctx.block_pool));
             pc.compress_with_stats(&req.sequence).map(|(frame, stats)| {
-                ctx.metrics.record_block_parallel(frame.blocks.len() as u64);
-                ctx.metrics.set_pool_stats(ctx.block_pool.stats());
+                ctx.metrics.block_parallel_jobs.inc();
+                ctx.metrics.blocks_compressed.add(frame.blocks.len() as u64);
                 (frame.to_blob(), frame.blocks.len(), stats)
             })
         }

@@ -12,7 +12,7 @@
 //! silent corruption, and connection metrics that account for every
 //! accepted connection and frame.
 
-use dnacomp_algos::{compressor_for, CompressedBlob};
+use dnacomp_algos::{compressor_for, Algorithm, CompressedBlob};
 use dnacomp_cloud::FaultPlan;
 use dnacomp_codec::varint::{read_uvarint, write_uvarint};
 use dnacomp_core::{Context, Deadline};
@@ -25,7 +25,7 @@ use dnacomp_server::{
     Ring, RouterConfig, RouterMetricsSnapshot, RouterServer, ServiceConfig, ShardSpec, IO_TICK,
     MAX_WIRE_PAYLOAD, WIRE_MAGIC, WIRE_VERSION,
 };
-use dnacomp_store::{ContentKey, SequenceStore, StoreConfig};
+use dnacomp_store::{ContentKey, SequenceStore, StoreConfig, StoreSnapshot};
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -497,6 +497,52 @@ fn block_framed_payload_roundtrips_byte_identical_at_any_thread_count() {
     for dir in dirs {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Store gauges are read from the store, whoever wrote to it
+// ---------------------------------------------------------------------------
+
+#[test]
+fn store_gauges_follow_writes_that_skip_the_worker() {
+    let (store, dir) = temp_store("gauges");
+    let (service, server, addr) = start(
+        ServiceConfig {
+            workers: 1,
+            store: Some(Arc::clone(&store)),
+            ..ServiceConfig::default()
+        },
+        NetConfig {
+            store: Some(Arc::clone(&store)),
+            ..quick_net()
+        },
+    );
+    // One record lands the way read-repair, a hint drain or a
+    // rebalance delivers it: a migration batch, with no job and so no
+    // worker involved.
+    let seq = GenomeModel::default().generate(2_000, 11);
+    let blob = compressor_for(Algorithm::Raw).compress(&seq).unwrap();
+    let key = ContentKey::of_sequence(&seq).0;
+    let mut client = NetClient::connect(addr, Duration::from_secs(10)).unwrap();
+    let records = vec![(key, blob.to_bytes())];
+    assert_eq!(client.migrate_batch(0, records).unwrap(), (1, 0));
+
+    let want = store.snapshot();
+    assert!(want.bytes_on_disk > 0 && want.wal_appends > 0, "{want:?}");
+    let metrics: MetricsSnapshot = serde_json::from_str(&client.metrics_json().unwrap()).unwrap();
+    assert_eq!(metrics.store_bytes_on_disk, want.bytes_on_disk);
+    assert_eq!(metrics.store_wal_appends, want.wal_appends);
+    // The whole-store `Stat` reply is the same snapshot on the wire.
+    let stat: StoreSnapshot = serde_json::from_str(&client.stat(None).unwrap()).unwrap();
+    assert_eq!(stat, store.snapshot());
+
+    client.bye().unwrap();
+    server.shutdown();
+    let service = Arc::try_unwrap(service)
+        .map_err(|_| "handler clones alive")
+        .unwrap();
+    assert_eq!(service.shutdown().store_puts, 0, "no job ran");
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 // ---------------------------------------------------------------------------

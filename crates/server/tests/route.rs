@@ -223,6 +223,14 @@ fn gets_via_router_are_byte_identical_to_direct_shard_gets() {
         "aggregated stat {stat} does not report {total} records"
     );
     assert!(stat.contains("\"shards_reporting\":3"), "stat {stat}");
+    let failures: u64 = shards
+        .iter()
+        .map(|s| s.store.snapshot().maintenance_failures)
+        .sum();
+    assert!(
+        stat.contains(&format!("\"maintenance_failures\":{failures}")),
+        "aggregated stat {stat} does not report {failures} maintenance failures"
+    );
 
     client.bye().unwrap();
     let snap = router.shutdown();

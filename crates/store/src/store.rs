@@ -60,6 +60,7 @@ use crate::wal::{GroupCommit, Queued};
 use dnacomp_algos::CompressedBlob;
 use dnacomp_cloud::FaultPlan;
 use dnacomp_seq::PackedSeq;
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -147,16 +148,21 @@ pub struct RecordStat {
     pub level: u32,
 }
 
-/// Point-in-time store counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Point-in-time store counters. This is also the JSON a shard answers
+/// `Stat` with; a router sums the replies with `+=`. Fields newer
+/// stores added are `serde(default)`, so a mixed-version cluster still
+/// aggregates.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoreSnapshot {
     /// Live records (distinct content keys) across all levels.
     pub records: u64,
     /// Level-0 segment files holding committed data.
     pub segments: u64,
     /// Sorted run files (level 1 and deeper).
+    #[serde(default)]
     pub runs: u64,
     /// Run-resident records logically removed but not yet merged away.
+    #[serde(default)]
     pub tombstones: u64,
     /// Committed bytes on disk (segments + runs, dead bytes included).
     pub bytes_on_disk: u64,
@@ -171,25 +177,59 @@ pub struct StoreSnapshot {
     /// Records that failed validation during verify/scrub runs.
     pub scrub_failures: u64,
     /// L0 → run seals since open.
+    #[serde(default)]
     pub seals: u64,
     /// Run merges since open.
+    #[serde(default)]
     pub merges: u64,
     /// Background-maintenance passes that failed after a put committed.
+    #[serde(default)]
     pub maintenance_failures: u64,
     /// Run probes answered "definitely absent" by a bloom filter
     /// without touching disk.
+    #[serde(default)]
     pub bloom_negatives: u64,
     /// Block-cache hits since open.
+    #[serde(default)]
     pub cache_hits: u64,
     /// Block-cache misses since open.
+    #[serde(default)]
     pub cache_misses: u64,
     /// Bytes currently held by the block cache.
+    #[serde(default)]
     pub cache_bytes: u64,
     /// Manifest entries appended since open (WAL appends).
+    #[serde(default)]
     pub wal_appends: u64,
     /// Fsync batches that made those appends durable; the gap to
     /// `wal_appends` is the group-commit win.
+    #[serde(default)]
     pub wal_batches: u64,
+}
+
+/// Field-wise sum: the cluster-wide total over several stores.
+impl std::ops::AddAssign for StoreSnapshot {
+    fn add_assign(&mut self, o: StoreSnapshot) {
+        self.records += o.records;
+        self.segments += o.segments;
+        self.runs += o.runs;
+        self.tombstones += o.tombstones;
+        self.bytes_on_disk += o.bytes_on_disk;
+        self.live_bytes += o.live_bytes;
+        self.puts += o.puts;
+        self.dedup_hits += o.dedup_hits;
+        self.removes += o.removes;
+        self.scrub_failures += o.scrub_failures;
+        self.seals += o.seals;
+        self.merges += o.merges;
+        self.maintenance_failures += o.maintenance_failures;
+        self.bloom_negatives += o.bloom_negatives;
+        self.cache_hits += o.cache_hits;
+        self.cache_misses += o.cache_misses;
+        self.cache_bytes += o.cache_bytes;
+        self.wal_appends += o.wal_appends;
+        self.wal_batches += o.wal_batches;
+    }
 }
 
 /// Per-level occupancy, for `store stat` and capacity planning.

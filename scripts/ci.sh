@@ -182,7 +182,9 @@ fi
 # completed job was persisted (store_puts == completed) and the corpus
 # produced framed jobs (block_parallel_jobs > 0), so the framed
 # containers the block-parallel path builds are what the store took.
-# Exact accounting, no timing gate. Skipped under --quick (needs the
+# The store gauges must be read from that store (store_bytes_on_disk
+# and store_wal_appends > 0): a service whose metrics are not wired to
+# its store reports 0. Exact accounting, no timing gate. Skipped under --quick (needs the
 # release binary). 300 s bounds a wedged replay.
 if [ "$QUICK" -eq 0 ]; then
     step "store-backed bench-serve accounting: bench-serve --store --block-size (300 s timeout)"
@@ -203,6 +205,15 @@ if [ "$QUICK" -eq 0 ]; then
     }
     [ "${framed:-0}" -gt 0 ] || {
         echo "the store row framed no job" >&2
+        exit 1
+    }
+    disk=$(grep -o '"store_bytes_on_disk":[0-9]*' /tmp/BENCH_serve_store_ci.json \
+        | cut -d: -f2)
+    wal=$(grep -o '"store_wal_appends":[0-9]*' /tmp/BENCH_serve_store_ci.json \
+        | cut -d: -f2)
+    echo "store gauges: ${disk} bytes on disk, ${wal} WAL appends"
+    [ "${disk:-0}" -gt 0 ] && [ "${wal:-0}" -gt 0 ] || {
+        echo "store gauges not read from the store: ${disk:-0} bytes, ${wal:-0} appends" >&2
         exit 1
     }
 fi

@@ -389,6 +389,8 @@ fn supervision_metrics_appear_in_json_snapshot() {
         CompressionService::start(synthetic_framework(7), ServiceConfig::default());
     let snapshot = service.shutdown();
     let json = serde_json::to_string(&snapshot).unwrap();
+    // The supervision fields, then the rest of the JSON contract: every
+    // key of `MetricsSnapshot`.
     for field in [
         "worker_restarts",
         "jobs_panicked",
@@ -398,6 +400,47 @@ fn supervision_metrics_appear_in_json_snapshot() {
         "dlq_depth",
         "dlq_dropped",
         "last_heartbeat_age_ms",
+        "accepted",
+        "rejected_full",
+        "expired",
+        "completed",
+        "failed",
+        "cache_hits",
+        "cache_misses",
+        "cache_hit_rate",
+        "queue_depth",
+        "peak_queue_depth",
+        "algorithm_wins",
+        "latency_p50_ms",
+        "latency_p95_ms",
+        "latency_mean_ms",
+        "store_puts",
+        "store_dedup_hits",
+        "store_bytes_on_disk",
+        "store_scrub_failures",
+        "store_runs",
+        "store_tombstones",
+        "store_compactions",
+        "store_cache_hits",
+        "store_cache_misses",
+        "store_bloom_negatives",
+        "store_wal_appends",
+        "store_wal_batches",
+        "store_maintenance_failures",
+        "blocks_compressed",
+        "block_parallel_jobs",
+        "pool_tasks_run_by_pool",
+        "pool_tasks_run_inline",
+        "pool_batches",
+        "connections_open",
+        "connections_accepted",
+        "connections_refused",
+        "connections_killed",
+        "frames_rx",
+        "frames_tx",
+        "net_bytes_rx",
+        "net_bytes_tx",
+        "protocol_errors",
     ] {
         assert!(
             json.contains(&format!("\"{field}\"")),
