@@ -86,13 +86,6 @@ impl SpacedSeed {
         }
         Some(k)
     }
-
-    /// Probability that a window with `m` random mutations still hits,
-    /// under a uniform mutation position model — the spaced-seed
-    /// advantage tests quantify this empirically instead.
-    pub fn hit_requires(&self) -> usize {
-        self.weight()
-    }
 }
 
 /// Hash-chain index over spaced-seed keys, built incrementally like

@@ -1,6 +1,6 @@
 //! Shared decision-tree representation, prediction, and rule extraction.
 
-use crate::dataset::{Dataset, Row, Value};
+use crate::dataset::{Dataset, Value};
 use serde::{Deserialize, Serialize};
 
 /// Which induction method built a tree.
@@ -128,11 +128,6 @@ impl DecisionTree {
     /// Predict a whole dataset, returning class ids.
     pub fn predict_all(&self, data: &Dataset) -> Vec<u32> {
         data.rows.iter().map(|r| self.predict(&r.values)).collect()
-    }
-
-    /// Predict one dataset row.
-    pub fn predict_row(&self, row: &Row) -> u32 {
-        self.predict(&row.values)
     }
 
     /// Number of leaves.

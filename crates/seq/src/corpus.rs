@@ -63,12 +63,6 @@ impl FileSpec {
             FileKind::LowRepeat => GenomeModel::random_only(0.47),
         }
     }
-
-    /// On-disk size of the raw ASCII file this stands in for, in bytes
-    /// (one byte per base, as NCBI `.seq` bodies are stored).
-    pub fn raw_bytes(&self) -> u64 {
-        self.len as u64
-    }
 }
 
 /// The classic standard-corpus names with their published base counts.

@@ -35,11 +35,6 @@ pub fn unpack_kmer(kmer: u64, k: usize) -> Vec<Base> {
         .collect()
 }
 
-/// Number of distinct k-mers.
-pub fn distinct_kmers(seq: &PackedSeq, k: usize) -> usize {
-    count_kmers(seq, k).len()
-}
-
 /// Fraction of k-mer positions whose k-mer occurs more than once — a
 /// direct measure of the repeat mass available to the compressors.
 pub fn repeat_mass(seq: &PackedSeq, k: usize) -> f64 {

@@ -5,13 +5,20 @@
 //! list|replay|drop` then operates on the directory offline. Each
 //! letter is two files named by the key's hex form:
 //!
-//! - `<key>.dx` — the quarantined sequence as a [`Algorithm::Raw`]
+//! - `<key>.dx` — the quarantined sequence as an [`Algorithm::Raw`]
 //!   container (checksummed, so a corrupted letter is detected on
-//!   load rather than replayed as garbage), written first;
+//!   load rather than replayed as garbage), framed in blocks of
+//!   [`MAX_PREALLOC_BASES`] when it is longer than one flat container
+//!   may hold. Written and fsynced first.
 //! - `<key>.json` — the offense record plus the request's context,
-//!   written second. The JSON file is the commit point: a letter
-//!   without it (a crash between the two writes) is invisible to
-//!   `list` and harmlessly overwritten by the next save.
+//!   written to `<key>.json.tmp`, fsynced and renamed into place. The
+//!   rename is the commit point, and the directory is fsynced after
+//!   it: a crash before it leaves no record, so the letter is
+//!   invisible to `list` and harmlessly overwritten by the next save.
+//!
+//! `list` skips a record it cannot read or parse (an older version
+//! wrote records in place, so a crash could tear one) and reports how
+//! many it skipped instead of failing.
 //!
 //! Replaying from disk rebuilds a [`CompressRequest`] at normal
 //! priority with no deadline — a replay is a fresh human decision,
@@ -19,10 +26,13 @@
 
 use crate::dlq::{DeadLetter, DeadLetterInfo};
 use crate::service::CompressRequest;
-use dnacomp_algos::{compressor_for, Algorithm, CompressedBlob};
+use dnacomp_algos::blob::MAX_PREALLOC_BASES;
+use dnacomp_algos::{compressor_for, frame, Algorithm, CompressedBlob};
 use dnacomp_core::Context;
 use dnacomp_store::ContentKey;
 use serde::{Deserialize, Serialize};
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// The JSON half of one persisted letter: the listing summary plus
@@ -35,6 +45,13 @@ struct PersistedLetter {
     bandwidth_mbps: f64,
     file_bytes: u64,
     exchange: bool,
+}
+
+/// Write `bytes` to a fresh `path` and fsync it.
+fn write_synced(path: &Path, bytes: &[u8]) -> Result<(), String> {
+    File::create(path)
+        .and_then(|mut f| f.write_all(bytes).and_then(|()| f.sync_all()))
+        .map_err(|e| format!("writing {}: {e}", path.display()))
 }
 
 /// A directory of persisted dead letters.
@@ -59,16 +76,23 @@ impl DlqDir {
         self.dir.join(format!("{}.dx", key.to_hex()))
     }
 
-    /// Persist one letter (payload first, record second — see module
-    /// docs for the commit-point argument). Saving a key that is
-    /// already present overwrites it.
+    fn sync_dir(&self) -> Result<(), String> {
+        File::open(&self.dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| format!("syncing dlq dir {}: {e}", self.dir.display()))
+    }
+
+    /// Persist one letter durably (see module docs for the commit
+    /// protocol). Saving a key that is already present overwrites it.
     pub fn save(&self, letter: &DeadLetter) -> Result<(), String> {
-        let blob = compressor_for(Algorithm::Raw)
-            .compress(&letter.request.sequence)
-            .map_err(|e| format!("packing letter {}: {e}", letter.key.to_hex()))?;
-        let dx = self.dx_path(&letter.key);
-        std::fs::write(&dx, blob.to_bytes())
-            .map_err(|e| format!("writing {}: {e}", dx.display()))?;
+        let (seq, raw) = (&letter.request.sequence, compressor_for(Algorithm::Raw));
+        let packed = if seq.len() > MAX_PREALLOC_BASES {
+            frame::compress_serial(&*raw, seq, MAX_PREALLOC_BASES).map(|f| f.to_bytes())
+        } else {
+            raw.compress(seq).map(|b| b.to_bytes())
+        };
+        let packed = packed.map_err(|e| format!("packing letter {}: {e}", letter.key))?;
+        write_synced(&self.dx_path(&letter.key), &packed)?;
         let record = PersistedLetter {
             info: letter.info(),
             ram_mb: letter.request.context.ram_mb,
@@ -80,15 +104,17 @@ impl DlqDir {
         let json = serde_json::to_string(&record)
             .map_err(|e| format!("encoding letter {}: {e}", letter.key.to_hex()))?;
         let path = self.json_path(&letter.key);
-        std::fs::write(&path, json).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        Ok(())
+        let tmp = path.with_extension("json.tmp");
+        write_synced(&tmp, json.as_bytes())?;
+        std::fs::rename(&tmp, &path).map_err(|e| format!("committing {}: {e}", path.display()))?;
+        self.sync_dir()
     }
 
     /// Summaries of every persisted letter, sorted by key for
-    /// deterministic listings. Letters whose JSON record is missing or
-    /// unreadable are reported as errors, not skipped silently.
-    pub fn list(&self) -> Result<Vec<DeadLetterInfo>, String> {
-        let mut infos = Vec::new();
+    /// deterministic listings, and how many records were skipped
+    /// because they could not be read or parsed.
+    pub fn list(&self) -> Result<(Vec<DeadLetterInfo>, usize), String> {
+        let (mut infos, mut skipped) = (Vec::new(), 0);
         let entries = std::fs::read_dir(&self.dir)
             .map_err(|e| format!("reading dlq dir {}: {e}", self.dir.display()))?;
         for entry in entries {
@@ -98,21 +124,23 @@ impl DlqDir {
             if path.extension().and_then(|e| e.to_str()) != Some("json") {
                 continue;
             }
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| format!("reading {}: {e}", path.display()))?;
-            let record: PersistedLetter = serde_json::from_str(&text)
-                .map_err(|e| format!("parsing {}: {e}", path.display()))?;
-            infos.push(record.info);
+            let record = std::fs::read_to_string(&path).ok();
+            match record.and_then(|t| serde_json::from_str::<PersistedLetter>(&t).ok()) {
+                Some(record) => infos.push(record.info),
+                None => skipped += 1,
+            }
         }
         infos.sort_by(|a, b| a.key.cmp(&b.key));
-        Ok(infos)
+        Ok((infos, skipped))
     }
 
     /// The listing as a JSON array (what `dnacomp dlq list --json`
-    /// prints).
-    pub fn list_json(&self) -> Result<String, String> {
-        let infos = self.list()?;
-        serde_json::to_string(&infos).map_err(|e| format!("encoding dlq listing: {e}"))
+    /// prints), and the count of skipped records.
+    pub fn list_json(&self) -> Result<(String, usize), String> {
+        let (infos, skipped) = self.list()?;
+        let json =
+            serde_json::to_string(&infos).map_err(|e| format!("encoding dlq listing: {e}"))?;
+        Ok((json, skipped))
     }
 
     /// Load one letter: the offense record plus a replayable request
@@ -146,9 +174,9 @@ impl DlqDir {
         Ok((record.info, req))
     }
 
-    /// Remove a persisted letter (record first, payload second — the
-    /// reverse of `save`, so a crash mid-removal never leaves a listed
-    /// letter without its payload). Returns `false` if absent.
+    /// Remove a persisted letter: record first (so a crash mid-removal
+    /// never leaves a listed letter without its payload), then payload,
+    /// then fsync the directory. Returns `false` if absent.
     pub fn remove(&self, key: &ContentKey) -> Result<bool, String> {
         let json = self.json_path(key);
         if !json.exists() {
@@ -159,6 +187,7 @@ impl DlqDir {
         if dx.exists() {
             std::fs::remove_file(&dx).map_err(|e| format!("removing {}: {e}", dx.display()))?;
         }
+        self.sync_dir()?;
         Ok(true)
     }
 }
@@ -203,7 +232,7 @@ mod tests {
         dlq.save(&a).unwrap();
         dlq.save(&b).unwrap();
 
-        let mut infos = dlq.list().unwrap();
+        let mut infos = dlq.list().unwrap().0;
         assert_eq!(infos.len(), 2);
         infos.sort_by(|x, y| x.file.cmp(&y.file));
         assert_eq!(infos[0].file, "poison_1");
@@ -217,7 +246,7 @@ mod tests {
 
         assert!(dlq.remove(&a.key).unwrap());
         assert!(!dlq.remove(&a.key).unwrap());
-        assert_eq!(dlq.list().unwrap().len(), 1);
+        assert_eq!(dlq.list().unwrap().0.len(), 1);
         assert!(dlq.load(&a.key).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -236,6 +265,26 @@ mod tests {
         bytes[last] ^= 0xff;
         std::fs::write(&dx, &bytes).unwrap();
         assert!(dlq.load(&l.key).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_letter_longer_than_one_flat_container_saves_loads_and_lists() {
+        let dir = tmp("long");
+        let _ = std::fs::remove_dir_all(&dir);
+        let dlq = DlqDir::open(&dir).unwrap();
+        let len = MAX_PREALLOC_BASES + 1;
+        let codes: Vec<u8> = (0..len)
+            .map(|i| ((i * 2_654_435_761) >> 13) as u8 & 3)
+            .collect();
+        let mut long = letter(4);
+        long.request.sequence = dnacomp_seq::PackedSeq::from_codes(&codes);
+        long.key = ContentKey::of_sequence(&long.request.sequence);
+        dlq.save(&long).unwrap();
+        let (info, req) = dlq.load(&long.key).unwrap();
+        assert_eq!(info.original_len, len);
+        assert_eq!(req.sequence, long.request.sequence);
+        assert_eq!(dlq.list().unwrap(), (vec![long.info()], 0));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,184 +1,129 @@
 //! Hinted handoff: persisted IOUs for replicas that missed a write.
 //!
-//! When a quorum write commits but one replica was down (or failed in
-//! transport), the router owes that shard a copy. The hint queue is
-//! the durable record of that debt: one hint per `(shard, key)` pair,
-//! stored as two files in the same commit-point discipline as
-//! [`crate::dlq_dir`]:
+//! When a quorum write commits but a replica missed it (down, or failed
+//! in transport), the router owes that shard a copy. The containers
+//! owed to shard `id`, exactly as a committed replica serves them, live
+//! in a [`SequenceStore`] at `<dir>/s<id>/`, keyed by content key. The
+//! store is the commit point (its fsync'd manifest entry), the at-rest
+//! checksum (a damaged hint is refused on load, never shipped) and the
+//! crash recovery (a torn tail is truncated on open, so a torn hint
+//! never stops the router). Re-hinting a pending `(shard, key)` keeps
+//! the pending copy: both containers decode to the same bases.
 //!
-//! - `<key>-s<shard>.dx` — the canonical container bytes exactly as a
-//!   committed replica serves them, written first;
-//! - `<key>-s<shard>.json` — the hint record (shard id, key, FNV-1a
-//!   checksum of the payload bytes), written second.
-//!   The JSON file is the commit point: a hint without it (a crash
-//!   between the two writes) is invisible and harmlessly overwritten
-//!   by the next save. The record's checksum covers the *container
-//!   bytes at rest* (the `DX` format's own checksum covers the
-//!   original sequence and is only checked at decompress time), so a
-//!   torn or bit-flipped hint is refused on load rather than shipped
-//!   as garbage.
-//!
-//! The queue is **bounded**: once `cap` hints are pending, new ones
-//! are dropped (and counted by the router) — anti-entropy
-//! ([`crate::router::repair`]) is the backstop that converges what
-//! hinting could not hold. The prober drains hints to a shard as soon
-//! as it is healthy, shipping each payload over the checksummed
-//! `MigrateBatch` path and deleting the hint only after the shard
-//! acknowledges the batch. Re-opening the directory rebuilds the
-//! pending index, so hints survive a router restart.
-//!
-//! The in-memory index is updated after its files, so it is valid after
-//! any prefix of a save or remove: a panic that poisons its lock is
-//! recovered from (`dlq::lock_recover`), never re-raised.
+//! The queue is **bounded**: once `cap` hints are pending across all
+//! shards, new ones are dropped (and counted by the router), and
+//! anti-entropy ([`crate::router::repair`]) converges what hinting
+//! could not hold. The prober drains a healthy shard's hints over the
+//! checksummed `MigrateBatch` path, removing each only after the shard
+//! acknowledges it. Re-opening the directory reopens every `s<id>`
+//! store, so hints survive a restart; any other entry (such as an older
+//! router's `<key>-s<id>.json`) is ignored. A panic that poisons the
+//! queue's lock is recovered from (`dlq::lock_recover`): each store is
+//! consistent at every commit point on its own.
 
 use crate::dlq::lock_recover;
 use dnacomp_algos::CompressedBlob;
-use dnacomp_codec::checksum::fnv1a;
-use dnacomp_store::ContentKey;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use dnacomp_store::{ContentKey, SequenceStore, StoreConfig, StoreError};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// The JSON half of one persisted hint.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct HintRecord {
-    /// Ring id of the shard owed this copy.
-    shard: u32,
-    /// Content key, hex-encoded (matches the file stem). Records
-    /// from older routers carry an `epoch` key too; unknown keys are
-    /// ignored on load.
-    key: String,
-    /// FNV-1a over the `.dx` payload bytes, checked on load.
-    #[serde(default)]
-    checksum: u64,
-}
-
-/// A bounded directory of pending handoff hints.
+/// A bounded set of per-shard hint stores.
 #[derive(Debug)]
 pub struct HintQueue {
     dir: PathBuf,
     cap: usize,
-    /// Pending `(shard, key)` pairs, rebuilt from disk on open.
-    index: Mutex<BTreeSet<(u32, [u8; 16])>>,
+    /// One store per shard that has been owed a hint, by shard id.
+    stores: Mutex<BTreeMap<u32, SequenceStore>>,
+}
+
+fn open_store(dir: &Path) -> Result<SequenceStore, String> {
+    SequenceStore::open(dir, StoreConfig::default())
+        .map_err(|e| format!("opening hint store {}: {e}", dir.display()))
+}
+
+fn total(stores: &BTreeMap<u32, SequenceStore>) -> usize {
+    stores.values().map(SequenceStore::len).sum()
 }
 
 impl HintQueue {
-    /// Open (creating if needed) a hint directory and rebuild the
-    /// pending index from its commit points. Records that fail to
-    /// parse are an error — a hint dir the router cannot account for
-    /// is worse than no hint dir.
+    /// Open (creating if needed) a hint directory and every `s<id>`
+    /// shard store in it, recovering each to its last commit point.
     pub fn open(dir: impl AsRef<Path>, cap: usize) -> Result<HintQueue, String> {
         let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| format!("creating hint dir {}: {e}", dir.display()))?;
-        let mut index = BTreeSet::new();
-        let entries = std::fs::read_dir(&dir)
-            .map_err(|e| format!("reading hint dir {}: {e}", dir.display()))?;
-        for entry in entries {
-            let path = entry
-                .map_err(|e| format!("reading hint dir {}: {e}", dir.display()))?
-                .path();
-            if path.extension().and_then(|e| e.to_str()) != Some("json") {
-                continue;
+        let io = |e: std::io::Error| format!("hint dir {}: {e}", dir.display());
+        std::fs::create_dir_all(&dir).map_err(io)?;
+        let mut stores = BTreeMap::new();
+        for entry in std::fs::read_dir(&dir).map_err(io)? {
+            let path = entry.map_err(io)?.path();
+            let name = path.file_name().and_then(|n| n.to_str());
+            if let Some(shard) = name.and_then(|n| n.strip_prefix('s')?.parse().ok()) {
+                stores.insert(shard, open_store(&path)?);
             }
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| format!("reading {}: {e}", path.display()))?;
-            let record: HintRecord = serde_json::from_str(&text)
-                .map_err(|e| format!("parsing {}: {e}", path.display()))?;
-            let key = ContentKey::from_hex(&record.key)
-                .ok_or_else(|| format!("{}: malformed key hex", path.display()))?;
-            index.insert((record.shard, key.0));
         }
         Ok(HintQueue {
             dir,
             cap: cap.max(1),
-            index: Mutex::new(index),
+            stores: Mutex::new(stores),
         })
     }
 
-    fn stem(&self, shard: u32, key: &[u8; 16]) -> String {
-        format!("{}-s{shard}", ContentKey(*key).to_hex())
-    }
-
-    fn dx_path(&self, shard: u32, key: &[u8; 16]) -> PathBuf {
-        self.dir.join(format!("{}.dx", self.stem(shard, key)))
-    }
-
-    fn json_path(&self, shard: u32, key: &[u8; 16]) -> PathBuf {
-        self.dir.join(format!("{}.json", self.stem(shard, key)))
+    /// Run `f` on `shard`'s store, if it has one.
+    fn with_store<T>(&self, shard: u32, f: impl FnOnce(&SequenceStore) -> T) -> Option<T> {
+        lock_recover(&self.stores).get(&shard).map(f)
     }
 
     /// Hints currently pending (all shards).
     pub fn pending(&self) -> usize {
-        lock_recover(&self.index).len()
+        total(&lock_recover(&self.stores))
     }
 
     /// Persist one hint: the container bytes owed to `shard` under
-    /// `key`. Returns `Ok(false)` when the queue is at capacity and
-    /// the hint was **dropped** (the caller should count it — repair
-    /// is now the only path that converges this replica). Re-hinting
-    /// a pending `(shard, key)` overwrites in place and is not a drop.
+    /// `key`, checked to parse as a `DX` container first. Returns
+    /// `Ok(false)` when the queue is at capacity and the hint was
+    /// **dropped** (the caller should count it — repair is now the only
+    /// path that converges this replica). Re-hinting a pending
+    /// `(shard, key)` keeps the pending copy and is not a drop.
     pub fn save(&self, shard: u32, key: &[u8; 16], container: &[u8]) -> Result<bool, String> {
-        let mut index = lock_recover(&self.index);
-        if !index.contains(&(shard, *key)) && index.len() >= self.cap {
+        let key = ContentKey(*key);
+        let blob = CompressedBlob::from_bytes(container).map_err(|e| format!("hint {key}: {e}"))?;
+        let mut stores = lock_recover(&self.stores);
+        let pending = stores.get(&shard).is_some_and(|s| s.contains(&key));
+        if !pending && total(&stores) >= self.cap {
             return Ok(false);
         }
-        let dx = self.dx_path(shard, key);
-        std::fs::write(&dx, container).map_err(|e| format!("writing {}: {e}", dx.display()))?;
-        let record = HintRecord {
-            shard,
-            key: ContentKey(*key).to_hex(),
-            checksum: fnv1a(container),
-        };
-        let json = serde_json::to_string(&record)
-            .map_err(|e| format!("encoding hint {}: {e}", self.stem(shard, key)))?;
-        let path = self.json_path(shard, key);
-        std::fs::write(&path, json).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        index.insert((shard, *key));
-        Ok(true)
+        if let Entry::Vacant(e) = stores.entry(shard) {
+            e.insert(open_store(&self.dir.join(format!("s{shard}")))?);
+        }
+        stores[&shard]
+            .put_with_key(key, &blob)
+            .map(|_| true)
+            .map_err(|e| format!("saving hint {key} for shard {shard}: {e}"))
     }
 
     /// Keys with pending hints for `shard`, in key order.
     pub fn for_shard(&self, shard: u32) -> Vec<[u8; 16]> {
-        lock_recover(&self.index)
-            .range((shard, [0u8; 16])..=(shard, [0xffu8; 16]))
-            .map(|&(_, k)| k)
-            .collect()
+        self.with_store(shard, |s| s.keys().into_iter().map(|k| k.0).collect())
+            .unwrap_or_default()
     }
 
-    /// Load one hint's container bytes, verified against the record's
-    /// at-rest checksum and re-parsed as a `DX` container, so a torn
-    /// or bit-flipped payload is refused here instead of shipped.
+    /// Load one hint's container bytes. The store refuses a record
+    /// that fails its checksum, so a damaged hint errors here instead
+    /// of being shipped.
     pub fn load(&self, shard: u32, key: &[u8; 16]) -> Result<Vec<u8>, String> {
-        let json = self.json_path(shard, key);
-        let text =
-            std::fs::read_to_string(&json).map_err(|e| format!("reading {}: {e}", json.display()))?;
-        let record: HintRecord =
-            serde_json::from_str(&text).map_err(|e| format!("parsing {}: {e}", json.display()))?;
-        let dx = self.dx_path(shard, key);
-        let bytes = std::fs::read(&dx).map_err(|e| format!("reading {}: {e}", dx.display()))?;
-        if fnv1a(&bytes) != record.checksum {
-            return Err(format!("{}: payload checksum mismatch", dx.display()));
-        }
-        CompressedBlob::from_bytes(&bytes).map_err(|e| format!("{}: {e}", dx.display()))?;
-        Ok(bytes)
+        let key = ContentKey(*key);
+        self.with_store(shard, |s| s.get(&key))
+            .unwrap_or(Err(StoreError::NotFound(key)))
+            .map(|blob| blob.to_bytes())
+            .map_err(|e| format!("loading hint {key} for shard {shard}: {e}"))
     }
 
-    /// Remove a delivered (or condemned) hint — record first, payload
-    /// second, the reverse of `save`. Returns `false` if absent.
+    /// Remove a delivered (or condemned) hint; `false` if absent.
     pub fn remove(&self, shard: u32, key: &[u8; 16]) -> Result<bool, String> {
-        let mut index = lock_recover(&self.index);
-        let json = self.json_path(shard, key);
-        if json.exists() {
-            std::fs::remove_file(&json)
-                .map_err(|e| format!("removing {}: {e}", json.display()))?;
-        }
-        let dx = self.dx_path(shard, key);
-        if dx.exists() {
-            std::fs::remove_file(&dx).map_err(|e| format!("removing {}: {e}", dx.display()))?;
-        }
-        Ok(index.remove(&(shard, *key)))
+        let key = ContentKey(*key);
+        self.with_store(shard, |s| s.remove(&key))
+            .unwrap_or(Ok(false))
+            .map_err(|e| format!("removing hint {key} for shard {shard}: {e}"))
     }
 }
 
@@ -213,7 +158,7 @@ mod tests {
         assert_eq!(q.for_shard(7).len(), 2);
         assert_eq!(q.for_shard(9), vec![k1]);
         assert_eq!(q.load(7, &k1).unwrap(), b1);
-        // Re-hinting a pending pair overwrites, not duplicates.
+        // Re-hinting a pending pair keeps the pending copy, not a duplicate.
         assert!(q.save(7, &k1, &b1).unwrap());
         assert_eq!(q.pending(), 3);
 
@@ -255,11 +200,11 @@ mod tests {
         assert!(q.save(3, &k1, &b1).unwrap());
         let holder = std::sync::Arc::clone(&q);
         let died = std::thread::spawn(move || {
-            let _guard = holder.index.lock().unwrap();
-            panic!("panic while holding the hint index");
+            let _guard = holder.stores.lock().unwrap();
+            panic!("panic while holding the hint queue lock");
         })
         .join();
-        assert!(died.is_err() && q.index.is_poisoned());
+        assert!(died.is_err() && q.stores.is_poisoned());
         assert_eq!(q.pending(), 1);
         let (k2, b2) = payload(8);
         assert!(q.save(3, &k2, &b2).unwrap());
@@ -277,11 +222,11 @@ mod tests {
         let q = HintQueue::open(&dir, 4).unwrap();
         let (k, b) = payload(6);
         assert!(q.save(2, &k, &b).unwrap());
-        let dx = q.dx_path(2, &k);
-        let mut bytes = std::fs::read(&dx).unwrap();
+        let seg = dir.join("s2").join(dnacomp_store::segment::segment_name(0));
+        let mut bytes = std::fs::read(&seg).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
-        std::fs::write(&dx, &bytes).unwrap();
+        std::fs::write(&seg, &bytes).unwrap();
         assert!(q.load(2, &k).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -600,11 +600,6 @@ impl<S: Read + Write> NetClient<S> {
             other => Err(unexpected(other, "ByeOk")),
         }
     }
-
-    /// The wrapped stream (chaos tests inspect fault state).
-    pub fn stream_ref(&self) -> &S {
-        &self.stream
-    }
 }
 
 fn expect_ack(resp: Response) -> Result<(), ClientError> {

@@ -362,7 +362,6 @@ impl Default for ServiceConfig {
 pub struct CompressionService {
     queue: Arc<JobQueue<Job>>,
     metrics: Arc<Metrics>,
-    cache: Arc<LruMap>,
     dlq: Arc<DeadLetterQueue>,
     registry: Arc<QuarantineRegistry>,
     block_pool: Arc<TaskPool>,
@@ -414,7 +413,7 @@ impl CompressionService {
         let shared = supervisor::PoolShared {
             queue: Arc::clone(&queue),
             framework,
-            cache: Arc::clone(&cache),
+            cache,
             metrics: Arc::clone(&metrics),
             config,
             dlq: Arc::clone(&dlq),
@@ -440,7 +439,6 @@ impl CompressionService {
         CompressionService {
             queue,
             metrics,
-            cache,
             dlq,
             registry,
             block_pool,
@@ -511,11 +509,6 @@ impl CompressionService {
     /// Sharing counters of the service-wide block pool.
     pub fn block_pool_stats(&self) -> dnacomp_algos::PoolStats {
         self.block_pool.stats()
-    }
-
-    /// Decisions currently cached.
-    pub fn cached_decisions(&self) -> usize {
-        lock_cache(&self.cache).len()
     }
 
     /// Jobs currently queued.

@@ -732,6 +732,39 @@ fn quorum_acked_puts_survive_one_shard_down_and_self_heal() {
     }
 }
 
+/// A hint directory written by an older router (two files per hint at
+/// the top level), with a record torn mid-write, must not stop a router
+/// from starting: the per-shard hint stores ignore those files, and
+/// the queue reports nothing pending.
+#[test]
+fn a_router_starts_over_an_old_hint_directory_with_a_torn_record() {
+    let hint_dir = std::env::temp_dir().join(format!(
+        "dnacomp-route-old-hints-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&hint_dir);
+    std::fs::create_dir_all(&hint_dir).unwrap();
+    let stem = format!("{}-s1", "ab".repeat(16));
+    std::fs::write(hint_dir.join(format!("{stem}.json")), r#"{"shard":1,"ke"#).unwrap();
+    std::fs::write(hint_dir.join(format!("{stem}.dx")), b"DX").unwrap();
+
+    let shard = Shard::start(1, "old-hints");
+    let ring = Ring::new(vec![shard.spec.clone()], 64, 7).unwrap();
+    let router = RouterServer::start(
+        "127.0.0.1:0",
+        ring,
+        RouterConfig {
+            hint_dir: Some(hint_dir.clone()),
+            ..quick_router()
+        },
+    )
+    .expect("a torn old-format hint must not stop the router");
+    assert_eq!(router.metrics_snapshot().hints_pending, 0);
+    router.shutdown();
+    shard.teardown();
+    let _ = std::fs::remove_dir_all(&hint_dir);
+}
+
 // ---------------------------------------------------------------------------
 // The 3-shard chaos soak: shard kill + restart mid-run, no acked Put lost
 // ---------------------------------------------------------------------------

@@ -39,8 +39,7 @@
 //! it. The log is *streamed* through a fixed-size buffer and folded
 //! into the caller's visitor, so replaying a long history costs O(1)
 //! memory, not O(history). Compaction rewrites the log via temp-file +
-//! atomic rename ([`checkpoint`]), so a crash mid-checkpoint leaves the
-//! old log intact.
+//! atomic rename, so a crash mid-checkpoint leaves the old log intact.
 
 use crate::error::StoreError;
 use crate::record::ContentKey;
@@ -48,7 +47,7 @@ use crate::sstable::RunMeta;
 use dnacomp_algos::Algorithm;
 use dnacomp_codec::checksum::Fnv1a;
 use dnacomp_codec::varint::{read_u64_le, read_uvarint, write_u64_le, write_uvarint};
-use std::fs::{self, File};
+use std::fs::File;
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
 
@@ -418,28 +417,10 @@ pub fn encode_all(entries: &[Entry]) -> Vec<u8> {
     buf
 }
 
-/// Atomically replace the manifest with exactly `entries` (compaction's
-/// dead-entry shedding): write `manifest.tmp`, fsync, rename over the
-/// log. A crash before the rename leaves the old log untouched; after
-/// it, the new one is complete.
-pub fn checkpoint(dir: &Path, entries: &[Entry]) -> Result<(), StoreError> {
-    let tmp = dir.join("manifest.tmp");
-    let buf = encode_all(entries);
-    fs::write(&tmp, &buf).map_err(|e| StoreError::io("writing manifest checkpoint", e))?;
-    let f = fs::File::open(&tmp).map_err(|e| StoreError::io("opening manifest checkpoint", e))?;
-    f.sync_all()
-        .map_err(|e| StoreError::io("syncing manifest checkpoint", e))?;
-    fs::rename(&tmp, manifest_path(dir))
-        .map_err(|e| StoreError::io("installing manifest checkpoint", e))?;
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all(); // directory fsync is best-effort across platforms
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn add(n: u8) -> Entry {
         Entry::Add {
@@ -563,17 +544,6 @@ mod tests {
         let (entries, stats) = replay_collect(&dir).unwrap();
         assert!(entries.is_empty());
         assert_eq!(stats.valid_len, 0);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn checkpoint_replaces_atomically() {
-        let dir = tmp_dir("ckpt");
-        fs::write(manifest_path(&dir), add(1).encode()).unwrap();
-        checkpoint(&dir, &[add(5), Entry::DropSegment { segment: 1 }]).unwrap();
-        let (entries, _) = replay_collect(&dir).unwrap();
-        assert_eq!(entries, vec![add(5), Entry::DropSegment { segment: 1 }]);
-        assert!(!dir.join("manifest.tmp").exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -46,11 +46,15 @@ timeout 600 cargo test --release --test service \
 # sealing plus a forced compaction, so budgets land inside run builds,
 # Seal/Merge commit points and the checkpoint rewrite), so a recovery
 # regression that loops or hangs must fail the pipeline, not wedge it.
-# 300 s is ~30x their combined observed runtime.
+# The hint queue and the dead-letter directory get the same sweep: a
+# hint's manifest tail and every file a letter save writes are cut at
+# every byte. 300 s is ~30x their combined observed runtime.
 step "store crash-recovery sweeps (isolated, 300 s timeout)"
 timeout 300 cargo test --release --test store -- --nocapture \
     crash_sweep_recovers_exactly_the_committed_prefix \
-    crash_sweep_survives_mid_seal_and_mid_compaction_kills
+    crash_sweep_survives_mid_seal_and_mid_compaction_kills \
+    a_torn_hint_keeps_the_committed_hints_and_the_queue_opens \
+    a_torn_dead_letter_save_never_hides_the_committed_letters
 
 # Supervision soak: 8 workers × 510 jobs at 8 % deterministic panic
 # injection, exact outcome accounting. A containment or respawn

@@ -84,6 +84,7 @@ const USAGE: &str = "usage:
   dnacomp info <in.dx>
   dnacomp decide --ram-mb <n> --cpu-mhz <n> --bw-mbps <x> --file-kb <x>
   dnacomp serve --workers <n> [--files <n>] [--contexts <n>] [--repeats <n>]
+                [--seed <n>]
                 [--fault-rate <x>] [--panic-rate <x>] [--kill-rate <x>]
                 [--shed-above <depth>] [--restart-budget <n>]
                 [--quarantine-after <n>] [--dlq-dir <dir>]
@@ -111,8 +112,10 @@ const USAGE: &str = "usage:
                       [--listen <addr>] [--clients <n>]
                       [--route] [--shards 1,3] [--pool <n>]
                       [--replicas <n>] [--write-quorum <n>]
+                      [--seed <n>] [--exchange]
   dnacomp bench-algos [--quick] [--threads <n>] [--lanes <n>]
-                      [--block-size <bases>] [--json] [--out <path>]
+                      [--block-size <bases>] [--seed <n>]
+                      [--json] [--out <path>]
   dnacomp dlq list --dir <dlq-dir> [--json]
   dnacomp dlq replay --dir <dlq-dir> <key>
   dnacomp dlq drop --dir <dlq-dir> <key>
@@ -123,6 +126,7 @@ const USAGE: &str = "usage:
   dnacomp store compact --dir <store> [--level <n>]
   dnacomp store scrub --dir <store> [--records <n>]
   dnacomp bench-store [--quick] [--json] [--out <path>] [--dir <dir>]
+                      [--objects <n,n,…>] [--payload <bytes>]
   dnacomp list
 algorithms: gzip, ctw, gencompress, dnax, biocompress2, dnapack-lite, cfact, xm-lite, raw
             (`dnacomp list` prints the full set)
@@ -201,29 +205,95 @@ fn run(args: &[String]) -> Result<(), CliError> {
 /// Flags that take no value (`--json`, not `--json true`).
 const BOOLEAN_FLAGS: [&str; 4] = ["json", "exchange", "quick", "route"];
 
+/// The flags each command reads, keyed like its [`USAGE`] lines (`-a`
+/// is `--algorithm`). [`parse_flags`] refuses any other flag, and a
+/// test checks that each is named in its command's usage.
+#[rustfmt::skip]
+const COMMAND_FLAGS: &[(&str, &[&str])] = &[
+    ("gen", &["len", "seed", "model"]),
+    ("compress", &["algorithm", "block-size", "threads"]),
+    ("decompress", &[]),
+    ("info", &[]),
+    ("decide", &["ram-mb", "cpu-mhz", "bw-mbps", "file-kb"]),
+    (
+        "serve",
+        &[
+            "workers", "files", "contexts", "repeats", "seed", "fault-rate", "panic-rate",
+            "kill-rate", "shed-above", "restart-budget", "quarantine-after", "dlq-dir", "store",
+            "scrub-ms", "block-size", "exchange", "json", "listen", "serve-secs", "max-conns",
+            "shard-id", "epoch",
+        ],
+    ),
+    (
+        "route serve",
+        &[
+            "listen", "shards", "vnodes", "seed", "pool", "replicas", "write-quorum", "hint-dir",
+            "hint-cap", "shard-timeout-ms", "probe-ms", "max-conns", "route-secs",
+        ],
+    ),
+    (
+        "route rebalance",
+        &["shards", "vnodes", "seed", "replicas", "cursor", "batch", "timeout-ms"],
+    ),
+    ("route repair", &["shards", "vnodes", "seed", "replicas", "buckets", "timeout-ms"]),
+    ("client", &["addr", "timeout-ms", "retry", "priority"]),
+    (
+        "bench-serve",
+        &[
+            "workers", "files", "contexts", "repeats", "seed", "exchange", "block-size", "store",
+            "json", "out", "section", "listen", "clients", "route", "shards", "pool", "replicas",
+            "write-quorum",
+        ],
+    ),
+    ("bench-algos", &["quick", "threads", "lanes", "block-size", "seed", "json", "out"]),
+    ("bench-store", &["quick", "objects", "payload", "json", "out", "dir"]),
+    ("dlq", &["dir", "json"]),
+    ("store", &["dir", "algorithm", "level", "records"]),
+];
+
+/// The flags `command` (a [`COMMAND_FLAGS`] key) reads.
+fn flags_of(command: &str) -> &'static [&'static str] {
+    COMMAND_FLAGS
+        .iter()
+        .find(|(c, _)| *c == command)
+        .map(|(_, flags)| *flags)
+        .expect("every command is listed in COMMAND_FLAGS")
+}
+
 /// Pull `--flag value` out of an argument list; remaining positionals
-/// are returned in order. Flags in [`BOOLEAN_FLAGS`] consume no value
-/// and are recorded as `"true"`.
-fn parse_flags(args: &[String]) -> (std::collections::HashMap<String, String>, Vec<String>) {
+/// are returned in order. Only the `known` flags are accepted, and
+/// flags in [`BOOLEAN_FLAGS`] consume no value and are recorded as
+/// `"true"`. An unknown flag, or a value flag with no value after it,
+/// is a usage error.
+fn parse_flags(
+    args: &[String],
+    known: &[&str],
+) -> Result<(std::collections::HashMap<String, String>, Vec<String>), CliError> {
     let mut flags = std::collections::HashMap::new();
     let mut positional = Vec::new();
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            if BOOLEAN_FLAGS.contains(&name) {
-                flags.insert(name.to_owned(), "true".to_owned());
-            } else if let Some(v) = it.next() {
-                flags.insert(name.to_owned(), v.clone());
+        let name = match a.strip_prefix("--") {
+            Some(name) => name,
+            None if a == "-a" => "algorithm",
+            None => {
+                positional.push(a.clone());
+                continue;
             }
-        } else if a == "-a" {
-            if let Some(v) = it.next() {
-                flags.insert("algorithm".to_owned(), v.clone());
-            }
-        } else {
-            positional.push(a.clone());
+        };
+        if !known.contains(&name) {
+            return Err(usage(format!("unknown flag {a}")));
         }
+        let value = if BOOLEAN_FLAGS.contains(&name) {
+            "true".to_owned()
+        } else {
+            it.next_if(|v| !v.starts_with("--"))
+                .ok_or_else(|| usage(format!("{a} needs a value")))?
+                .clone()
+        };
+        flags.insert(name.to_owned(), value);
     }
-    (flags, positional)
+    Ok((flags, positional))
 }
 
 fn read_fasta(path: &str) -> Result<PackedSeq, String> {
@@ -234,7 +304,7 @@ fn read_fasta(path: &str) -> Result<PackedSeq, String> {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), CliError> {
-    let (flags, pos) = parse_flags(args);
+    let (flags, pos) = parse_flags(args, flags_of("gen"))?;
     let out = pos.first().ok_or_else(|| usage("gen: missing output path"))?;
     let len: usize = flags
         .get("len")
@@ -279,7 +349,7 @@ fn algorithm_flag(
 }
 
 fn cmd_compress(args: &[String]) -> Result<(), CliError> {
-    let (flags, pos) = parse_flags(args);
+    let (flags, pos) = parse_flags(args, flags_of("compress"))?;
     let (input, output) = match pos.as_slice() {
         [i, o] => (i, o),
         _ => return Err(usage("compress: need <in.fa> <out.dx>")),
@@ -347,7 +417,7 @@ fn cmd_compress(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_decompress(args: &[String]) -> Result<(), CliError> {
-    let (_, pos) = parse_flags(args);
+    let (_, pos) = parse_flags(args, flags_of("decompress"))?;
     let (input, output) = match pos.as_slice() {
         [i, o] => (i, o),
         _ => return Err(usage("decompress: need <in.dx> <out.fa>")),
@@ -375,7 +445,7 @@ fn cmd_decompress(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), CliError> {
-    let (_, pos) = parse_flags(args);
+    let (_, pos) = parse_flags(args, flags_of("info"))?;
     let input = pos.first().ok_or_else(|| usage("info: need <in.dx>"))?;
     let bytes = std::fs::read(input).map_err(|e| format!("reading {input}: {e}"))?;
     let blob = CompressedBlob::from_bytes(&bytes).map_err(|e| format!("{input}: {e}"))?;
@@ -396,7 +466,7 @@ fn cmd_info(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_decide(args: &[String]) -> Result<(), CliError> {
-    let (flags, _) = parse_flags(args);
+    let (flags, _) = parse_flags(args, flags_of("decide"))?;
     let get = |name: &str| -> Result<f64, CliError> {
         flags
             .get(name)
@@ -464,7 +534,7 @@ fn bench_config_from_flags(
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    let (flags, _) = parse_flags(args);
+    let (flags, _) = parse_flags(args, flags_of("serve"))?;
     let workers: usize = flags
         .get("workers")
         .ok_or_else(|| usage("serve: --workers required"))?
@@ -731,7 +801,12 @@ fn cmd_route(args: &[String]) -> Result<(), CliError> {
     let sub = args
         .first()
         .ok_or_else(|| usage("route: need a subcommand (serve|rebalance|repair)"))?;
-    let (flags, _) = parse_flags(&args[1..]);
+    let (flags, _) = match sub.as_str() {
+        "serve" | "rebalance" | "repair" => {
+            parse_flags(&args[1..], flags_of(&format!("route {sub}")))?
+        }
+        other => return Err(usage(format!("route: unknown subcommand {other:?}"))),
+    };
     let parse_replicas = |flags: &std::collections::HashMap<String, String>| {
         flags
             .get("replicas")
@@ -868,7 +943,7 @@ fn cmd_route(args: &[String]) -> Result<(), CliError> {
             );
             Ok(())
         }
-        other => Err(usage(format!("route: unknown subcommand {other:?}"))),
+        _ => unreachable!("route subcommand vetted above"),
     }
 }
 
@@ -909,7 +984,7 @@ fn connect_with_retry(
 /// `dnacomp client <ping|metrics|compress|get|stat>` — speak the wire
 /// protocol against a running `serve --listen`.
 fn cmd_client(args: &[String]) -> Result<(), CliError> {
-    let (flags, pos) = parse_flags(args);
+    let (flags, pos) = parse_flags(args, flags_of("client"))?;
     let sub = pos
         .first()
         .ok_or_else(|| usage("client: need a subcommand (ping|metrics|compress|get|stat)"))?;
@@ -1050,7 +1125,7 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_bench_serve(args: &[String]) -> Result<(), CliError> {
-    let (flags, _) = parse_flags(args);
+    let (flags, _) = parse_flags(args, flags_of("bench-serve"))?;
     if flags.contains_key("route") {
         return bench_serve_route(&flags);
     }
@@ -1264,7 +1339,7 @@ fn bench_serve_listen(
 /// `--quick` is the CI perf smoke gate (round-trip + kernel-floor
 /// assertions; failure is a runtime error → exit 1).
 fn cmd_bench_algos(args: &[String]) -> Result<(), CliError> {
-    let (flags, _) = parse_flags(args);
+    let (flags, _) = parse_flags(args, flags_of("bench-algos"))?;
     let mut cfg = AlgoBenchConfig {
         quick: flags.get("quick").map(String::as_str) == Some("true"),
         ..AlgoBenchConfig::default()
@@ -1369,7 +1444,7 @@ fn cmd_bench_algos(args: &[String]) -> Result<(), CliError> {
 /// group-commit batching of the latter. `--quick` is the CI smoke shape
 /// and asserts the headline claims hold.
 fn cmd_bench_store(args: &[String]) -> Result<(), CliError> {
-    let (flags, _) = parse_flags(args);
+    let (flags, _) = parse_flags(args, flags_of("bench-store"))?;
     let quick = flags.get("quick").map(String::as_str) == Some("true");
     let mut cfg = if quick {
         StoreBenchConfig::quick()
@@ -1467,7 +1542,7 @@ fn cmd_bench_store(args: &[String]) -> Result<(), CliError> {
 /// `dnacomp dlq <list|replay|drop>` — inspect, resubmit or discard
 /// dead letters persisted by `serve --dlq-dir`.
 fn cmd_dlq(args: &[String]) -> Result<(), CliError> {
-    let (flags, pos) = parse_flags(args);
+    let (flags, pos) = parse_flags(args, flags_of("dlq"))?;
     let sub = pos
         .first()
         .ok_or_else(|| usage("dlq: need a subcommand (list|replay|drop)"))?;
@@ -1481,11 +1556,19 @@ fn cmd_dlq(args: &[String]) -> Result<(), CliError> {
     };
     match (sub.as_str(), &pos[1..]) {
         ("list", []) => {
+            let report_skipped = |skipped: usize| {
+                if skipped > 0 {
+                    eprintln!("skipped {skipped} unreadable dead-letter record(s)");
+                }
+            };
             if flags.contains_key("json") {
-                println!("{}", dlq.list_json().map_err(CliError::Runtime)?);
+                let (json, skipped) = dlq.list_json().map_err(CliError::Runtime)?;
+                println!("{json}");
+                report_skipped(skipped);
                 return Ok(());
             }
-            let infos = dlq.list().map_err(CliError::Runtime)?;
+            let (infos, skipped) = dlq.list().map_err(CliError::Runtime)?;
+            report_skipped(skipped);
             if infos.is_empty() {
                 eprintln!("dead-letter queue is empty");
                 return Ok(());
@@ -1553,7 +1636,7 @@ fn cmd_dlq(args: &[String]) -> Result<(), CliError> {
 /// `dnacomp store <put|get|stat|verify|compact>` — the content-addressed
 /// repository front end.
 fn cmd_store(args: &[String]) -> Result<(), CliError> {
-    let (flags, pos) = parse_flags(args);
+    let (flags, pos) = parse_flags(args, flags_of("store"))?;
     let sub = pos
         .first()
         .ok_or_else(|| usage("store: need a subcommand (put|get|stat|verify|compact|scrub)"))?;
@@ -1729,10 +1812,62 @@ mod tests {
 
     #[test]
     fn parse_flags_mixed() {
-        let (flags, pos) = parse_flags(&s(&["--len", "100", "-a", "dnax", "out.fa"]));
+        let (flags, pos) = parse_flags(
+            &s(&["--len", "100", "-a", "dnax", "out.fa"]),
+            &["len", "algorithm"],
+        )
+        .unwrap();
         assert_eq!(flags.get("len").unwrap(), "100");
         assert_eq!(flags.get("algorithm").unwrap(), "dnax");
         assert_eq!(pos, vec!["out.fa"]);
+    }
+
+    #[test]
+    fn an_unknown_flag_is_a_usage_error() {
+        let err = run(&s(&["store", "compact", "--dir", "D", "--lvl", "1"])).unwrap_err();
+        assert!(matches!(err, CliError::Usage(ref m) if m.contains("--lvl")));
+    }
+
+    #[test]
+    fn a_value_flag_without_a_value_is_a_usage_error() {
+        let args = [
+            "serve", "--workers", "1", "--files", "1", "--contexts", "1", "--repeats", "1",
+            "--json", "--store",
+        ];
+        let err = run(&s(&args)).unwrap_err();
+        assert!(matches!(err, CliError::Usage(ref m) if m.contains("--store")));
+    }
+
+    /// Each command's usage lines (the one naming it plus its indented
+    /// continuations) name every flag the command accepts.
+    #[test]
+    fn every_accepted_flag_is_named_in_usage() {
+        for (command, flags) in COMMAND_FLAGS {
+            let mut text = String::new();
+            let mut inside = false;
+            for line in USAGE.lines() {
+                if let Some(rest) = line.strip_prefix("  dnacomp ") {
+                    inside = rest == *command || rest.starts_with(&format!("{command} "));
+                } else if !line.starts_with("    ") {
+                    inside = false;
+                }
+                if inside {
+                    text.push_str(line);
+                    text.push('\n');
+                }
+            }
+            assert!(!text.is_empty(), "{command} has no usage line");
+            let tokens: Vec<&str> = text
+                .split(|c: char| c.is_whitespace() || "[]|".contains(c))
+                .collect();
+            for flag in *flags {
+                let spelled = match *flag {
+                    "algorithm" => "-a".to_owned(),
+                    flag => format!("--{flag}"),
+                };
+                assert!(tokens.contains(&spelled.as_str()), "{command}: {spelled} not in USAGE");
+            }
+        }
     }
 
     #[test]

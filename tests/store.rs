@@ -1,7 +1,9 @@
 //! Integration suite for the crash-safe content-addressed store
-//! (`crates/store`): crash-recovery sweeps over every kill point,
-//! seeded torn-write chaos, end-to-end persist-on-complete through the
-//! compression service, dedup accounting, and scrub detection.
+//! (`crates/store`): crash-recovery sweeps over every kill point, the
+//! same discipline for the router's hint queue (which lives on the
+//! store) and the dead-letter directory, seeded torn-write chaos,
+//! end-to-end persist-on-complete through the compression service,
+//! dedup accounting, and scrub detection.
 
 use dnacomp::algos::{compressor_for, Algorithm, CompressedBlob};
 use dnacomp::cloud::FaultPlan;
@@ -9,10 +11,11 @@ use dnacomp::core::Context;
 use dnacomp::seq::gen::GenomeModel;
 use dnacomp::seq::PackedSeq;
 use dnacomp::server::{
-    synthetic_framework, CompressRequest, CompressionService, ServiceConfig, SubmitError,
+    synthetic_framework, CompressRequest, CompressionService, DeadLetter, DlqDir, HintQueue,
+    ServiceConfig, SubmitError,
 };
 use dnacomp::store::{ContentKey, SequenceStore, StoreConfig, StoreError};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -39,6 +42,20 @@ fn workload(n: usize) -> Vec<(PackedSeq, CompressedBlob)> {
             (seq, blob)
         })
         .collect()
+}
+
+/// Copy a directory tree (files and subdirectories).
+fn copy_tree(src: &Path, dst: &Path) {
+    std::fs::create_dir_all(dst).unwrap();
+    for entry in std::fs::read_dir(src).unwrap() {
+        let entry = entry.unwrap();
+        let to = dst.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_tree(&entry.path(), &to);
+        } else {
+            std::fs::copy(entry.path(), to).unwrap();
+        }
+    }
 }
 
 /// Total committed bytes a workload writes (segments + manifest), used
@@ -200,6 +217,139 @@ fn crash_sweep_survives_mid_seal_and_mid_compaction_kills() {
     assert!(snap.seals >= 1, "sweep never sealed L0: {snap:?}");
     assert!(snap.merges >= 1, "sweep never merged runs: {snap:?}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Hints live in a store per shard, so a torn hint is a torn manifest
+/// tail. Cut the bytes the third save appended to `s1/manifest.log` at
+/// every byte, each in a copy of the hint directory: the queue still
+/// opens (a router over it starts), holds exactly the two earlier hints
+/// byte-identical, and takes the third again.
+#[test]
+fn a_torn_hint_keeps_the_committed_hints_and_the_queue_opens() {
+    let hints: Vec<([u8; 16], Vec<u8>)> = workload(3)
+        .into_iter()
+        .map(|(seq, blob)| (ContentKey::of_sequence(&seq).0, blob.to_bytes()))
+        .collect();
+    let dir = tmp_dir("hints");
+    let manifest_len = |dir: &Path| {
+        std::fs::metadata(dir.join("s1").join("manifest.log"))
+            .unwrap()
+            .len()
+    };
+    let q = HintQueue::open(&dir, 16).unwrap();
+    for (key, bytes) in &hints[..2] {
+        assert!(q.save(1, key, bytes).unwrap());
+    }
+    let before = manifest_len(&dir);
+    assert!(q.save(1, &hints[2].0, &hints[2].1).unwrap());
+    let after = manifest_len(&dir);
+    drop(q);
+    assert!(after > before, "the third save appended nothing");
+
+    let copy = tmp_dir("hints-torn");
+    for cut in before..after {
+        let _ = std::fs::remove_dir_all(&copy);
+        copy_tree(&dir, &copy);
+        let log = std::fs::OpenOptions::new()
+            .write(true)
+            .open(copy.join("s1").join("manifest.log"))
+            .unwrap();
+        log.set_len(cut).unwrap();
+        drop(log);
+        let q = HintQueue::open(&copy, 16).unwrap();
+        assert_eq!(q.pending(), 2, "cut {cut}");
+        for (key, bytes) in &hints[..2] {
+            assert_eq!(&q.load(1, key).unwrap(), bytes, "cut {cut}");
+        }
+        assert!(q.save(1, &hints[2].0, &hints[2].1).unwrap(), "cut {cut}");
+        assert_eq!(q.load(1, &hints[2].0).unwrap(), hints[2].1, "cut {cut}");
+    }
+    let _ = std::fs::remove_dir_all(&copy);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+fn dead_letter(i: u64) -> DeadLetter {
+    let seq = GenomeModel::default().generate(120 + i as usize, i);
+    let request = CompressRequest::new(
+        format!("poison_{i}"),
+        seq.clone(),
+        Context {
+            ram_mb: 2048,
+            cpu_mhz: 2393,
+            bandwidth_mbps: 2.0,
+            file_bytes: 120 + i,
+        },
+    );
+    DeadLetter {
+        key: ContentKey::of_sequence(&seq),
+        strikes: 2,
+        last_error: format!("injected panic {i}"),
+        request,
+    }
+}
+
+/// Every state a crash during a third dead-letter save can leave, each
+/// built over two committed letters: its payload cut at every byte with
+/// no record; its whole payload with the temporary record cut at every
+/// byte; and its whole payload with a `.json` record cut at every byte
+/// (what an in-place record write leaves). `list` returns exactly the
+/// two committed letters, counting only a cut `.json` as skipped; both
+/// load byte-identical; and the third letter then saves and loads.
+#[test]
+fn a_torn_dead_letter_save_never_hides_the_committed_letters() {
+    let letters: Vec<DeadLetter> = (0..3).map(dead_letter).collect();
+    let base = tmp_dir("dlq-base");
+    let dlq = DlqDir::open(&base).unwrap();
+    dlq.save(&letters[0]).unwrap();
+    dlq.save(&letters[1]).unwrap();
+    let mut committed = vec![letters[0].info(), letters[1].info()];
+    committed.sort_by(|a, b| a.key.cmp(&b.key));
+    // The third letter's files as a complete save writes them.
+    let whole = tmp_dir("dlq-whole");
+    DlqDir::open(&whole).unwrap().save(&letters[2]).unwrap();
+    let hex = letters[2].key.to_hex();
+    let (dx, json, tmp) = (
+        format!("{hex}.dx"),
+        format!("{hex}.json"),
+        format!("{hex}.json.tmp"),
+    );
+    let payload = std::fs::read(whole.join(&dx)).unwrap();
+    let record = std::fs::read(whole.join(&json)).unwrap();
+
+    // The files a crash left, and how many records `list` must skip.
+    type CrashState<'a> = (Vec<(&'a str, &'a [u8])>, usize);
+    let mut states: Vec<CrashState> = Vec::new();
+    for cut in 0..payload.len() {
+        states.push((vec![(&dx, &payload[..cut])], 0));
+    }
+    for cut in 0..record.len() {
+        states.push((vec![(&dx, &payload[..]), (&tmp, &record[..cut])], 0));
+        states.push((vec![(&dx, &payload[..]), (&json, &record[..cut])], 1));
+    }
+    let dir = tmp_dir("dlq-torn");
+    for (files, skipped) in states {
+        let _ = std::fs::remove_dir_all(&dir);
+        copy_tree(&base, &dir);
+        for (name, bytes) in &files {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        let state = format!(
+            "{:?}",
+            files.iter().map(|(n, b)| (n, b.len())).collect::<Vec<_>>()
+        );
+        let dlq = DlqDir::open(&dir).unwrap();
+        assert_eq!(dlq.list().unwrap(), (committed.clone(), skipped), "{state}");
+        for letter in &letters[..2] {
+            let (_, req) = dlq.load(&letter.key).unwrap();
+            assert_eq!(req.sequence, letter.request.sequence, "{state}");
+        }
+        dlq.save(&letters[2]).unwrap();
+        let (_, req) = dlq.load(&letters[2].key).unwrap();
+        assert_eq!(req.sequence, letters[2].request.sequence, "{state}");
+    }
+    for d in [&base, &whole, &dir] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
 }
 
 /// Seeded torn-write chaos via the cloud fault plan: keep reopening
