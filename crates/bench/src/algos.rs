@@ -14,7 +14,7 @@
 //!   every block is compressed alone and *individually timed*, then the
 //!   measured per-block wall times are list-scheduled onto
 //!   [`AlgoBenchConfig::lanes`] lanes with the same earliest-free-lane
-//!   rule `bench-serve` uses ([`crate::bench::makespan_ms`]). This is
+//!   rule `bench-serve` uses ([`crate::serve::makespan_ms`]). This is
 //!   what an N-core deployment of the same code would see, computed
 //!   from real single-core measurements — the convention
 //!   `BENCH_serve.json` established, applied per algorithm. The JSON
@@ -45,7 +45,7 @@
 //! Throughputs are megabases per second (1 MB = 10⁶ bases ≙ one
 //! uncompressed ASCII byte each).
 
-use crate::bench::makespan_ms;
+use crate::serve::makespan_ms;
 use dnacomp_algos::{
     compressor_for, Algorithm, Compressor, Ctw, FramedBlob, ParallelCompressor, TaskPool,
 };

@@ -42,50 +42,19 @@
 //! framed containers the block-parallel path builds are what the store
 //! keeps.
 
-use crate::metrics::MetricsSnapshot;
-use crate::queue::Priority;
-use crate::service::{
-    CompressRequest, CompressionService, JobTicket, ServiceConfig, SubmitError,
-};
-use dnacomp_algos::Algorithm;
-use dnacomp_core::{ContextAwareFramework, FrameworkHandle, LabeledRow};
 use dnacomp_cloud::context_grid;
-use dnacomp_ml::TreeMethod;
+use dnacomp_core::FrameworkHandle;
 use dnacomp_seq::corpus::CorpusBuilder;
 use dnacomp_seq::PackedSeq;
+use dnacomp_server::{
+    synthetic_framework, CompressRequest, CompressionService, JobTicket, MetricsSnapshot, Priority,
+    ServiceConfig, SubmitError,
+};
 use dnacomp_store::{SequenceStore, StoreConfig};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Train a framework on a synthetic labelled grid in milliseconds.
-///
-/// The full measurement grid (corpus × contexts × algorithms on the
-/// simulator) takes minutes; service benchmarks only need *a* realistic
-/// rule tree, so this labels a size sweep with the paper's headline
-/// pattern — small files favour GenCompress, mid-size CTW-class
-/// compressors lose to DNAX as size grows — and trains CART on it.
-pub fn synthetic_framework(seed: u64) -> FrameworkHandle {
-    let mut rows = Vec::new();
-    for i in 0..240u64 {
-        let kb = 1.0 + ((seed + i) % 240) as f64 * 4.2;
-        rows.push(LabeledRow {
-            file: format!("synthetic_{i}"),
-            file_bytes: (kb * 1024.0) as u64,
-            ram_mb: [1024u32, 2048, 3072, 4096][(i % 4) as usize],
-            cpu_mhz: [1600u32, 2393, 2800][(i % 3) as usize],
-            bandwidth_mbps: [0.5, 2.0, 10.0][(i % 3) as usize],
-            winner: if kb < 50.0 {
-                Algorithm::GenCompress
-            } else {
-                Algorithm::Dnax
-            },
-            score: 0.0,
-        });
-    }
-    FrameworkHandle::new(ContextAwareFramework::train(&rows, TreeMethod::Cart))
-}
 
 /// Deterministic makespan of `costs` (ms, submission order) on
 /// `workers` lanes: each job goes to the earliest-free lane — the
@@ -322,29 +291,21 @@ fn process_cpu_ms() -> f64 {
     (ticks(11) + ticks(12)) as f64 * 10.0
 }
 
-/// Replay `jobs` through a fresh service with `workers` threads.
+/// Replay `jobs` through a fresh service with `workers` threads, a
+/// block-parallel threshold and, optionally, a store every result is
+/// persisted into.
 ///
 /// Submission applies backpressure by blocking the producer loop when
 /// the queue rejects (retry after draining one ticket would deadlock a
 /// single submitter, so it spins on `std::thread::yield_now`);
 /// rejected-then-retried submissions are *not* double-counted.
-pub fn replay(
-    framework: FrameworkHandle,
-    jobs: &[CompressRequest],
-    workers: usize,
-) -> (SweepPoint, Vec<f64>) {
-    replay_with(framework, jobs, workers, None, None)
-}
-
-/// [`replay`] with an explicit block-parallel threshold and,
-/// optionally, a store every result is persisted into.
-pub fn replay_with(
+fn replay(
     framework: FrameworkHandle,
     jobs: &[CompressRequest],
     workers: usize,
     block_size: Option<usize>,
     store: Option<Arc<SequenceStore>>,
-) -> (SweepPoint, Vec<f64>) {
+) -> SweepPoint {
     let service = CompressionService::start(
         framework,
         ServiceConfig {
@@ -382,7 +343,7 @@ pub fn replay_with(
     } else {
         wall_lats.iter().sum::<f64>() / wall_lats.len() as f64
     };
-    let point = SweepPoint {
+    SweepPoint {
         workers,
         completed,
         wall_ms,
@@ -408,8 +369,7 @@ pub fn replay_with(
             0.0
         },
         metrics,
-    };
-    (point, costs)
+    }
 }
 
 /// Run the full sweep: one replay per worker count. Fails only when a
@@ -435,7 +395,7 @@ pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport, String> {
             }
             None => None,
         };
-        let (mut point, _) = replay_with(framework.clone(), &jobs, workers, cfg.block_size, store);
+        let mut point = replay(framework.clone(), &jobs, workers, cfg.block_size, store);
         if workers == 1 {
             one_worker_throughput = Some(point.jobs_per_sim_sec);
         }
@@ -481,19 +441,6 @@ mod tests {
         }
         // More lanes never hurt.
         assert!(makespan_ms(&costs, 8) <= makespan_ms(&costs, 4) + 1e-9);
-    }
-
-    #[test]
-    fn synthetic_framework_learns_the_size_rule() {
-        let fw = synthetic_framework(42);
-        let ctx = |kb: u64| dnacomp_core::Context {
-            ram_mb: 2048,
-            cpu_mhz: 2393,
-            bandwidth_mbps: 2.0,
-            file_bytes: kb * 1024,
-        };
-        assert_eq!(fw.decide(&ctx(10)), Algorithm::GenCompress);
-        assert_eq!(fw.decide(&ctx(800)), Algorithm::Dnax);
     }
 
     #[test]

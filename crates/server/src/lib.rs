@@ -31,20 +31,16 @@
 //!
 //! Module map (one concern each): [`queue`] → [`worker`] → [`cache`] →
 //! [`metrics`], supervised by [`supervisor`] + [`dlq`], assembled by
-//! [`service`], benchmarked by [`bench`]. On the network, [`proto`] is
-//! the wire protocol and [`conn`] the one connection core (accept,
-//! frame loop, handshake gate, upload reassembly) that both front
-//! doors run on: the shard's [`net`] and the [`router`] are two
-//! handlers of it.
+//! [`service`]. On the network, [`proto`] is the wire protocol and
+//! [`conn`] the one connection core (accept, frame loop, handshake
+//! gate, upload reassembly) that both front doors run on: the shard's
+//! [`net`] and the [`router`] are two handlers of it. The service's
+//! benchmarks live in `dnacomp-bench`, apart from the code they
+//! measure.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod bench;
-pub mod bench_algos;
-pub mod bench_net;
-pub mod bench_route;
-pub mod bench_store;
 pub mod cache;
 pub mod conn;
 pub mod dlq;
@@ -60,16 +56,6 @@ pub mod service;
 pub(crate) mod supervisor;
 pub(crate) mod worker;
 
-pub use bench::{
-    build_workload, makespan_ms, run_bench, synthetic_framework, with_section, BenchConfig,
-    BenchReport, BenchSection, SweepPoint,
-};
-pub use bench_algos::{
-    run_algo_bench, AlgoBenchConfig, AlgoBenchReport, AlgoBenchRow, KernelBench,
-};
-pub use bench_net::{run_net_bench, NetBenchConfig, NetBenchReport};
-pub use bench_route::{run_route_bench, RouteBenchConfig, RouteBenchReport, RouteBenchRow};
-pub use bench_store::{run_store_bench, OpenPoint, StoreBenchConfig, StoreBenchReport};
 pub use cache::{ContextKey, LruCache};
 pub use conn::{
     read_frame, write_frame, Checkout, ConnConfig, CountingStream, FaultyStream, StreamPool,
@@ -93,6 +79,6 @@ pub use router::{
     RouterConfig, RouterServer,
 };
 pub use service::{
-    CompressRequest, CompressResponse, CompressionService, JobError, JobResult, JobTicket,
-    ServiceConfig, SubmitError,
+    synthetic_framework, CompressRequest, CompressResponse, CompressionService, JobError,
+    JobResult, JobTicket, ServiceConfig, SubmitError,
 };

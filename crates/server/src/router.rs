@@ -100,9 +100,6 @@ pub struct RouterConfig {
     pub probe_timeout: Duration,
     /// Consecutive probe failures before a shard is ejected.
     pub probe_strikes: u32,
-    /// Handshake back-ends with `HelloEpoch` (requires shards started
-    /// with matching `--shard-id`/`--epoch`); plain `Hello` otherwise.
-    pub pinned_backends: bool,
     /// Replication factor R: each keyed write lands on the key's
     /// owner plus the next R−1 distinct shards clockwise (capped by
     /// the fleet size; 1 = the old single-owner behaviour).
@@ -127,7 +124,6 @@ impl Default for RouterConfig {
             probe_interval: Duration::from_millis(200),
             probe_timeout: Duration::from_millis(500),
             probe_strikes: 3,
-            pinned_backends: false,
             replicas: 3,
             write_quorum: 2,
             hint_dir: None,
@@ -202,11 +198,7 @@ fn dial(shared: &RouterShared, slot: usize) -> Result<BackendClient, ClientError
     let _ = stream.set_nodelay(true);
     let (tx, rx) = shared.metrics.byte_counters(slot);
     let mut client = NetClient::over(CountingStream::new(stream, tx, rx), shared.cfg.shard_timeout);
-    if shared.cfg.pinned_backends {
-        client.handshake_epoch(shared.ring.epoch(), spec.id)?;
-    } else {
-        client.handshake()?;
-    }
+    client.handshake()?;
     Ok(client)
 }
 

@@ -43,7 +43,8 @@ use crate::queue::{JobQueue, Priority, PushError};
 use crate::supervisor;
 use dnacomp_algos::{Algorithm, TaskPool};
 use dnacomp_cloud::{ExchangeError, FaultPlan, RetryPolicy};
-use dnacomp_core::{Context, FrameworkHandle};
+use dnacomp_core::{Context, ContextAwareFramework, FrameworkHandle, LabeledRow};
+use dnacomp_ml::TreeMethod;
 use dnacomp_seq::PackedSeq;
 use dnacomp_store::{ContentKey, PutOutcome, SequenceStore, StoreError};
 use std::sync::mpsc;
@@ -586,5 +587,52 @@ impl Drop for CompressionService {
         if self.supervisor.is_some() {
             self.shutdown_in_place();
         }
+    }
+}
+
+/// Train a framework on a synthetic labelled grid in milliseconds.
+///
+/// The full measurement grid (corpus × contexts × algorithms on the
+/// simulator) takes minutes; a shard, a benchmark or a test only needs
+/// *a* realistic rule tree, so this labels a size sweep with the
+/// paper's headline pattern — small files favour GenCompress, mid-size
+/// CTW-class compressors lose to DNAX as size grows — and trains CART
+/// on it.
+pub fn synthetic_framework(seed: u64) -> FrameworkHandle {
+    let mut rows = Vec::new();
+    for i in 0..240u64 {
+        let kb = 1.0 + ((seed + i) % 240) as f64 * 4.2;
+        rows.push(LabeledRow {
+            file: format!("synthetic_{i}"),
+            file_bytes: (kb * 1024.0) as u64,
+            ram_mb: [1024u32, 2048, 3072, 4096][(i % 4) as usize],
+            cpu_mhz: [1600u32, 2393, 2800][(i % 3) as usize],
+            bandwidth_mbps: [0.5, 2.0, 10.0][(i % 3) as usize],
+            winner: if kb < 50.0 {
+                Algorithm::GenCompress
+            } else {
+                Algorithm::Dnax
+            },
+            score: 0.0,
+        });
+    }
+    FrameworkHandle::new(ContextAwareFramework::train(&rows, TreeMethod::Cart))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn synthetic_framework_learns_the_size_rule() {
+        let fw = synthetic_framework(42);
+        let ctx = |kb: u64| dnacomp_core::Context {
+            ram_mb: 2048,
+            cpu_mhz: 2393,
+            bandwidth_mbps: 2.0,
+            file_bytes: kb * 1024,
+        };
+        assert_eq!(fw.decide(&ctx(10)), Algorithm::GenCompress);
+        assert_eq!(fw.decide(&ctx(800)), Algorithm::Dnax);
     }
 }

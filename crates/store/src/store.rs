@@ -73,9 +73,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 pub struct StoreConfig {
     /// Roll to a fresh segment once the active one reaches this size.
     pub segment_target_bytes: u64,
-    /// Forced compaction reclaims any level whose dead-byte share rises
-    /// above `1 - compact_live_ratio` (kept for auto-merge heuristics).
-    pub compact_live_ratio: f64,
     /// `fsync` commits (the durable default). Disabling trades the
     /// power-loss guarantee for speed; the simulated-crash tests are
     /// unaffected either way.
@@ -106,7 +103,6 @@ impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             segment_target_bytes: 8 << 20,
-            compact_live_ratio: 0.5,
             sync: true,
             faults: FaultPlan::none(),
             crash_after_bytes: None,

@@ -125,15 +125,23 @@ timeout 300 cargo test --release -p dnacomp-server --test route -- --nocapture \
     rebalance_resumes_from_a_persisted_cursor_with_exact_accounting
 
 # Wire-path throughput gate: the same synthetic workload as
-# bench-serve, but every job crosses real loopback TCP. Asserts exact
-# job accounting (completed + refused == jobs) and zero protocol
-# errors; 300 s bounds a wedged server. Skipped under --quick (needs
-# the release binary).
+# bench-serve, but every job crosses real loopback TCP. The bench
+# itself fails on any accounting hole (completed + refused != jobs);
+# the report is re-checked here for zero protocol errors. It is written
+# to /tmp, so the checked-in BENCH_net.json stays as it is. 300 s
+# bounds a wedged server. Skipped under --quick (needs the release
+# binary).
 if [ "$QUICK" -eq 0 ]; then
     step "wire throughput gate: dnacomp bench-serve --listen (300 s timeout)"
     timeout 300 cargo run --release --quiet --bin dnacomp -- bench-serve \
         --listen 127.0.0.1:0 --clients 4 --workers 4 --files 12 --contexts 4 \
-        --repeats 1 --out BENCH_net.json
+        --repeats 1 --out /tmp/BENCH_net_ci.json
+    perrs=$(grep -o '"protocol_errors":[0-9]*' /tmp/BENCH_net_ci.json | cut -d: -f2)
+    echo "wire protocol errors: ${perrs}"
+    [ "$perrs" = "0" ] || {
+        echo "wire bench recorded ${perrs:-no} protocol error(s)" >&2
+        exit 1
+    }
 fi
 
 # Routed-cluster throughput gate: the bench-serve workload pushed

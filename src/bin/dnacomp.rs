@@ -28,13 +28,15 @@ use dnacomp::seq::gen::GenomeModel;
 use dnacomp::seq::corpus::CorpusBuilder;
 use dnacomp::seq::PackedSeq;
 use dnacomp::server::{
-    build_workload, rebalance_resumable, repair, run_algo_bench, run_bench, run_net_bench,
-    run_route_bench, run_store_bench, with_section, AlgoBenchConfig, BenchConfig, ClientError,
-    CompressionService, DlqDir, NetBenchConfig, NetClient, NetConfig, NetServer, Priority,
-    Response, Ring, RouteBenchConfig, RouterConfig, RouterServer, ServiceConfig, ShardSpec,
-    StoreBenchConfig, DEFAULT_RING_SEED, DEFAULT_VNODES,
+    rebalance_resumable, repair, ClientError, CompressionService, DlqDir, NetClient, NetConfig,
+    NetServer, Priority, Response, Ring, RouterConfig, RouterServer, ServiceConfig, ShardSpec,
+    DEFAULT_RING_SEED, DEFAULT_VNODES,
 };
 use dnacomp::store::{ContentKey, SequenceStore, StoreConfig};
+use dnacomp_bench::{
+    build_workload, run_algo_bench, run_bench, run_net_bench, run_route_bench, run_store_bench,
+    with_section, AlgoBenchConfig, BenchConfig, NetBenchConfig, RouteBenchConfig, StoreBenchConfig,
+};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -107,12 +109,16 @@ const USAGE: &str = "usage:
                  [--timeout-ms <n>] [--retry <n>]
                  [--priority high|normal|low] [args…]
   dnacomp bench-serve [--workers 1,4,8] [--files <n>] [--contexts <n>]
-                      [--repeats <n>] [--block-size <bases>] [--store <dir>]
+                      [--repeats <n>] [--seed <n>] [--exchange]
+                      [--block-size <bases>] [--store <dir>]
                       [--json] [--out <path>] [--section <name>]
-                      [--listen <addr>] [--clients <n>]
-                      [--route] [--shards 1,3] [--pool <n>]
-                      [--replicas <n>] [--write-quorum <n>]
-                      [--seed <n>] [--exchange]
+  dnacomp bench-serve --listen <addr> [--clients <n>] [--workers <n>]
+                      [--files <n>] [--contexts <n>] [--repeats <n>]
+                      [--seed <n>] [--json] [--out <path>]
+  dnacomp bench-serve --route [--shards 1,3] [--clients <n>] [--pool <n>]
+                      [--replicas <n>] [--write-quorum <n>] [--workers <n>]
+                      [--files <n>] [--contexts <n>] [--repeats <n>]
+                      [--seed <n>] [--json] [--out <path>]
   dnacomp bench-algos [--quick] [--threads <n>] [--lanes <n>]
                       [--block-size <bases>] [--seed <n>]
                       [--json] [--out <path>]
@@ -151,17 +157,18 @@ in checksummed batches after a membership change (resumable via
 digest buckets are compared and only differing buckets ship. serve
 --shard-id/--epoch pin a shard's identity for epoch-checked
 handshakes.
-bench-serve --listen runs the loopback network throughput bench and
-writes BENCH_net.json; bench-serve --route sweeps shard counts behind
-a router and writes BENCH_route.json. (add --store <dir> to persist
-every result; --panic-rate/--kill-rate inject deterministic worker
-faults and --dlq-dir persists the quarantine at shutdown; --block-size
-compresses big jobs as block-parallel frames on the shared pool);
+serve takes --store <dir> to persist every result; --panic-rate and
+--kill-rate inject deterministic worker faults and --dlq-dir persists
+the quarantine at shutdown; --block-size compresses big jobs as
+block-parallel frames on the shared pool.
 bench-serve sweeps worker counts and reports wall-clock and simulated
 throughput plus process CPU ms per job (--store <dir> persists every
 result into a fresh store per worker count under <dir>; --section
 <name> writes the report as that named section of the --out file, a
-JSON array of sections, keeping the others); bench-algos measures
+JSON array of sections, keeping the others); bench-serve --listen
+replays the workload over loopback TCP to one shard of --workers
+workers and writes BENCH_net.json; bench-serve --route sweeps shard
+counts behind a router and writes BENCH_route.json; bench-algos measures
 per-algorithm compress/decompress MB/s, single-thread vs
 block-parallel, plus the 2-bit packing kernels
 (--quick is the CI smoke gate: round-trip + throughput-floor asserts);
@@ -202,6 +209,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
     }
 }
 
+/// Parsed `--flag value` pairs; a boolean flag maps to `"true"`.
+type Flags = std::collections::HashMap<String, String>;
+
 /// Flags that take no value (`--json`, not `--json true`).
 const BOOLEAN_FLAGS: [&str; 4] = ["json", "exchange", "quick", "route"];
 
@@ -241,8 +251,18 @@ const COMMAND_FLAGS: &[(&str, &[&str])] = &[
         "bench-serve",
         &[
             "workers", "files", "contexts", "repeats", "seed", "exchange", "block-size", "store",
-            "json", "out", "section", "listen", "clients", "route", "shards", "pool", "replicas",
-            "write-quorum",
+            "json", "out", "section",
+        ],
+    ),
+    (
+        "bench-serve --listen",
+        &["listen", "clients", "workers", "files", "contexts", "repeats", "seed", "json", "out"],
+    ),
+    (
+        "bench-serve --route",
+        &[
+            "route", "shards", "clients", "pool", "replicas", "write-quorum", "workers", "files",
+            "contexts", "repeats", "seed", "json", "out",
         ],
     ),
     ("bench-algos", &["quick", "threads", "lanes", "block-size", "seed", "json", "out"]),
@@ -265,10 +285,7 @@ fn flags_of(command: &str) -> &'static [&'static str] {
 /// flags in [`BOOLEAN_FLAGS`] consume no value and are recorded as
 /// `"true"`. An unknown flag, or a value flag with no value after it,
 /// is a usage error.
-fn parse_flags(
-    args: &[String],
-    known: &[&str],
-) -> Result<(std::collections::HashMap<String, String>, Vec<String>), CliError> {
+fn parse_flags(args: &[String], known: &[&str]) -> Result<(Flags, Vec<String>), CliError> {
     let mut flags = std::collections::HashMap::new();
     let mut positional = Vec::new();
     let mut it = args.iter().peekable();
@@ -311,12 +328,7 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
         .ok_or_else(|| usage("gen: --len required"))?
         .parse()
         .map_err(|e| usage(format!("--len: {e}")))?;
-    let seed: u64 = flags
-        .get("seed")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| usage(format!("--seed: {e}")))?
-        .unwrap_or(42);
+    let seed: u64 = flag(&flags, "seed")?.unwrap_or(42);
     let model = match flags.get("model").map(String::as_str) {
         None | Some("bacterial") => GenomeModel::default(),
         Some("repetitive") => GenomeModel::highly_repetitive(),
@@ -336,9 +348,7 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
 }
 
 /// Resolve `-a` (default `dnax`) to a standalone-capable algorithm.
-fn algorithm_flag(
-    flags: &std::collections::HashMap<String, String>,
-) -> Result<Algorithm, CliError> {
+fn algorithm_flag(flags: &Flags) -> Result<Algorithm, CliError> {
     let alg_name = flags
         .get("algorithm")
         .map(String::as_str)
@@ -355,10 +365,7 @@ fn cmd_compress(args: &[String]) -> Result<(), CliError> {
         _ => return Err(usage("compress: need <in.fa> <out.dx>")),
     };
     let alg = algorithm_flag(&flags)?;
-    let block_size: Option<usize> = flags
-        .get("block-size")
-        .map(|v| v.parse().map_err(|e| usage(format!("--block-size: {e}"))))
-        .transpose()?;
+    let block_size: Option<usize> = flag(&flags, "block-size")?;
     let seq = read_fasta(input)?;
     let t0 = std::time::Instant::now();
     match block_size {
@@ -370,13 +377,9 @@ fn cmd_compress(args: &[String]) -> Result<(), CliError> {
         }
         Some(bs) => {
             // Framed block-parallel container on a process-local pool.
-            let threads = flags
-                .get("threads")
-                .map(|v| v.parse().map_err(|e| usage(format!("--threads: {e}"))))
-                .transpose()?
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism().map_or(1, |n| n.get())
-                });
+            let threads = flag(&flags, "threads")?.unwrap_or_else(|| {
+                std::thread::available_parallelism().map_or(1, |n| n.get())
+            });
             let pc = ParallelCompressor::new(alg, bs, Arc::new(TaskPool::new(threads)));
             let frame = pc
                 .compress(&seq)
@@ -504,33 +507,67 @@ fn cmd_decide(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Shared flag parsing for `serve` / `bench-serve` workloads.
-fn bench_config_from_flags(
-    flags: &std::collections::HashMap<String, String>,
-) -> Result<BenchConfig, CliError> {
-    let mut cfg = BenchConfig::default();
-    let parse_usize = |name: &str, default: usize| -> Result<usize, CliError> {
-        flags
-            .get(name)
-            .map(|v| v.parse().map_err(|e| usage(format!("--{name}: {e}"))))
-            .unwrap_or(Ok(default))
+/// `--name`'s value parsed as a `T`, if the flag was given.
+fn flag<T: std::str::FromStr>(flags: &Flags, name: &str) -> Result<Option<T>, CliError>
+where
+    T::Err: std::fmt::Display,
+{
+    let parse = |v: &String| v.parse().map_err(|e| usage(format!("--{name}: {e}")));
+    flags.get(name).map(parse).transpose()
+}
+
+/// `--name` as a comma-separated list of counts, if the flag was given.
+fn counts(flags: &Flags, name: &str) -> Result<Option<Vec<usize>>, CliError> {
+    let parse = |w: &str| {
+        w.trim()
+            .parse()
+            .map_err(|e| usage(format!("--{name}: {e}")))
     };
-    cfg.files = parse_usize("files", cfg.files)?;
-    cfg.contexts = parse_usize("contexts", cfg.contexts)?;
-    cfg.repeats = parse_usize("repeats", cfg.repeats)?;
-    cfg.seed = flags
-        .get("seed")
-        .map(|v| v.parse().map_err(|e| usage(format!("--seed: {e}"))))
-        .unwrap_or(Ok(cfg.seed))?;
-    cfg.exchange = flags.get("exchange").map(String::as_str) == Some("true");
-    cfg.block_size = flags
-        .get("block-size")
-        .map(|v| v.parse().map_err(|e| usage(format!("--block-size: {e}"))))
-        .transpose()?;
+    flags
+        .get(name)
+        .map(|list| list.split(',').map(parse).collect())
+        .transpose()
+}
+
+/// The workload flags every replay reads (`--files`, `--contexts`,
+/// `--repeats`, `--seed`), over the defaults in `cfg`.
+fn workload_from_flags(flags: &Flags, cfg: BenchConfig) -> Result<BenchConfig, CliError> {
+    Ok(BenchConfig {
+        files: flag(flags, "files")?.unwrap_or(cfg.files),
+        contexts: flag(flags, "contexts")?.unwrap_or(cfg.contexts),
+        repeats: flag(flags, "repeats")?.unwrap_or(cfg.repeats),
+        seed: flag(flags, "seed")?.unwrap_or(cfg.seed),
+        ..cfg
+    })
+}
+
+/// The in-process replays of `serve` and `bench-serve`: the workload
+/// plus `--exchange` and `--block-size`.
+fn bench_config_from_flags(flags: &Flags) -> Result<BenchConfig, CliError> {
+    let mut cfg = workload_from_flags(flags, BenchConfig::default())?;
+    cfg.exchange = flags.contains_key("exchange");
+    cfg.block_size = flag(flags, "block-size")?;
     if cfg.block_size == Some(0) {
         return Err(usage("--block-size: must be positive"));
     }
     Ok(cfg)
+}
+
+/// Write a bench report's JSON to `--out` and print it under `--json`.
+/// `artifact`, when set, is what `--out` receives instead (a sectioned
+/// `BENCH_serve.json`). Returns `true` when `--json` is absent and the
+/// caller prints its table.
+fn write_report(flags: &Flags, json: &str, artifact: Option<String>) -> Result<bool, CliError> {
+    if let Some(path) = flags.get("out") {
+        std::fs::write(path, artifact.as_deref().unwrap_or(json))
+            .map_err(|e| format!("writing {path}: {e}"))?;
+        eprintln!("wrote {path}");
+    }
+    if flags.contains_key("json") {
+        println!("{json}");
+        return Ok(false);
+    }
+    Ok(true)
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
@@ -541,28 +578,13 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         .parse()
         .map_err(|e| usage(format!("--workers: {e}")))?;
     let mut cfg = bench_config_from_flags(&flags)?;
-    let parse_f64 = |name: &str| -> Result<f64, CliError> {
-        flags
-            .get(name)
-            .map(|v| v.parse().map_err(|e| usage(format!("--{name}: {e}"))))
-            .unwrap_or(Ok(0.0))
-    };
-    let fault_rate = parse_f64("fault-rate")?;
-    let panic_rate = parse_f64("panic-rate")?;
-    let kill_rate = parse_f64("kill-rate")?;
-    let shed_above: Option<usize> = flags
-        .get("shed-above")
-        .map(|v| v.parse().map_err(|e| usage(format!("--shed-above: {e}"))))
-        .transpose()?;
+    let fault_rate: f64 = flag(&flags, "fault-rate")?.unwrap_or(0.0);
+    let panic_rate: f64 = flag(&flags, "panic-rate")?.unwrap_or(0.0);
+    let kill_rate: f64 = flag(&flags, "kill-rate")?.unwrap_or(0.0);
     let mut svc = ServiceConfig::default();
-    if let Some(v) = flags.get("restart-budget") {
-        svc.restart_budget = v.parse().map_err(|e| usage(format!("--restart-budget: {e}")))?;
-    }
-    if let Some(v) = flags.get("quarantine-after") {
-        svc.quarantine_after = v
-            .parse()
-            .map_err(|e| usage(format!("--quarantine-after: {e}")))?;
-    }
+    svc.restart_budget = flag(&flags, "restart-budget")?.unwrap_or(svc.restart_budget);
+    svc.quarantine_after = flag(&flags, "quarantine-after")?.unwrap_or(svc.quarantine_after);
+    svc.shed_above = flag(&flags, "shed-above")?;
     let store = flags
         .get("store")
         .map(|dir| {
@@ -592,14 +614,10 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     // resumable-upload block bytes to the frame block boundary.
     svc.block_size = cfg.block_size;
     svc.store = store.clone();
-    svc.shed_above = shed_above;
     // Background scrub of the attached store's runs: --scrub-ms sets
     // the tick interval (only meaningful alongside --store).
-    if let Some(ms) = flags.get("scrub-ms") {
-        let ms: u64 = ms.parse().map_err(|e| usage(format!("--scrub-ms: {e}")))?;
-        if ms > 0 {
-            svc.scrub_interval = Some(std::time::Duration::from_millis(ms));
-        }
+    if let Some(ms) = flag(&flags, "scrub-ms")?.filter(|&ms| ms > 0) {
+        svc.scrub_interval = Some(std::time::Duration::from_millis(ms));
     }
     if let Some(listen) = flags.get("listen") {
         return serve_listen(listen, framework, svc, store, &cfg, &flags);
@@ -698,27 +716,20 @@ fn serve_listen(
     svc: ServiceConfig,
     store: Option<Arc<SequenceStore>>,
     cfg: &BenchConfig,
-    flags: &std::collections::HashMap<String, String>,
+    flags: &Flags,
 ) -> Result<(), CliError> {
-    let serve_secs: f64 = flags
-        .get("serve-secs")
-        .map(|v| v.parse().map_err(|e| usage(format!("--serve-secs: {e}"))))
-        .unwrap_or(Ok(0.0))?;
+    let serve_secs: f64 = flag(flags, "serve-secs")?.unwrap_or(0.0);
     let mut net = NetConfig {
         exchange: cfg.exchange,
         store,
         ..NetConfig::default()
     };
-    if let Some(v) = flags.get("max-conns") {
-        net.conn.max_connections = v.parse().map_err(|e| usage(format!("--max-conns: {e}")))?;
-    }
+    net.conn.max_connections = flag(flags, "max-conns")?.unwrap_or(net.conn.max_connections);
     // Cluster identity: --shard-id is the id this node answers to in
     // epoch handshakes; --epoch pins the node to one ring epoch (a
     // mismatching HelloEpoch is refused with `wrong-shard`). Leaving
     // both off keeps the node epoch-agnostic, as before.
-    if let Some(v) = flags.get("shard-id") {
-        net.shard_id = v.parse().map_err(|e| usage(format!("--shard-id: {e}")))?;
-    }
+    net.shard_id = flag(flags, "shard-id")?.unwrap_or(net.shard_id);
     if let Some(v) = flags.get("epoch") {
         let epoch = match v.strip_prefix("0x") {
             Some(hex) => u64::from_str_radix(hex, 16).map_err(|e| usage(format!("--epoch: {e}"))),
@@ -774,22 +785,14 @@ fn parse_shards(list: &str) -> Result<Vec<ShardSpec>, CliError> {
 }
 
 /// Build the consistent-hash ring from `--shards`/`--vnodes`/`--seed`.
-fn ring_from_flags(
-    flags: &std::collections::HashMap<String, String>,
-) -> Result<Ring, CliError> {
+fn ring_from_flags(flags: &Flags) -> Result<Ring, CliError> {
     let shards = parse_shards(
         flags
             .get("shards")
             .ok_or_else(|| usage("route: --shards <addr,addr,…> required"))?,
     )?;
-    let vnodes: u32 = flags
-        .get("vnodes")
-        .map(|v| v.parse().map_err(|e| usage(format!("--vnodes: {e}"))))
-        .unwrap_or(Ok(DEFAULT_VNODES))?;
-    let seed: u64 = flags
-        .get("seed")
-        .map(|v| v.parse().map_err(|e| usage(format!("--seed: {e}"))))
-        .unwrap_or(Ok(DEFAULT_RING_SEED))?;
+    let vnodes = flag(flags, "vnodes")?.unwrap_or(DEFAULT_VNODES);
+    let seed = flag(flags, "seed")?.unwrap_or(DEFAULT_RING_SEED);
     Ring::new(shards, vnodes, seed).map_err(CliError::Runtime)
 }
 
@@ -807,13 +810,11 @@ fn cmd_route(args: &[String]) -> Result<(), CliError> {
         }
         other => return Err(usage(format!("route: unknown subcommand {other:?}"))),
     };
-    let parse_replicas = |flags: &std::collections::HashMap<String, String>| {
-        flags
-            .get("replicas")
-            .map(|v| v.parse::<usize>().map_err(|e| usage(format!("--replicas: {e}"))))
-            .unwrap_or(Ok(RouterConfig::default().replicas))
-            .map(|r| r.max(1))
-    };
+    let replicas = flag(&flags, "replicas")?
+        .unwrap_or(RouterConfig::default().replicas)
+        .max(1);
+    let timeout_ms: u64 = flag(&flags, "timeout-ms")?.unwrap_or(10_000);
+    let timeout = std::time::Duration::from_millis(timeout_ms.max(1));
     match sub.as_str() {
         "serve" => {
             let listen = flags
@@ -821,43 +822,24 @@ fn cmd_route(args: &[String]) -> Result<(), CliError> {
                 .ok_or_else(|| usage("route serve: --listen <host:port> required"))?;
             let ring = ring_from_flags(&flags)?;
             let mut cfg = RouterConfig::default();
-            if let Some(v) = flags.get("pool") {
-                cfg.pool_per_shard = v.parse().map_err(|e| usage(format!("--pool: {e}")))?;
+            cfg.pool_per_shard = flag(&flags, "pool")?.unwrap_or(cfg.pool_per_shard);
+            cfg.replicas = replicas;
+            if let Some(w) = flag::<usize>(&flags, "write-quorum")? {
+                cfg.write_quorum = w.max(1);
             }
-            cfg.replicas = parse_replicas(&flags)?;
-            if let Some(v) = flags.get("write-quorum") {
-                cfg.write_quorum = v
-                    .parse::<usize>()
-                    .map_err(|e| usage(format!("--write-quorum: {e}")))?
-                    .max(1);
+            cfg.hint_dir = flags.get("hint-dir").map(std::path::PathBuf::from);
+            if let Some(cap) = flag::<usize>(&flags, "hint-cap")? {
+                cfg.hint_cap = cap.max(1);
             }
-            if let Some(dir) = flags.get("hint-dir") {
-                cfg.hint_dir = Some(std::path::PathBuf::from(dir));
-            }
-            if let Some(v) = flags.get("hint-cap") {
-                cfg.hint_cap = v
-                    .parse::<usize>()
-                    .map_err(|e| usage(format!("--hint-cap: {e}")))?
-                    .max(1);
-            }
-            if let Some(v) = flags.get("shard-timeout-ms") {
-                let ms: u64 = v
-                    .parse()
-                    .map_err(|e| usage(format!("--shard-timeout-ms: {e}")))?;
+            if let Some(ms) = flag::<u64>(&flags, "shard-timeout-ms")? {
                 cfg.shard_timeout = std::time::Duration::from_millis(ms.max(1));
             }
-            if let Some(v) = flags.get("probe-ms") {
-                let ms: u64 = v.parse().map_err(|e| usage(format!("--probe-ms: {e}")))?;
+            if let Some(ms) = flag::<u64>(&flags, "probe-ms")? {
                 cfg.probe_interval = std::time::Duration::from_millis(ms.max(1));
             }
-            if let Some(v) = flags.get("max-conns") {
-                cfg.conn.max_connections =
-                    v.parse().map_err(|e| usage(format!("--max-conns: {e}")))?;
-            }
-            let route_secs: f64 = flags
-                .get("route-secs")
-                .map(|v| v.parse().map_err(|e| usage(format!("--route-secs: {e}"))))
-                .unwrap_or(Ok(0.0))?;
+            cfg.conn.max_connections =
+                flag(&flags, "max-conns")?.unwrap_or(cfg.conn.max_connections);
+            let route_secs: f64 = flag(&flags, "route-secs")?.unwrap_or(0.0);
             let router = RouterServer::start(listen.as_str(), ring, cfg)
                 .map_err(|e| CliError::Runtime(format!("binding {listen}: {e}")))?;
             eprintln!(
@@ -879,24 +861,10 @@ fn cmd_route(args: &[String]) -> Result<(), CliError> {
         }
         "rebalance" => {
             let ring = ring_from_flags(&flags)?;
-            let replicas = parse_replicas(&flags)?;
-            let timeout_ms: u64 = flags
-                .get("timeout-ms")
-                .map(|v| v.parse().map_err(|e| usage(format!("--timeout-ms: {e}"))))
-                .unwrap_or(Ok(10_000))?;
-            let batch: usize = flags
-                .get("batch")
-                .map(|v| v.parse().map_err(|e| usage(format!("--batch: {e}"))))
-                .unwrap_or(Ok(64))?;
+            let batch: usize = flag(&flags, "batch")?.unwrap_or(64);
             let cursor = flags.get("cursor").map(std::path::PathBuf::from);
-            let report = rebalance_resumable(
-                &ring,
-                replicas,
-                std::time::Duration::from_millis(timeout_ms.max(1)),
-                batch,
-                cursor.as_deref(),
-            )
-            .map_err(CliError::Runtime)?;
+            let report = rebalance_resumable(&ring, replicas, timeout, batch, cursor.as_deref())
+                .map_err(CliError::Runtime)?;
             eprintln!(
                 "rebalance (epoch {:#x}, {replicas} replica(s)): scanned {}, skipped {} via cursor, \
                  moved {} ({} deduped), removed {}, {} container byte(s) shipped",
@@ -912,22 +880,8 @@ fn cmd_route(args: &[String]) -> Result<(), CliError> {
         }
         "repair" => {
             let ring = ring_from_flags(&flags)?;
-            let replicas = parse_replicas(&flags)?;
-            let timeout_ms: u64 = flags
-                .get("timeout-ms")
-                .map(|v| v.parse().map_err(|e| usage(format!("--timeout-ms: {e}"))))
-                .unwrap_or(Ok(10_000))?;
-            let buckets: u32 = flags
-                .get("buckets")
-                .map(|v| v.parse().map_err(|e| usage(format!("--buckets: {e}"))))
-                .unwrap_or(Ok(256))?;
-            let report = repair(
-                &ring,
-                replicas,
-                std::time::Duration::from_millis(timeout_ms.max(1)),
-                buckets,
-            )
-            .map_err(CliError::Runtime)?;
+            let buckets: u32 = flag(&flags, "buckets")?.unwrap_or(256);
+            let report = repair(&ring, replicas, timeout, buckets).map_err(CliError::Runtime)?;
             eprintln!(
                 "repair (epoch {:#x}, {replicas} replica(s)): {} key(s) scanned, \
                  {} of {} digest bucket(s) differed, {} shipped — {} record(s) \
@@ -996,15 +950,9 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
     let addr = flags
         .get("addr")
         .ok_or_else(|| usage("client: --addr <host:port> required"))?;
-    let timeout_ms: u64 = flags
-        .get("timeout-ms")
-        .map(|v| v.parse().map_err(|e| usage(format!("--timeout-ms: {e}"))))
-        .unwrap_or(Ok(10_000))?;
+    let timeout_ms: u64 = flag(&flags, "timeout-ms")?.unwrap_or(10_000);
     let timeout = std::time::Duration::from_millis(timeout_ms.max(1));
-    let retries: u32 = flags
-        .get("retry")
-        .map(|v| v.parse().map_err(|e| usage(format!("--retry: {e}"))))
-        .unwrap_or(Ok(0))?;
+    let retries: u32 = flag(&flags, "retry")?.unwrap_or(0);
     // Connection refused, handshake failure and response timeouts are
     // all runtime errors: exit code 1, like any other unreachable
     // resource — usage mistakes stay exit code 2.
@@ -1125,22 +1073,26 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_bench_serve(args: &[String]) -> Result<(), CliError> {
-    let (flags, _) = parse_flags(args, flags_of("bench-serve"))?;
+    // `--route` and `--listen` pick the mode; each mode reads only its
+    // own flags.
+    let has = |mode: &str| args.iter().any(|a| a == mode);
+    let command = if has("--route") {
+        "bench-serve --route"
+    } else if has("--listen") {
+        "bench-serve --listen"
+    } else {
+        "bench-serve"
+    };
+    let (flags, _) = parse_flags(args, flags_of(command))?;
     if flags.contains_key("route") {
         return bench_serve_route(&flags);
     }
-    let mut cfg = bench_config_from_flags(&flags)?;
     if let Some(listen) = flags.get("listen") {
-        return bench_serve_listen(listen, &cfg, &flags);
+        return bench_serve_listen(listen, &flags);
     }
-    if let Some(list) = flags.get("workers") {
-        cfg.worker_counts = list
-            .split(',')
-            .map(|w| w.trim().parse().map_err(|e| usage(format!("--workers: {e}"))))
-            .collect::<Result<_, _>>()?;
-        if cfg.worker_counts.is_empty() {
-            return Err(usage("--workers: need at least one count"));
-        }
+    let mut cfg = bench_config_from_flags(&flags)?;
+    if let Some(list) = counts(&flags, "workers")? {
+        cfg.worker_counts = list;
     }
     cfg.store = flags.get("store").map(std::path::PathBuf::from);
     eprintln!(
@@ -1148,21 +1100,16 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), CliError> {
         cfg.files, cfg.contexts, cfg.repeats, cfg.worker_counts
     );
     let report = run_bench(&cfg).map_err(CliError::Runtime)?;
-    if let Some(path) = flags.get("out") {
-        let json = match flags.get("section") {
-            Some(name) => {
-                let existing = std::fs::read_to_string(path).ok();
-                with_section(existing.as_deref(), name, report.clone())
-                    .map_err(|e| format!("{path}: {e}"))?
-            }
-            None => report.to_json(),
-        };
-        std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    if flags.contains_key("json") {
-        println!("{}", report.to_json());
-    } else {
+    let artifact = match (flags.get("out"), flags.get("section")) {
+        (Some(path), Some(name)) => {
+            let existing = std::fs::read_to_string(path).ok();
+            let sectioned = with_section(existing.as_deref(), name, report.clone())
+                .map_err(|e| format!("{path}: {e}"))?;
+            Some(sectioned)
+        }
+        _ => None,
+    };
+    if write_report(&flags, &report.to_json(), artifact)? {
         println!(
             "{:>7}  {:>10}  {:>14}  {:>13}  {:>12}  {:>9}  {:>11}  {:>10}",
             "workers",
@@ -1194,38 +1141,22 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), CliError> {
 /// `bench-serve --route`: the routed-cluster throughput sweep
 /// (BENCH_route.json). Sweeps shard counts behind a router and reports
 /// the 3-vs-1 aggregate speedup.
-fn bench_serve_route(
-    flags: &std::collections::HashMap<String, String>,
-) -> Result<(), CliError> {
+fn bench_serve_route(flags: &Flags) -> Result<(), CliError> {
     let mut cfg = RouteBenchConfig::default();
-    if let Some(list) = flags.get("shards") {
-        cfg.shard_counts = list
-            .split(',')
-            .map(|w| w.trim().parse().map_err(|e| usage(format!("--shards: {e}"))))
-            .collect::<Result<_, _>>()?;
-        if cfg.shard_counts.is_empty() {
-            return Err(usage("--shards: need at least one count"));
-        }
+    if let Some(list) = counts(flags, "shards")? {
+        cfg.shard_counts = list;
     }
-    let parse_usize = |name: &str, default: usize| -> Result<usize, CliError> {
-        flags
-            .get(name)
-            .map(|v| v.parse().map_err(|e| usage(format!("--{name}: {e}"))))
-            .unwrap_or(Ok(default))
-    };
-    cfg.clients = parse_usize("clients", cfg.clients)?.max(1);
-    cfg.pool_per_shard = parse_usize("pool", cfg.pool_per_shard)?.max(1);
-    cfg.replicas = parse_usize("replicas", cfg.replicas)?.max(1);
-    cfg.write_quorum = parse_usize("write-quorum", cfg.write_quorum)?.max(1);
-    cfg.workers_per_shard = flags
-        .get("workers")
-        .and_then(|list| list.split(',').next().map(str::trim).map(str::parse))
-        .transpose()
-        .map_err(|e| usage(format!("--workers: {e}")))?
-        .unwrap_or(cfg.workers_per_shard);
-    cfg.workload.files = parse_usize("files", cfg.workload.files)?;
-    cfg.workload.contexts = parse_usize("contexts", cfg.workload.contexts)?;
-    cfg.workload.repeats = parse_usize("repeats", cfg.workload.repeats)?;
+    cfg.clients = flag(flags, "clients")?.unwrap_or(cfg.clients).max(1);
+    cfg.pool_per_shard = flag(flags, "pool")?.unwrap_or(cfg.pool_per_shard).max(1);
+    cfg.replicas = flag(flags, "replicas")?.unwrap_or(cfg.replicas).max(1);
+    cfg.write_quorum = flag(flags, "write-quorum")?
+        .unwrap_or(cfg.write_quorum)
+        .max(1);
+    // One pool size per shard: the first count of --workers.
+    if let Some(list) = counts(flags, "workers")? {
+        cfg.workers_per_shard = list[0];
+    }
+    cfg.workload = workload_from_flags(flags, cfg.workload)?;
     eprintln!(
         "bench-serve --route: {} files × {} contexts × {} passes over {} client(s); \
          shard counts {:?}, {} worker(s) and pool {} per shard, R={} W={} …",
@@ -1240,13 +1171,7 @@ fn bench_serve_route(
         cfg.write_quorum
     );
     let report = run_route_bench(&cfg).map_err(CliError::Runtime)?;
-    if let Some(path) = flags.get("out") {
-        std::fs::write(path, report.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    if flags.contains_key("json") {
-        println!("{}", report.to_json());
-    } else {
+    if write_report(flags, &report.to_json(), None)? {
         println!(
             "{:>6}  {:>5}  {:>13}  {:>9}  {:>8}  {:>9}  {:>5}  {:>7}  {:>11}",
             "shards", "jobs", "jobs/s(wall)", "forwards", "retries", "ejections", "R/W", "w-amp",
@@ -1275,42 +1200,20 @@ fn bench_serve_route(
 }
 
 /// `bench-serve --listen`: the loopback network throughput row.
-fn bench_serve_listen(
-    listen: &str,
-    cfg: &BenchConfig,
-    flags: &std::collections::HashMap<String, String>,
-) -> Result<(), CliError> {
-    let parse_usize = |name: &str, default: usize| -> Result<usize, CliError> {
-        flags
-            .get(name)
-            .map(|v| v.parse().map_err(|e| usage(format!("--{name}: {e}"))))
-            .unwrap_or(Ok(default))
-    };
+fn bench_serve_listen(listen: &str, flags: &Flags) -> Result<(), CliError> {
     let nb = NetBenchConfig {
-        clients: parse_usize("clients", 4)?.max(1),
-        // The in-process bench sweeps a worker list; the network row
-        // uses one pool size (the first of --workers, default 4).
-        workers: flags
-            .get("workers")
-            .and_then(|list| list.split(',').next().map(str::trim).map(str::parse))
-            .transpose()
-            .map_err(|e| usage(format!("--workers: {e}")))?
-            .unwrap_or(4),
+        clients: flag(flags, "clients")?.unwrap_or(4).max(1),
+        // One pool size: the first count of --workers.
+        workers: counts(flags, "workers")?.map_or(4, |list| list[0]),
         listen: listen.to_owned(),
-        workload: cfg.clone(),
+        workload: workload_from_flags(flags, BenchConfig::default())?,
     };
     eprintln!(
         "bench-serve --listen: {} files × {} contexts × {} passes over {} client(s), {} worker(s) …",
         nb.workload.files, nb.workload.contexts, nb.workload.repeats, nb.clients, nb.workers
     );
     let report = run_net_bench(&nb).map_err(CliError::Runtime)?;
-    if let Some(path) = flags.get("out") {
-        std::fs::write(path, report.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    if flags.contains_key("json") {
-        println!("{}", report.to_json());
-    } else {
+    if write_report(flags, &report.to_json(), None)? {
         println!(
             "net: {} jobs over {} conn(s): {:.1} jobs/s, {:.2} MB/s payload, \
              {} frames rx / {} tx, {} wire bytes rx / {} tx, {} protocol error(s)",
@@ -1325,12 +1228,6 @@ fn bench_serve_listen(
             report.protocol_errors
         );
     }
-    if report.completed + report.refused != report.jobs {
-        return Err(CliError::Runtime(format!(
-            "accounting hole: {} completed + {} refused != {} jobs",
-            report.completed, report.refused, report.jobs
-        )));
-    }
     Ok(())
 }
 
@@ -1344,25 +1241,16 @@ fn cmd_bench_algos(args: &[String]) -> Result<(), CliError> {
         quick: flags.get("quick").map(String::as_str) == Some("true"),
         ..AlgoBenchConfig::default()
     };
-    if let Some(v) = flags.get("threads") {
-        cfg.threads = v.parse().map_err(|e| usage(format!("--threads: {e}")))?;
+    cfg.threads = flag(&flags, "threads")?.unwrap_or(cfg.threads);
+    cfg.lanes = flag(&flags, "lanes")?.unwrap_or(cfg.lanes);
+    if cfg.lanes == 0 {
+        return Err(usage("--lanes: must be positive"));
     }
-    if let Some(v) = flags.get("lanes") {
-        cfg.lanes = v.parse().map_err(|e| usage(format!("--lanes: {e}")))?;
-        if cfg.lanes == 0 {
-            return Err(usage("--lanes: must be positive"));
-        }
+    cfg.block_size = flag(&flags, "block-size")?;
+    if cfg.block_size == Some(0) {
+        return Err(usage("--block-size: must be positive"));
     }
-    if let Some(v) = flags.get("block-size") {
-        let bs: usize = v.parse().map_err(|e| usage(format!("--block-size: {e}")))?;
-        if bs == 0 {
-            return Err(usage("--block-size: must be positive"));
-        }
-        cfg.block_size = Some(bs);
-    }
-    if let Some(v) = flags.get("seed") {
-        cfg.seed = v.parse().map_err(|e| usage(format!("--seed: {e}")))?;
-    }
+    cfg.seed = flag(&flags, "seed")?.unwrap_or(cfg.seed);
     eprintln!(
         "bench-algos: {} mode, {} pool thread(s), {} lanes …",
         if cfg.quick { "quick (smoke gate)" } else { "full" },
@@ -1370,13 +1258,7 @@ fn cmd_bench_algos(args: &[String]) -> Result<(), CliError> {
         cfg.lanes
     );
     let report = run_algo_bench(&cfg).map_err(CliError::Runtime)?;
-    if let Some(path) = flags.get("out") {
-        std::fs::write(path, report.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    if flags.contains_key("json") {
-        println!("{}", report.to_json());
-    } else {
+    if write_report(&flags, &report.to_json(), None)? {
         println!(
             "kernels ({} bases): pack u64 {:.0} MB/s vs bytewise {:.0} MB/s ({:.2}x); unpack {:.0} vs {:.0} MB/s ({:.2}x)",
             report.kernels.bases,
@@ -1451,20 +1333,15 @@ fn cmd_bench_store(args: &[String]) -> Result<(), CliError> {
     } else {
         StoreBenchConfig::default()
     };
-    if let Some(list) = flags.get("objects") {
-        cfg.open_sweep = list
-            .split(',')
-            .map(|w| w.trim().parse().map_err(|e| usage(format!("--objects: {e}"))))
-            .collect::<Result<_, _>>()?;
-        if cfg.open_sweep.len() < 2 {
+    if let Some(list) = counts(&flags, "objects")? {
+        if list.len() < 2 {
             return Err(usage("--objects: need at least two counts for the sweep"));
         }
+        cfg.open_sweep = list;
     }
-    if let Some(v) = flags.get("payload") {
-        cfg.payload_bytes = v.parse().map_err(|e| usage(format!("--payload: {e}")))?;
-        if cfg.payload_bytes == 0 {
-            return Err(usage("--payload: must be positive"));
-        }
+    cfg.payload_bytes = flag(&flags, "payload")?.unwrap_or(cfg.payload_bytes);
+    if cfg.payload_bytes == 0 {
+        return Err(usage("--payload: must be positive"));
     }
     if let Some(v) = flags.get("dir") {
         cfg.dir = std::path::PathBuf::from(v);
@@ -1478,13 +1355,7 @@ fn cmd_bench_store(args: &[String]) -> Result<(), CliError> {
         cfg.hot_passes
     );
     let report = run_store_bench(&cfg).map_err(CliError::Runtime)?;
-    if let Some(path) = flags.get("out") {
-        std::fs::write(path, report.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    if flags.contains_key("json") {
-        println!("{}", report.to_json());
-    } else {
+    if write_report(&flags, &report.to_json(), None)? {
         println!("{:>9}  {:>14}  {:>10}  {:>5}", "objects", "manifest B", "open ms", "runs");
         for p in &report.open_sweep {
             println!(
@@ -1826,6 +1697,19 @@ mod tests {
     fn an_unknown_flag_is_a_usage_error() {
         let err = run(&s(&["store", "compact", "--dir", "D", "--lvl", "1"])).unwrap_err();
         assert!(matches!(err, CliError::Usage(ref m) if m.contains("--lvl")));
+        // Each bench-serve mode refuses the flags of the others.
+        let args = [
+            "bench-serve", "--listen", "127.0.0.1:0", "--files", "1", "--contexts", "1",
+            "--repeats", "1", "--store", "D",
+        ];
+        let err = run(&s(&args)).unwrap_err();
+        assert!(matches!(err, CliError::Usage(ref m) if m.contains("--store")));
+        let args = [
+            "bench-serve", "--route", "--shards", "1", "--files", "1", "--contexts", "1",
+            "--repeats", "1", "--section", "S",
+        ];
+        let err = run(&s(&args)).unwrap_err();
+        assert!(matches!(err, CliError::Usage(ref m) if m.contains("--section")));
     }
 
     #[test]
@@ -1868,6 +1752,32 @@ mod tests {
                 assert!(tokens.contains(&spelled.as_str()), "{command}: {spelled} not in USAGE");
             }
         }
+    }
+
+    #[test]
+    fn bench_serve_wire_modes_write_their_reports() {
+        let dir = std::env::temp_dir().join(format!("dnacomp-cli-bench-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let toy = s(&[
+            "--files", "1", "--contexts", "1", "--repeats", "1", "--clients", "1", "--workers", "1",
+        ]);
+        let read = |path: &str| std::fs::read_to_string(path).unwrap();
+
+        let net = dir.join("net.json").to_string_lossy().into_owned();
+        run(&[s(&["bench-serve", "--listen", "127.0.0.1:0", "--out", &net]), toy.clone()].concat())
+            .unwrap();
+        let report: dnacomp_bench::NetBenchReport = serde_json::from_str(&read(&net)).unwrap();
+        assert_eq!(report.completed, report.jobs);
+        assert_eq!(report.protocol_errors, 0);
+
+        let route = dir.join("route.json").to_string_lossy().into_owned();
+        run(&[s(&["bench-serve", "--route", "--shards", "1", "--out", &route]), toy].concat())
+            .unwrap();
+        let report: dnacomp_bench::RouteBenchReport = serde_json::from_str(&read(&route)).unwrap();
+        assert_eq!(report.rows.len(), 1);
+        assert_eq!(report.rows[0].completed, report.rows[0].jobs);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -8,9 +8,10 @@ use dnacomp::core::Context;
 use dnacomp::seq::gen::GenomeModel;
 use dnacomp::seq::PackedSeq;
 use dnacomp::server::{
-    makespan_ms, run_bench, synthetic_framework, BenchConfig, CompressRequest,
-    CompressionService, JobError, Priority, ServiceConfig, SubmitError,
+    synthetic_framework, CompressRequest, CompressionService, JobError, Priority, ServiceConfig,
+    SubmitError,
 };
+use dnacomp_bench::{makespan_ms, run_bench, BenchConfig};
 use std::time::Duration;
 
 /// A deterministic mixed workload: `n` unique small files spread over
