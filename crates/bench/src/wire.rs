@@ -8,6 +8,12 @@
 //! connections with the same `replay`, which accounts for every job:
 //! completed + refused must equal the jobs sent.
 //!
+//! Each routed shard stores what it takes in a store of its own (the
+//! default config, fsync on commit), so a replicated row moves the
+//! containers the router ships, and `shard_jobs` counts the jobs the
+//! shards compressed; the `--listen` shard keeps no store, like the
+//! in-process sweep it is compared with.
+//!
 //! The routed sweep's interesting ratio is `speedup_3_vs_1`: aggregate
 //! completed-jobs/wall-second at three shards over one shard, with the
 //! client count held well above one shard's back-end connection budget
@@ -22,8 +28,11 @@ use dnacomp_server::{
     NetClient, NetConfig, NetServer, Response, Ring, RouterConfig, RouterServer, ServiceConfig,
     ShardSpec, DEFAULT_RING_SEED, DEFAULT_VNODES,
 };
+use dnacomp_store::{SequenceStore, StoreConfig};
 use serde::{Deserialize, Serialize};
 use std::net::SocketAddr;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -184,6 +193,10 @@ pub struct RouteBenchRow {
     /// Writes that fell short of the quorum (0 on a healthy cluster).
     #[serde(default)]
     pub quorum_failures: u64,
+    /// Jobs the shards' services completed, summed over every shard:
+    /// equal to `completed` when each write is compressed once.
+    #[serde(default)]
+    pub shard_jobs: u64,
     /// `replica_writes / completed`: the replication write
     /// amplification factor (≈ R on a healthy cluster).
     #[serde(default)]
@@ -221,25 +234,62 @@ impl RouteBenchReport {
     }
 }
 
-/// One loopback shard: a service behind its own TCP front-end.
+/// One loopback shard: a service behind its own TCP front-end,
+/// persisting into its own store when it has one.
 struct Shard {
     server: NetServer,
     service: Arc<CompressionService>,
+    /// Dropped after the service, so the store is closed first.
+    _store_dir: Option<StoreDir>,
+}
+
+/// A shard store's directory, removed when dropped.
+struct StoreDir(PathBuf);
+
+impl StoreDir {
+    /// A fresh directory name under the system temp dir, unique within
+    /// this process.
+    fn fresh() -> StoreDir {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("dnacomp-wire-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        StoreDir(dir)
+    }
+}
+
+impl Drop for StoreDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 impl Shard {
     /// Start a `workers`-thread service on the synthetic rule tree of
     /// `seed` and serve it at `listen`, capped at `max_connections`.
+    /// A `stored` shard persists every job and every migrated
+    /// container into a store of its own, in a temp directory removed
+    /// when the shard stops.
     fn start(
         listen: &str,
         seed: u64,
         workers: usize,
         max_connections: usize,
+        stored: bool,
     ) -> Result<Shard, String> {
+        let store_dir = stored.then(StoreDir::fresh);
+        let store = match &store_dir {
+            Some(StoreDir(dir)) => Some(Arc::new(
+                SequenceStore::open(dir, StoreConfig::default())
+                    .map_err(|e| format!("opening store {}: {e}", dir.display()))?,
+            )),
+            None => None,
+        };
         let service = Arc::new(CompressionService::start(
             synthetic_framework(seed),
             ServiceConfig {
                 workers,
+                store: store.clone(),
                 ..ServiceConfig::default()
             },
         ));
@@ -248,11 +298,16 @@ impl Shard {
                 max_connections,
                 ..ConnConfig::default()
             },
+            store,
             ..NetConfig::default()
         };
         let server = NetServer::start(Arc::clone(&service), listen, net)
             .map_err(|e| format!("binding {listen}: {e}"))?;
-        Ok(Shard { server, service })
+        Ok(Shard {
+            server,
+            service,
+            _store_dir: store_dir,
+        })
     }
 
     fn addr(&self) -> SocketAddr {
@@ -345,7 +400,7 @@ fn host_cpus() -> usize {
 pub fn run_net_bench(cfg: &NetBenchConfig) -> Result<NetBenchReport, String> {
     let clients = cfg.clients.max(1);
     let workers = cfg.workers.max(1);
-    let shard = Shard::start(&cfg.listen, cfg.workload.seed, workers, clients * 2)?;
+    let shard = Shard::start(&cfg.listen, cfg.workload.seed, workers, clients * 2, false)?;
     let jobs = build_workload(&cfg.workload);
     let run = replay(shard.addr(), &jobs, clients)?;
     let snapshot = shard.stop()?;
@@ -380,7 +435,15 @@ fn run_row(cfg: &RouteBenchConfig, shards: usize) -> Result<RouteBenchRow, Strin
     let workers = cfg.workers_per_shard.max(1);
     let pool = cfg.pool_per_shard.max(1);
     let fleet = (0..shards)
-        .map(|_| Shard::start("127.0.0.1:0", cfg.workload.seed, workers, pool * 2 + 2))
+        .map(|_| {
+            Shard::start(
+                "127.0.0.1:0",
+                cfg.workload.seed,
+                workers,
+                pool * 2 + 2,
+                true,
+            )
+        })
         .collect::<Result<Vec<_>, _>>()?;
     let specs = fleet
         .iter()
@@ -417,8 +480,9 @@ fn run_row(cfg: &RouteBenchConfig, shards: usize) -> Result<RouteBenchRow, Strin
         n => run.ok_ms[((n - 1) * 95) / 100],
     };
     let snapshot = router.shutdown();
+    let mut shard_jobs = 0;
     for shard in fleet {
-        shard.stop()?;
+        shard_jobs += shard.stop()?.completed;
     }
 
     let wall_secs = (run.wall_ms / 1_000.0).max(1e-9);
@@ -439,6 +503,7 @@ fn run_row(cfg: &RouteBenchConfig, shards: usize) -> Result<RouteBenchRow, Strin
         write_quorum: cfg.write_quorum.max(1),
         replica_writes: snapshot.replica_writes,
         quorum_failures: snapshot.quorum_failures,
+        shard_jobs,
         write_amplification: snapshot.replica_writes as f64 / run.completed.max(1) as f64,
         quorum_p95_ms,
         host_cpus: host_cpus(),
@@ -531,6 +596,9 @@ mod tests {
         assert_eq!(row.write_quorum, 2);
         assert_eq!(row.quorum_failures, 0);
         assert_eq!(row.replica_writes, 2 * row.completed);
+        // Each write was compressed once, on its holder; the other
+        // replica took the holder's container.
+        assert_eq!(row.shard_jobs, row.completed);
         assert!((row.write_amplification - 2.0).abs() < 1e-9);
         assert!(row.quorum_p95_ms > 0.0);
         // No 1-shard and 3-shard rows → no headline ratio.

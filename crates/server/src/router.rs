@@ -20,22 +20,27 @@
 //!
 //! ## Replication and failure discipline
 //!
-//! Every keyed write fans out to the key's **replica set** — the
-//! owner plus its R−1 distinct ring successors
-//! ([`Ring::replica_slots`]) — and the client is acknowledged only
-//! once a configurable **write quorum** W of replicas committed.
+//! Every keyed write lands on the key's **replica set** — the owner
+//! plus its R−1 distinct ring successors ([`Ring::replica_slots`]) —
+//! and the client is acknowledged only once a configurable **write
+//! quorum** W of replicas committed. A write is compressed once: the
+//! first replica in ring order whose compress commits (the owner, when
+//! it is healthy) is the holder, and the router fetches its container,
+//! verifies it against the content key and ships it to every other
+//! healthy replica at once over the checksummed migrate path.
 //! Per-replica failures are typed partial results, never client
 //! errors: as long as the quorum held, each missed replica becomes a
 //! persisted **hinted handoff** record ([`crate::hints::HintQueue`])
-//! that the prober drains back to the shard once it is healthy again.
-//! Only a write that cannot reach W replicas surfaces, as a typed
-//! [`ErrorCode::QuorumFailed`].
+//! of the same verified container, which the prober drains back to the
+//! shard once it is healthy again. Only a write that cannot reach W
+//! replicas surfaces, as a typed [`ErrorCode::QuorumFailed`].
 //!
-//! Reads walk the same replica set: a transport failure or clean
-//! `UnknownKey` falls through to the next replica, and a replica that
-//! missed (or serves a corrupt container) is **read-repaired** with
-//! the canonical bytes — verified against the content key — over the
-//! checksummed migrate path. Exhausting every replica is a typed
+//! Reads walk the same replica set: a transport failure or any typed
+//! error (a clean `UnknownKey`, a store refusing a damaged record)
+//! falls through to the next replica, and a replica that missed (or
+//! serves a container that does not parse) is **read-repaired** with
+//! the canonical bytes — verified by the write path's rule and shipped
+//! through its fan-out. Exhausting every replica is a typed
 //! [`ErrorCode::ShardDown`]; never a hang, never a silent drop.
 //!
 //! A prober thread pings every shard on a fixed cadence; consecutive
@@ -382,46 +387,147 @@ fn aggregate_stat(shared: &RouterShared) -> Response {
     }
 }
 
-/// A quorum write committed but some replicas missed it: persist one
-/// handoff hint per missed replica, carrying the canonical container
-/// bytes fetched back from a committed holder. A replica the queue
-/// cannot take (capacity, I/O failure, no canonical copy readable) is
-/// a counted drop — anti-entropy repair is its convergence path.
-fn queue_hints(shared: &RouterShared, key: &[u8; 16], holder: usize, missed: &[usize]) {
-    let Some(hints) = &shared.hints else {
-        return;
+/// The rule a container must pass before the router ships or hints
+/// it: it parses and, unless it is `Reference`-coded (which does not
+/// decode standalone), decodes back to the sequence `key` names.
+fn canonical(key: &[u8; 16], blob: &[u8]) -> bool {
+    let Ok(container) = CompressedBlob::from_bytes(blob) else {
+        return false;
     };
-    let got = with_backend(shared, holder, shared.cfg.shard_timeout, |c| {
-        c.call(&Request::Get { key: *key })
-    });
-    let blob = match got {
-        Ok(Response::GetOk { blob }) => {
-            shared.metrics.shard(holder).frames.inc();
-            blob
+    container.algorithm == Algorithm::Reference
+        || compressor_for(container.algorithm)
+            .decompress(&container)
+            .is_ok_and(|seq| ContentKey::of_sequence(&seq).0 == *key)
+}
+
+/// Run `run` for every slot of `targets` at once, returning the
+/// results in `targets` order: one scoped thread per target beyond
+/// the first, which runs on the caller's thread. Each `run` touches
+/// only its own shard's pool, so no thread holds one shard's
+/// connection while it waits on another shard, and a pool of one
+/// connection per shard cannot deadlock.
+fn fan_out<T: Send>(targets: &[usize], run: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let Some((&first, rest)) = targets.split_first() else {
+        return Vec::new();
+    };
+    let run = &run;
+    std::thread::scope(|s| {
+        let spawned: Vec<_> = rest
+            .iter()
+            .map(|&slot| {
+                let handle = std::thread::Builder::new().spawn_scoped(s, move || run(slot));
+                (slot, handle)
+            })
+            .collect();
+        let mut out = Vec::with_capacity(targets.len());
+        out.push(run(first));
+        for (slot, handle) in spawned {
+            out.push(match handle {
+                Ok(h) => h
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                // No thread to be had: run it on this one instead.
+                Err(_) => run(slot),
+            });
+        }
+        out
+    })
+}
+
+/// Send one replica write to `slot`, counting its forward: the reply
+/// when the replica committed (`CompressOk` or `MigrateOk`), else why
+/// it did not.
+fn send(
+    shared: &RouterShared,
+    slot: usize,
+    call: impl Fn(&mut BackendClient) -> Result<Response, ClientError>,
+) -> Result<Response, String> {
+    let counters = shared.metrics.shard(slot);
+    counters.forwards.inc();
+    let id = shared.shards[slot].spec.id;
+    let reply = with_backend(shared, slot, shared.cfg.shard_timeout, call)
+        .map_err(|e| backend_failure(shared, slot, &e))?;
+    counters.frames.inc();
+    match reply {
+        Response::CompressOk { .. } | Response::MigrateOk { .. } => Ok(reply),
+        Response::Error { code, message } => {
+            counters.errors.inc();
+            Err(format!("shard {id}: {code}: {message}"))
         }
         _ => {
-            for _ in missed {
-                shared.metrics.hints_dropped.inc();
-            }
-            return;
-        }
-    };
-    for &slot in missed {
-        match hints.save(shared.shards[slot].spec.id, key, &blob) {
-            Ok(true) => shared.metrics.hints_queued.inc(),
-            Ok(false) | Err(_) => shared.metrics.hints_dropped.inc(),
+            counters.errors.inc();
+            Err(format!("shard {id}: unexpected reply"))
         }
     }
 }
 
-/// Route a fully assembled sequence through a quorum write: its
-/// content key *is* the routing key, the replica set is the owner
-/// plus its R−1 distinct ring successors, and the client is
-/// acknowledged only once `write_quorum` replicas committed. Missed
-/// replicas become hinted handoffs — typed partial results, never
-/// client errors — as long as the quorum held; short of the quorum
-/// the client gets a typed `QuorumFailed` (safe to retry verbatim:
-/// duplicate keyed commits dedup by content address).
+/// Ship `key`'s verified container to every slot of `targets` at once
+/// over the checksummed migrate path; each target's outcome, in order.
+fn ship(
+    shared: &RouterShared,
+    key: &[u8; 16],
+    blob: &[u8],
+    targets: &[usize],
+) -> Vec<Result<Response, String>> {
+    let epoch = shared.ring.epoch();
+    fan_out(targets, |slot| {
+        send(shared, slot, |c| {
+            c.call(&Request::MigrateBatch {
+                epoch,
+                records: vec![(*key, blob.to_vec())],
+            })
+        })
+    })
+}
+
+/// The holder's stored container for `key`, when it is [`canonical`].
+/// `None` when the holder's `Get` fails or is refused (a container
+/// above one frame is `TooLarge`) or its bytes fail verification.
+fn fetch_canonical(shared: &RouterShared, key: &[u8; 16], holder: usize) -> Option<Vec<u8>> {
+    let reply = with_backend(shared, holder, shared.cfg.shard_timeout, |c| {
+        c.call(&Request::Get { key: *key })
+    })
+    .ok()?;
+    shared.metrics.shard(holder).frames.inc();
+    match reply {
+        Response::GetOk { blob } if canonical(key, &blob) => Some(blob),
+        _ => None,
+    }
+}
+
+/// A quorum write committed but some replicas missed it: persist one
+/// handoff hint per missed replica, carrying the verified container.
+/// A replica the queue cannot take (capacity, I/O failure, no
+/// verified container) is a counted drop — anti-entropy repair is its
+/// convergence path.
+fn queue_hints(shared: &RouterShared, key: &[u8; 16], container: Option<&[u8]>, missed: &[usize]) {
+    let Some(hints) = &shared.hints else {
+        return;
+    };
+    for &slot in missed {
+        match container.map(|blob| hints.save(shared.shards[slot].spec.id, key, blob)) {
+            Some(Ok(true)) => shared.metrics.hints_queued.inc(),
+            _ => shared.metrics.hints_dropped.inc(),
+        }
+    }
+}
+
+/// Route a fully assembled sequence through a quorum write that
+/// compresses once. Its content key *is* the routing key, and the
+/// replica set is the owner plus its R−1 distinct ring successors.
+/// The replicas are tried in ring order until one compress commits:
+/// that replica is the *holder* (the owner, when it is healthy), and
+/// its `CompressOk` is the reply. The holder's stored container is
+/// fetched once, verified ([`canonical`]) and shipped to every later
+/// healthy replica at once ([`ship`]); without a verified container
+/// the sequence goes to them instead, through the same fan-out, and
+/// each compresses it. The client is acknowledged once every sent
+/// replica answered and `write_quorum` of them committed. Missed
+/// replicas become hinted handoffs of the verified container — typed
+/// partial results, never client errors — as long as the quorum
+/// held; short of the quorum the client gets a typed `QuorumFailed`
+/// (safe to retry verbatim: duplicate keyed commits dedup by content
+/// address).
 fn route_compress(
     shared: &RouterShared,
     file: String,
@@ -433,108 +539,98 @@ fn route_compress(
     let replicas = shared.ring.replica_slots(&key, shared.cfg.replicas);
     let quorum = shared.cfg.write_quorum.clamp(1, replicas.len());
     let desperate = replicas.iter().all(|&s| !healthy(shared, s));
-    let mut first_ok: Option<Response> = None;
-    let mut commits = 0usize;
-    let mut holder: Option<usize> = None;
+    let compress = |slot| {
+        send(shared, slot, |c| {
+            c.compress(&file, &seq, priority, context.clone())
+        })
+    };
+    let mut holder: Option<(usize, Response)> = None;
+    let mut targets: Vec<usize> = Vec::new();
     let mut missed: Vec<usize> = Vec::new();
     let mut last_failure = String::from("no healthy replica");
     for &slot in &replicas {
         if !desperate && !healthy(shared, slot) {
             missed.push(slot);
             last_failure = format!("shard {} is ejected", shared.shards[slot].spec.id);
-            continue;
-        }
-        shared.metrics.shard(slot).forwards.inc();
-        match with_backend(shared, slot, shared.cfg.shard_timeout, |c| {
-            c.compress(&file, &seq, priority, context.clone())
-        }) {
-            Ok(resp) => {
-                shared.metrics.shard(slot).frames.inc();
-                match resp {
-                    Response::CompressOk { .. } => {
-                        shared.metrics.replica_writes.inc();
-                        commits += 1;
-                        holder.get_or_insert(slot);
-                        if first_ok.is_none() {
-                            first_ok = Some(resp);
-                        }
-                    }
-                    other => {
-                        shared.metrics.shard(slot).errors.inc();
-                        missed.push(slot);
-                        last_failure = match &other {
-                            Response::Error { code, message } => format!(
-                                "shard {}: {code}: {message}",
-                                shared.shards[slot].spec.id
-                            ),
-                            _ => format!(
-                                "shard {}: unexpected reply",
-                                shared.shards[slot].spec.id
-                            ),
-                        };
-                    }
+        } else if holder.is_some() {
+            targets.push(slot);
+        } else {
+            match compress(slot) {
+                Ok(reply) => holder = Some((slot, reply)),
+                Err(why) => {
+                    missed.push(slot);
+                    last_failure = why;
                 }
             }
-            Err(e) => {
+        }
+    }
+    // Replicas after the holder are the targets: none without one.
+    let container = match &holder {
+        Some((slot, Response::CompressOk { key: Some(_), .. })) => {
+            fetch_canonical(shared, &key, *slot)
+        }
+        _ => None,
+    };
+    let sent = match &container {
+        Some(blob) => ship(shared, &key, blob, &targets),
+        None => fan_out(&targets, compress),
+    };
+    let mut commits = usize::from(holder.is_some());
+    for (&slot, got) in targets.iter().zip(sent) {
+        match got {
+            Ok(_) => commits += 1,
+            Err(why) => {
                 missed.push(slot);
-                last_failure = backend_failure(shared, slot, &e);
+                last_failure = why;
             }
         }
     }
-    if let Some(holder) = holder {
-        if !missed.is_empty() {
-            queue_hints(shared, &key, holder, &missed);
-        }
+    shared.metrics.replica_writes.add(commits as u64);
+    if holder.is_some() && !missed.is_empty() {
+        queue_hints(shared, &key, container.as_deref(), &missed);
     }
-    if commits >= quorum {
-        first_ok.expect("a committed replica produced the CompressOk")
-    } else {
-        shared.metrics.quorum_failures.inc();
-        Response::Error {
-            code: ErrorCode::QuorumFailed,
-            message: format!(
-                "{commits} of {} replica commit(s), need {quorum}: {last_failure}",
-                replicas.len()
-            ),
+    match holder {
+        Some((_, reply)) if commits >= quorum => reply,
+        _ => {
+            shared.metrics.quorum_failures.inc();
+            Response::Error {
+                code: ErrorCode::QuorumFailed,
+                message: format!(
+                    "{commits} of {} replica commit(s), need {quorum}: {last_failure}",
+                    replicas.len()
+                ),
+            }
         }
     }
 }
 
 /// Ship the canonical container to each stale (missed or divergent)
-/// replica over the checksummed migrate path. Where the algorithm can
-/// decompress standalone, the copy is first verified to decode back
-/// to the content key — bytes that are not canonical are never
-/// propagated.
+/// healthy replica, at once, over the write path's verified fan-out:
+/// bytes that are not [`canonical`] are never propagated.
 fn read_repair(shared: &RouterShared, key: &[u8; 16], blob: &[u8], stale: &[usize]) {
-    let Ok(container) = CompressedBlob::from_bytes(blob) else {
+    if !canonical(key, blob) {
         return;
-    };
-    if container.algorithm != Algorithm::Reference {
-        match compressor_for(container.algorithm).decompress(&container) {
-            Ok(seq) if ContentKey::of_sequence(&seq).0 == *key => {}
-            _ => return,
-        }
     }
-    let epoch = shared.ring.epoch();
-    for &slot in stale {
-        if !healthy(shared, slot) {
-            continue;
-        }
-        let got = with_backend(shared, slot, shared.cfg.shard_timeout, |c| {
-            c.migrate_batch(epoch, vec![(*key, blob.to_vec())])
-        });
-        if got.is_ok() {
-            shared.metrics.shard(slot).frames.inc();
+    let targets: Vec<usize> = stale
+        .iter()
+        .copied()
+        .filter(|&s| healthy(shared, s))
+        .collect();
+    for shipped in ship(shared, key, blob, &targets) {
+        if shipped.is_ok() {
             shared.metrics.read_repairs.inc();
         }
     }
 }
 
 /// Route one `Get`: walk the key's replica candidates, falling
-/// through on transport failure, a clean `UnknownKey`, or a corrupt
-/// container (a divergent replica). The first good copy answers the
-/// client; healthy replicas that missed are then read-repaired with
-/// the canonical bytes.
+/// through on transport failure, any typed error (a clean
+/// `UnknownKey`, or a store that refuses a damaged record), or a
+/// container that does not parse (a divergent replica). The first
+/// good copy answers the client; healthy replicas that missed or
+/// served an unparsable container are then read-repaired with the
+/// canonical bytes. With no copy served, the last typed error is the
+/// reply, else a typed `ShardDown`.
 fn route_get(shared: &RouterShared, key: [u8; 16]) -> Response {
     let candidates = read_candidates(shared, &key);
     // Only true members of the replica set are repair targets — the
@@ -542,7 +638,7 @@ fn route_get(shared: &RouterShared, key: [u8; 16]) -> Response {
     let replica_set = shared.ring.replica_slots(&key, shared.cfg.replicas);
     let last = candidates.len() - 1;
     let mut stale: Vec<usize> = Vec::new();
-    let mut last_miss: Option<Response> = None;
+    let mut last_error: Option<Response> = None;
     let mut last_failure = String::from("no healthy candidate");
     for (i, &slot) in candidates.iter().enumerate() {
         shared.metrics.shard(slot).forwards.inc();
@@ -572,6 +668,11 @@ fn route_get(shared: &RouterShared, key: [u8; 16]) -> Response {
             Ok(resp @ Response::Error { .. }) => {
                 shared.metrics.shard(slot).frames.inc();
                 shared.metrics.shard(slot).errors.inc();
+                // Any typed error falls through: one replica's store
+                // refusing a damaged record must not hide the good
+                // copies. Only a clean miss is repaired — `MigrateBatch`
+                // dedups on the key index, so a ship to a replica that
+                // still indexes the damaged record would change nothing.
                 let is_miss = matches!(
                     &resp,
                     Response::Error {
@@ -579,13 +680,10 @@ fn route_get(shared: &RouterShared, key: [u8; 16]) -> Response {
                         ..
                     }
                 );
-                if !is_miss {
-                    return resp;
-                }
-                if replica_set.contains(&slot) && healthy(shared, slot) {
+                if is_miss && replica_set.contains(&slot) && healthy(shared, slot) {
                     stale.push(slot);
                 }
-                last_miss = Some(resp);
+                last_error = Some(resp);
             }
             Ok(other) => {
                 shared.metrics.shard(slot).frames.inc();
@@ -599,7 +697,7 @@ fn route_get(shared: &RouterShared, key: [u8; 16]) -> Response {
             }
         }
     }
-    last_miss.unwrap_or_else(|| Response::Error {
+    last_error.unwrap_or_else(|| Response::Error {
         code: ErrorCode::ShardDown,
         message: format!(
             "no replica of the key reachable ({} candidate shard(s)): {last_failure}",

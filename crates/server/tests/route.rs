@@ -26,6 +26,7 @@ use dnacomp_server::{
     Ring, RouterConfig, RouterServer, ServiceConfig, ShardSpec, IO_TICK,
 };
 use dnacomp_store::{ContentKey, SequenceStore, StoreConfig};
+use std::io::{Seek, SeekFrom, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -539,6 +540,280 @@ fn read_repair_restores_a_divergent_replica() {
     client.bye().unwrap();
     let snap = router.shutdown();
     assert_eq!(snap.read_repairs, 1, "exactly one read-repair must be recorded");
+    assert_eq!(snap.quorum_failures, 0);
+    for s in shards {
+        s.teardown();
+    }
+}
+
+/// A get through the router must fall through a replica whose store
+/// refuses the record (one byte of it flipped on disk) to a good copy,
+/// without counting a read-repair: a ship to that replica would dedup
+/// on its key index and leave the damaged record in place.
+#[test]
+fn a_get_falls_through_a_replica_whose_store_refuses_a_damaged_record() {
+    let (shards, router) = start_cluster(3, "damaged");
+    let ring = Ring::new(shards.iter().map(|s| s.spec.clone()).collect(), 64, 7).unwrap();
+    let mut client = connect(router.local_addr());
+    let seq = GenomeModel::random_only(0.5).generate(3_000, 808);
+    let key = put(&mut client, "damaged.fa", &seq);
+
+    // Flip one byte of the owner's record where it sits on disk.
+    let owner = ring.replica_slots(&key, 3)[0];
+    let stored = shards[owner]
+        .store
+        .get(&ContentKey(key))
+        .unwrap()
+        .to_bytes();
+    let mut flipped = 0;
+    for entry in std::fs::read_dir(&shards[owner].dir).unwrap() {
+        let path = entry.unwrap().path();
+        let bytes = std::fs::read(&path).unwrap_or_default();
+        if let Some(at) = bytes.windows(stored.len()).position(|w| w == stored) {
+            let at = (at + stored.len() / 2) as u64;
+            let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+            file.seek(SeekFrom::Start(at)).unwrap();
+            file.write_all(&[bytes[at as usize] ^ 0x01]).unwrap();
+            flipped += 1;
+        }
+    }
+    assert_eq!(flipped, 1, "the owner's record sits in one file");
+    assert!(
+        shards[owner].store.get(&ContentKey(key)).is_err(),
+        "the owner's store must refuse the damaged record"
+    );
+
+    let bytes = client
+        .get(key)
+        .expect("a get through the router falls through to a good copy");
+    let blob = CompressedBlob::from_bytes(&bytes).expect("served blob parses");
+    let back = compressor_for(blob.algorithm)
+        .decompress(&blob)
+        .expect("decompress");
+    assert_eq!(back, seq, "the served copy must decode to the input");
+
+    client.bye().unwrap();
+    let snap = router.shutdown();
+    assert_eq!(
+        snap.read_repairs, 0,
+        "a refused record is not a read-repair"
+    );
+    for s in shards {
+        s.teardown();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The write path: a replicated put is compressed once, on its holder
+// ---------------------------------------------------------------------------
+
+/// Put `seq` through the router and return its content key.
+fn put(client: &mut NetClient<TcpStream>, file: &str, seq: &PackedSeq) -> [u8; 16] {
+    match client
+        .compress(file, seq, Priority::Normal, ctx_for(seq))
+        .expect("compress via router")
+    {
+        Response::CompressOk { key: Some(key), .. } => key,
+        other => panic!("expected stored CompressOk, got {other:?}"),
+    }
+}
+
+/// Jobs a shard's service completed: the puts it compressed itself.
+fn jobs(shard: &Shard) -> u64 {
+    shard.service.metrics().snapshot().completed
+}
+
+#[test]
+fn a_replicated_put_is_compressed_once_and_every_replica_stores_its_container() {
+    const N: usize = 8;
+    let (shards, router) = start_cluster(3, "once");
+    let mut client = connect(router.local_addr());
+    let keys: Vec<[u8; 16]> = (0..N)
+        .map(|i| {
+            let seq = GenomeModel::random_only(0.5).generate(1_000 + i * 257, 300 + i as u64);
+            put(&mut client, &format!("once-{i}.fa"), &seq)
+        })
+        .collect();
+    client.bye().unwrap();
+
+    let compressed: u64 = shards.iter().map(jobs).sum();
+    assert_eq!(compressed, N as u64, "each put must be compressed once");
+    for key in &keys {
+        let copies: Vec<Vec<u8>> = shards
+            .iter()
+            .map(|s| {
+                s.store
+                    .get(&ContentKey(*key))
+                    .expect("every replica holds the record")
+                    .to_bytes()
+            })
+            .collect();
+        assert!(
+            copies.iter().all(|c| *c == copies[0]),
+            "replicas of {key:02x?} hold different bytes"
+        );
+    }
+
+    let snap = router.shutdown();
+    assert_eq!(snap.replica_writes, 3 * N as u64);
+    assert_eq!(snap.route_forwards, 3 * N as u64, "one send per replica");
+    assert_eq!(snap.quorum_failures, 0);
+    for s in shards {
+        s.teardown();
+    }
+}
+
+#[test]
+fn a_put_whose_owner_is_down_compresses_on_the_next_replica_and_hints_the_owner() {
+    let hint_dir = std::env::temp_dir().join(format!(
+        "dnacomp-route-owner-down-hints-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&hint_dir);
+    let mut shards: Vec<Shard> = (1..=3).map(|id| Shard::start(id, "owner-down")).collect();
+    let ring = Ring::new(shards.iter().map(|s| s.spec.clone()).collect(), 64, 7).unwrap();
+    let router = RouterServer::start(
+        "127.0.0.1:0",
+        ring.clone(),
+        RouterConfig {
+            hint_dir: Some(hint_dir.clone()),
+            ..quick_router() // replicas 3, write quorum 2
+        },
+    )
+    .expect("bind router");
+
+    let seq = GenomeModel::random_only(0.5).generate(3_000, 4_242);
+    let key = ContentKey::of_sequence(&seq);
+    let set = ring.replica_slots(&key.0, 3);
+    shards[set[0]].kill();
+    let mut client = connect(router.local_addr());
+    assert_eq!(put(&mut client, "owner-down.fa", &seq), key.0);
+    client.bye().unwrap();
+
+    assert_eq!(jobs(&shards[set[0]]), 0, "the owner was down");
+    assert_eq!(jobs(&shards[set[1]]), 1, "the next replica compresses");
+    assert_eq!(
+        jobs(&shards[set[2]]),
+        0,
+        "the last replica takes the container"
+    );
+    let held = shards[set[1]].store.get(&key).unwrap().to_bytes();
+    assert_eq!(shards[set[2]].store.get(&key).unwrap().to_bytes(), held);
+
+    let snap = router.shutdown();
+    assert_eq!(snap.replica_writes, 2, "acked at W = 2");
+    assert_eq!(snap.quorum_failures, 0);
+    assert_eq!(snap.hints_queued, 1, "one hint is owed to the owner");
+    assert_eq!(snap.hints_pending, 1);
+    assert_eq!(snap.hints_dropped, 0);
+    let _ = std::fs::remove_dir_all(&hint_dir);
+    for s in shards {
+        s.teardown();
+    }
+}
+
+#[test]
+fn storeless_replicas_take_the_sequence_fan_out() {
+    const N: usize = 6;
+    let services: Vec<Arc<CompressionService>> = (0..3)
+        .map(|_| {
+            Arc::new(CompressionService::start(
+                synthetic_framework(42),
+                ServiceConfig {
+                    workers: 1,
+                    ..ServiceConfig::default()
+                },
+            ))
+        })
+        .collect();
+    let servers: Vec<NetServer> = services
+        .iter()
+        .map(|s| NetServer::start(Arc::clone(s), "127.0.0.1:0", NetConfig::default()).unwrap())
+        .collect();
+    let specs = servers
+        .iter()
+        .zip(1..)
+        .map(|(server, id)| ShardSpec {
+            id,
+            addr: server.local_addr().to_string(),
+        })
+        .collect();
+    let ring = Ring::new(specs, 64, 7).unwrap();
+    let router = RouterServer::start("127.0.0.1:0", ring, quick_router()).expect("bind router");
+
+    // No store, so no container to ship: every replica compresses.
+    let mut client = connect(router.local_addr());
+    for i in 0..N {
+        let seq = GenomeModel::random_only(0.5).generate(900 + i * 301, 600 + i as u64);
+        match client
+            .compress(
+                &format!("storeless-{i}.fa"),
+                &seq,
+                Priority::Normal,
+                ctx_for(&seq),
+            )
+            .expect("compress via router")
+        {
+            Response::CompressOk { key: None, .. } => {}
+            other => panic!("expected an unstored CompressOk, got {other:?}"),
+        }
+    }
+    client.bye().unwrap();
+
+    let snap = router.shutdown();
+    assert_eq!(snap.replica_writes, 3 * N as u64);
+    assert_eq!(snap.quorum_failures, 0);
+    for server in servers {
+        server.shutdown();
+    }
+    for service in services {
+        let service = Arc::try_unwrap(service)
+            .map_err(|_| "clones alive")
+            .unwrap();
+        assert_eq!(
+            service.shutdown().completed,
+            N as u64,
+            "each replica compressed"
+        );
+    }
+}
+
+#[test]
+fn a_non_canonical_holder_container_is_never_shipped() {
+    let (shards, router) = start_cluster(3, "noncanon");
+    let ring = Ring::new(shards.iter().map(|s| s.spec.clone()).collect(), 64, 7).unwrap();
+    let seq = GenomeModel::random_only(0.5).generate(2_000, 515);
+    let other = GenomeModel::random_only(0.5).generate(2_000, 516);
+    let key = ContentKey::of_sequence(&seq);
+    let set = ring.replica_slots(&key.0, 3);
+    // The owner already holds another sequence's container under the key.
+    let wrong = compressor_for(Algorithm::Gzip).compress(&other).unwrap();
+    shards[set[0]].store.put_with_key(key, &wrong).unwrap();
+
+    let mut client = connect(router.local_addr());
+    assert_eq!(put(&mut client, "noncanon.fa", &seq), key.0);
+    client.bye().unwrap();
+
+    for &slot in &set[1..] {
+        let blob = shards[slot]
+            .store
+            .get(&key)
+            .expect("replica holds the record");
+        let back = compressor_for(blob.algorithm)
+            .decompress(&blob)
+            .expect("decompress");
+        assert_eq!(
+            back, seq,
+            "slot {slot} holds a container of another sequence"
+        );
+        assert_eq!(
+            jobs(&shards[slot]),
+            1,
+            "slot {slot} compressed the sequence itself"
+        );
+    }
+    let snap = router.shutdown();
+    assert_eq!(snap.replica_writes, 3);
     assert_eq!(snap.quorum_failures, 0);
     for s in shards {
         s.teardown();

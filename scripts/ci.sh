@@ -167,7 +167,9 @@ fi
 # with R=3/W=2. Re-checked from the artifact: every completed write
 # must have committed on at least the 2-of-3 quorum — amplification
 # >= 2.0 with zero quorum failures — proving replication fan-out is
-# real, not bookkeeping. Skipped under --quick (needs the release
+# real, not bookkeeping; and the shards must have compressed each
+# write once (shard_jobs == completed), the other replicas taking the
+# holder's container. Skipped under --quick (needs the release
 # binary).
 if [ "$QUICK" -eq 0 ]; then
     step "replicated throughput gate: bench-serve --route --replicas 3 (300 s timeout)"
@@ -185,6 +187,13 @@ if [ "$QUICK" -eq 0 ]; then
     }
     [ "$qfail" = "0" ] || {
         echo "replicated bench recorded ${qfail} quorum failure(s)" >&2
+        exit 1
+    }
+    rcompleted=$(grep -o '"completed":[0-9]*' /tmp/BENCH_route_repl.json | cut -d: -f2)
+    sjobs=$(grep -o '"shard_jobs":[0-9]*' /tmp/BENCH_route_repl.json | cut -d: -f2)
+    echo "replicated shard jobs: ${sjobs} for ${rcompleted} completed writes"
+    [ -n "$rcompleted" ] && [ "$sjobs" = "$rcompleted" ] || {
+        echo "shard_jobs ${sjobs:-missing} differs from completed ${rcompleted}: writes compressed more than once" >&2
         exit 1
     }
 fi

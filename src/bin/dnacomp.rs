@@ -146,17 +146,18 @@ and --retry N redials with jittered exponential backoff first — for
 compress it also re-sends after a mid-request transport break, which
 content addressing makes idempotent (a duplicate commit dedups).
 route serve fronts a shard fleet with a consistent-hash router: writes
-fan out to --replicas ring successors and ack once --write-quorum
-commit, reads fall through the replica set (repairing divergent copies
-on the way), misses on a down replica persist hints in --hint-dir that
-drain when the shard returns, health probes eject dead shards, and
-`client metrics` against the router returns the aggregated per-shard
-rollup; route rebalance migrates misplaced keys between shard stores
-in checksummed batches after a membership change (resumable via
---cursor); route repair is the anti-entropy sweep: per-shard FNV-1a
-digest buckets are compared and only differing buckets ship. serve
---shard-id/--epoch pin a shard's identity for epoch-checked
-handshakes.
+land on --replicas ring successors (compressed once, by the first
+that commits, whose container is shipped to the rest) and ack once
+--write-quorum commit, reads fall through the replica set (repairing
+divergent copies on the way), misses on a down replica persist hints
+in --hint-dir that drain when the shard returns, health probes eject
+dead shards, and `client metrics` against the router returns the
+aggregated per-shard rollup; route rebalance migrates misplaced keys
+between shard stores in checksummed batches after a membership change
+(resumable via --cursor); route repair is the anti-entropy sweep:
+per-shard FNV-1a digest buckets are compared and only differing
+buckets ship. serve --shard-id/--epoch pin a shard's identity for
+epoch-checked handshakes.
 serve takes --store <dir> to persist every result; --panic-rate and
 --kill-rate inject deterministic worker faults and --dlq-dir persists
 the quarantine at shutdown; --block-size compresses big jobs as
@@ -1173,13 +1174,13 @@ fn bench_serve_route(flags: &Flags) -> Result<(), CliError> {
     let report = run_route_bench(&cfg).map_err(CliError::Runtime)?;
     if write_report(flags, &report.to_json(), None)? {
         println!(
-            "{:>6}  {:>5}  {:>13}  {:>9}  {:>8}  {:>9}  {:>5}  {:>7}  {:>11}",
+            "{:>6}  {:>5}  {:>13}  {:>9}  {:>8}  {:>9}  {:>5}  {:>7}  {:>10}  {:>11}",
             "shards", "jobs", "jobs/s(wall)", "forwards", "retries", "ejections", "R/W", "w-amp",
-            "q-p95(ms)"
+            "shard jobs", "q-p95(ms)"
         );
         for r in &report.rows {
             println!(
-                "{:>6}  {:>5}  {:>13.1}  {:>9}  {:>8}  {:>9}  {:>2}/{:<2}  {:>7.2}  {:>11.2}",
+                "{:>6}  {:>5}  {:>13.1}  {:>9}  {:>8}  {:>9}  {:>2}/{:<2}  {:>7.2}  {:>10}  {:>11.2}",
                 r.shards,
                 r.jobs,
                 r.jobs_per_wall_sec,
@@ -1189,6 +1190,7 @@ fn bench_serve_route(flags: &Flags) -> Result<(), CliError> {
                 r.replicas,
                 r.write_quorum,
                 r.write_amplification,
+                r.shard_jobs,
                 r.quorum_p95_ms
             );
         }
