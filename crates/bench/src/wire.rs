@@ -14,13 +14,22 @@
 //! shards compressed; the `--listen` shard keeps no store, like the
 //! in-process sweep it is compared with.
 //!
-//! The routed sweep's interesting ratio is `speedup_3_vs_1`: aggregate
+//! The routed sweep reports `speedup_3_vs_1`: aggregate
 //! completed-jobs/wall-second at three shards over one shard, with the
-//! client count held well above one shard's back-end connection budget
-//! (`pool_per_shard`). On any host — single-core included — the
-//! routed cluster wins because the budget is per shard: three shards
-//! grant 3× the concurrent in-flight requests, and each request spends
-//! most of its wall-clock blocked on its shard's reply, not on a CPU.
+//! client count held above one shard's back-end connection budget
+//! (`pool_per_shard`). The ratio carries no floor: a shard replies the
+//! moment its job is done, so the clients, the router and every shard
+//! compete for the host's CPUs, and the ratio moves with their number
+//! and load. Two checks hold on any host instead:
+//!
+//! * **placement** — each row's `misplaced_jobs` sums, over its shards,
+//!   the gap between the jobs a shard compressed and the jobs whose
+//!   content key the ring gives it as owner. It is 0 when every write
+//!   is compressed on its owner, at R=1 and at R>1 alike;
+//! * **hop cost** — the report's `hop_ratio` replays the workload from
+//!   one client against one stored shard, after one untimed warm-up,
+//!   in pairs of one replay straight to the shard and one through an
+//!   R=1 router, and takes the median of routed over direct jobs/s.
 
 use crate::serve::{build_workload, BenchConfig};
 use dnacomp_server::{
@@ -28,7 +37,7 @@ use dnacomp_server::{
     NetClient, NetConfig, NetServer, Response, Ring, RouterConfig, RouterServer, ServiceConfig,
     ShardSpec, DEFAULT_RING_SEED, DEFAULT_VNODES,
 };
-use dnacomp_store::{SequenceStore, StoreConfig};
+use dnacomp_store::{ContentKey, SequenceStore, StoreConfig};
 use serde::{Deserialize, Serialize};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -142,10 +151,10 @@ impl Default for RouteBenchConfig {
                 files: 24,
                 contexts: 4,
                 repeats: 2,
-                // Small sequences keep per-job CPU well under the
-                // shard's ~1 ms reply-poll quantum, so throughput is
-                // bound by in-flight budget (pool x shards), not CPU —
-                // the regime the router actually scales.
+                // Small sequences keep each job's compression short,
+                // so the rows and `hop_ratio` weigh the per-request
+                // path (framing, the router's forward, the shard's
+                // store commit) rather than the codecs.
                 max_len: 1024,
                 ..BenchConfig::default()
             },
@@ -197,6 +206,11 @@ pub struct RouteBenchRow {
     /// equal to `completed` when each write is compressed once.
     #[serde(default)]
     pub shard_jobs: u64,
+    /// Sum over the shards of the gap between the jobs a shard
+    /// compressed and the jobs whose content key the ring gives it as
+    /// owner: 0 when every write is compressed on its owner.
+    #[serde(default)]
+    pub misplaced_jobs: u64,
     /// `replica_writes / completed`: the replication write
     /// amplification factor (≈ R on a healthy cluster).
     #[serde(default)]
@@ -225,7 +239,15 @@ pub struct RouteBenchReport {
     /// `jobs_per_wall_sec` at three shards over one shard; `0.0` when
     /// the sweep lacks either point.
     pub speedup_3_vs_1: f64,
+    /// What the router hop costs one client: the median over
+    /// `HOP_PAIRS` pairs of routed over direct jobs/s against one
+    /// stored shard (1.0 = free).
+    #[serde(default)]
+    pub hop_ratio: f64,
 }
+
+/// Direct/routed replay pairs behind [`RouteBenchReport::hop_ratio`].
+const HOP_PAIRS: usize = 5;
 
 impl RouteBenchReport {
     /// Render as a JSON object.
@@ -454,23 +476,14 @@ fn run_row(cfg: &RouteBenchConfig, shards: usize) -> Result<RouteBenchRow, Strin
         })
         .collect();
     let ring = Ring::new(specs, DEFAULT_VNODES, DEFAULT_RING_SEED)?;
-    let router = RouterServer::start(
-        "127.0.0.1:0",
-        ring,
-        RouterConfig {
-            conn: ConnConfig {
-                max_connections: clients * 2,
-                ..ConnConfig::default()
-            },
-            pool_per_shard: pool,
-            replicas: cfg.replicas.max(1),
-            write_quorum: cfg.write_quorum.max(1),
-            ..RouterConfig::default()
-        },
-    )
-    .map_err(|e| format!("binding router: {e}"))?;
-
     let jobs = build_workload(&cfg.workload);
+    // Jobs the ring gives each shard slot as owner.
+    let mut owned = vec![0u64; shards];
+    for job in &jobs {
+        owned[ring.slot_for(&ContentKey::of_sequence(&job.sequence).0)] += 1;
+    }
+    let router = start_router(ring, clients, pool, cfg.replicas, cfg.write_quorum)?;
+
     let mut run = replay(router.local_addr(), &jobs, clients)
         .map_err(|e| format!("{shards} shard(s): {e}"))?;
     // p95 of acknowledged writes, merged across every client thread.
@@ -480,9 +493,11 @@ fn run_row(cfg: &RouteBenchConfig, shards: usize) -> Result<RouteBenchRow, Strin
         n => run.ok_ms[((n - 1) * 95) / 100],
     };
     let snapshot = router.shutdown();
-    let mut shard_jobs = 0;
-    for shard in fleet {
-        shard_jobs += shard.stop()?.completed;
+    let (mut shard_jobs, mut misplaced_jobs) = (0, 0);
+    for (shard, owned) in fleet.into_iter().zip(owned) {
+        let completed = shard.stop()?.completed;
+        shard_jobs += completed;
+        misplaced_jobs += completed.abs_diff(owned);
     }
 
     let wall_secs = (run.wall_ms / 1_000.0).max(1e-9);
@@ -504,6 +519,7 @@ fn run_row(cfg: &RouteBenchConfig, shards: usize) -> Result<RouteBenchRow, Strin
         replica_writes: snapshot.replica_writes,
         quorum_failures: snapshot.quorum_failures,
         shard_jobs,
+        misplaced_jobs,
         write_amplification: snapshot.replica_writes as f64 / run.completed.max(1) as f64,
         quorum_p95_ms,
         host_cpus: host_cpus(),
@@ -511,7 +527,71 @@ fn run_row(cfg: &RouteBenchConfig, shards: usize) -> Result<RouteBenchRow, Strin
     })
 }
 
-/// Run the sweep and compute the 3-vs-1 headline speedup.
+/// A router over `ring` taking `clients` connections, with `pool`
+/// back-end connections per shard, at R=`replicas` and W=`write_quorum`.
+fn start_router(
+    ring: Ring,
+    clients: usize,
+    pool: usize,
+    replicas: usize,
+    write_quorum: usize,
+) -> Result<RouterServer, String> {
+    RouterServer::start(
+        "127.0.0.1:0",
+        ring,
+        RouterConfig {
+            conn: ConnConfig {
+                max_connections: clients * 2,
+                ..ConnConfig::default()
+            },
+            pool_per_shard: pool,
+            replicas: replicas.max(1),
+            write_quorum: write_quorum.max(1),
+            ..RouterConfig::default()
+        },
+    )
+    .map_err(|e| format!("binding router: {e}"))
+}
+
+/// [`RouteBenchReport::hop_ratio`]: one stored shard with an R=1
+/// router in front, one untimed warm-up replay through the router,
+/// then [`HOP_PAIRS`] pairs of 1-client replays, one straight to the
+/// shard and one through the router.
+fn hop_ratio(cfg: &RouteBenchConfig) -> Result<f64, String> {
+    let pool = cfg.pool_per_shard.max(1);
+    let shard = Shard::start(
+        "127.0.0.1:0",
+        cfg.workload.seed,
+        cfg.workers_per_shard.max(1),
+        pool * 2 + 2,
+        true,
+    )?;
+    let spec = ShardSpec {
+        id: 1,
+        addr: shard.addr().to_string(),
+    };
+    let ring = Ring::new(vec![spec], DEFAULT_VNODES, DEFAULT_RING_SEED)?;
+    let router = start_router(ring, 1, pool, 1, 1)?;
+    let jobs = build_workload(&cfg.workload);
+    let rate = |addr| -> Result<f64, String> {
+        let run = replay(addr, &jobs, 1).map_err(|e| format!("hop check: {e}"))?;
+        Ok(run.completed as f64 / (run.wall_ms / 1_000.0).max(1e-9))
+    };
+    rate(router.local_addr())?;
+    let mut ratios = (0..HOP_PAIRS)
+        .map(|_| {
+            let direct = rate(shard.addr())?;
+            Ok(rate(router.local_addr())? / direct.max(1e-9))
+        })
+        .collect::<Result<Vec<f64>, String>>()?;
+    router.shutdown();
+    shard.stop()?;
+    ratios.sort_by(f64::total_cmp);
+    Ok(ratios[HOP_PAIRS / 2])
+}
+
+/// Run the sweep, compute the 3-vs-1 headline speedup and price the
+/// router hop.
 pub fn run_route_bench(cfg: &RouteBenchConfig) -> Result<RouteBenchReport, String> {
     let rows = cfg
         .shard_counts
@@ -530,6 +610,7 @@ pub fn run_route_bench(cfg: &RouteBenchConfig) -> Result<RouteBenchReport, Strin
     Ok(RouteBenchReport {
         rows,
         speedup_3_vs_1,
+        hop_ratio: hop_ratio(cfg)?,
     })
 }
 
@@ -596,12 +677,14 @@ mod tests {
         assert_eq!(row.write_quorum, 2);
         assert_eq!(row.quorum_failures, 0);
         assert_eq!(row.replica_writes, 2 * row.completed);
-        // Each write was compressed once, on its holder; the other
-        // replica took the holder's container.
+        // Each write was compressed once, on its owner; the other
+        // replica took the owner's container.
         assert_eq!(row.shard_jobs, row.completed);
+        assert_eq!(row.misplaced_jobs, 0);
         assert!((row.write_amplification - 2.0).abs() < 1e-9);
         assert!(row.quorum_p95_ms > 0.0);
         // No 1-shard and 3-shard rows → no headline ratio.
         assert_eq!(report.speedup_3_vs_1, 0.0);
+        assert!(report.hop_ratio > 0.0);
     }
 }

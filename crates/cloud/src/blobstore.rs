@@ -21,10 +21,10 @@
 //! ([`BlobStore::upload`]'s block count, [`BlobStore::block_count`],
 //! [`BlobStore::stored_bytes`]) agrees on that.
 
-use bytes::Bytes;
 use dnacomp_codec::checksum::fnv1a;
 use dnacomp_codec::CodecError;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Azure block blobs are staged in chunks; 4 MiB is the classic block
 /// size for the 2014-era SDKs.
@@ -43,7 +43,7 @@ pub struct BlobHandle {
 /// each at staging time.
 #[derive(Clone, Debug, Default)]
 struct StoredBlob {
-    blocks: Vec<Bytes>,
+    blocks: Vec<Arc<[u8]>>,
     checksums: Vec<u64>,
 }
 
@@ -52,23 +52,25 @@ impl StoredBlob {
         self.blocks.iter().map(|b| b.len()).sum()
     }
 
-    fn concat(&self) -> Bytes {
+    fn concat(&self) -> Arc<[u8]> {
         let mut out = Vec::with_capacity(self.len());
         for b in &self.blocks {
             out.extend_from_slice(b);
         }
-        Bytes::from(out)
+        out.into()
     }
 }
+
+/// The blocks staged for one in-flight upload: index → (data, checksum).
+type Staged = BTreeMap<usize, (Arc<[u8]>, u64)>;
 
 /// An in-memory storage account: containers of named blobs, plus the
 /// staging area for in-flight block uploads.
 #[derive(Clone, Debug)]
 pub struct BlobStore {
     containers: HashMap<String, HashMap<String, StoredBlob>>,
-    /// Staged-but-uncommitted blocks per (container, blob):
-    /// index → (data, checksum).
-    pending: HashMap<(String, String), BTreeMap<usize, (Bytes, u64)>>,
+    /// Staged-but-uncommitted blocks per (container, blob).
+    pending: HashMap<(String, String), Staged>,
     block_bytes: usize,
 }
 
@@ -127,7 +129,7 @@ impl BlobStore {
         self.pending
             .entry((container.to_owned(), name.to_owned()))
             .or_default()
-            .insert(index, (Bytes::copy_from_slice(data), fnv1a(data)));
+            .insert(index, (Arc::from(data), fnv1a(data)));
     }
 
     /// How many blocks are currently staged for an in-flight upload.
@@ -189,12 +191,12 @@ impl BlobStore {
     }
 
     /// Download a whole blob (concatenation of its blocks).
-    pub fn download(&self, handle: &BlobHandle) -> Option<Bytes> {
+    pub fn download(&self, handle: &BlobHandle) -> Option<Arc<[u8]>> {
         self.stored(handle).map(StoredBlob::concat)
     }
 
     /// Download a single block of a blob.
-    pub fn download_block(&self, handle: &BlobHandle, index: usize) -> Option<Bytes> {
+    pub fn download_block(&self, handle: &BlobHandle, index: usize) -> Option<Arc<[u8]>> {
         self.stored(handle)?.blocks.get(index).cloned()
     }
 

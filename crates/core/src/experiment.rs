@@ -12,7 +12,6 @@ use dnacomp_algos::{Algorithm, Compressor, ResourceStats};
 use dnacomp_cloud::{ClientContext, MachineSpec, PerfModel};
 use dnacomp_codec::CodecError;
 use dnacomp_seq::corpus::FileSpec;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Context-independent measurement of one (file, algorithm) pair.
@@ -69,7 +68,7 @@ impl ExperimentRow {
     }
 }
 
-/// Measure every (file, algorithm) pair of the corpus, in parallel.
+/// Measure every (file, algorithm) pair of the corpus.
 ///
 /// Each compressor must roundtrip its own output — any mismatch is a
 /// hard error, not a skipped cell.
@@ -78,7 +77,7 @@ pub fn measure_corpus(
     algorithms: &[Box<dyn Compressor>],
 ) -> Result<Vec<Measurement>, CodecError> {
     let nested: Result<Vec<Vec<Measurement>>, CodecError> = files
-        .par_iter()
+        .iter()
         .map(|spec| {
             let seq = spec.generate();
             let mut out = Vec::with_capacity(algorithms.len());

@@ -319,20 +319,13 @@ fn run_job(
             }
         }
     };
-    let deadline = Deadline::after(cfg.request_timeout);
-    let result = loop {
-        if let Some(r) = ticket.try_wait() {
-            break r;
-        }
-        if deadline.expired() {
-            // The ticket still resolves inside the service; the wire
-            // contract only promises this *frame* a typed reply.
-            return Response::Error {
-                code: ErrorCode::Timeout,
-                message: "job still running at the request deadline".into(),
-            };
-        }
-        std::thread::sleep(Duration::from_millis(1));
+    let Some(result) = ticket.wait_timeout(cfg.request_timeout) else {
+        // The ticket still resolves inside the service; the wire
+        // contract only promises this *frame* a typed reply.
+        return Response::Error {
+            code: ErrorCode::Timeout,
+            message: "job still running at the request deadline".into(),
+        };
     };
     match result {
         Ok(resp) => Response::CompressOk {

@@ -84,7 +84,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -517,17 +517,19 @@ fn queue_hints(shared: &RouterShared, key: &[u8; 16], container: Option<&[u8]>, 
 /// replica set is the owner plus its R−1 distinct ring successors.
 /// The replicas are tried in ring order until one compress commits:
 /// that replica is the *holder* (the owner, when it is healthy), and
-/// its `CompressOk` is the reply. The holder's stored container is
-/// fetched once, verified ([`canonical`]) and shipped to every later
-/// healthy replica at once ([`ship`]); without a verified container
-/// the sequence goes to them instead, through the same fan-out, and
-/// each compresses it. The client is acknowledged once every sent
-/// replica answered and `write_quorum` of them committed. Missed
-/// replicas become hinted handoffs of the verified container — typed
-/// partial results, never client errors — as long as the quorum
-/// held; short of the quorum the client gets a typed `QuorumFailed`
-/// (safe to retry verbatim: duplicate keyed commits dedup by content
-/// address).
+/// its `CompressOk` is the reply. When a later healthy replica needs
+/// it, or a missed replica will be hinted, the holder's stored
+/// container is fetched once, verified ([`canonical`]) and shipped to
+/// every later healthy replica at once ([`ship`]); a write with no
+/// such replica fetches nothing. Without a verified container the
+/// sequence goes to the later replicas instead, through the same
+/// fan-out, and each compresses it. The client is acknowledged once
+/// every sent replica answered and `write_quorum` of them committed.
+/// Missed replicas become hinted handoffs of the verified container —
+/// typed partial results, never client errors — as long as the
+/// quorum held; short of the quorum the client gets a typed
+/// `QuorumFailed` (safe to retry verbatim: duplicate keyed commits
+/// dedup by content address).
 fn route_compress(
     shared: &RouterShared,
     file: String,
@@ -565,8 +567,11 @@ fn route_compress(
         }
     }
     // Replicas after the holder are the targets: none without one.
+    // The container serves only the targets and the hints, so a write
+    // with neither (every R=1 put) fetches nothing.
+    let wanted = !targets.is_empty() || (shared.hints.is_some() && !missed.is_empty());
     let container = match &holder {
-        Some((slot, Response::CompressOk { key: Some(_), .. })) => {
+        Some((slot, Response::CompressOk { key: Some(_), .. })) if wanted => {
             fetch_canonical(shared, &key, *slot)
         }
         _ => None,
@@ -845,7 +850,8 @@ fn drain_hints(shared: &RouterShared) {
 #[derive(Debug)]
 pub struct RouterServer {
     endpoint: Endpoint,
-    prober_stop: Arc<AtomicBool>,
+    /// Dropped to stop the prober: its wait wakes at once.
+    prober_stop: Option<mpsc::Sender<()>>,
     prober_thread: Option<JoinHandle<()>>,
     shared: Arc<RouterShared>,
 }
@@ -886,24 +892,20 @@ impl RouterServer {
         });
 
         let endpoint = serve(listener, shared.cfg.conn, Arc::clone(&shared))?;
-        let prober_stop = Arc::new(AtomicBool::new(false));
-        let (prober_shared, stop) = (Arc::clone(&shared), Arc::clone(&prober_stop));
+        let (prober_stop, stop) = mpsc::channel::<()>();
+        let prober_shared = Arc::clone(&shared);
         let prober_thread = std::thread::Builder::new()
             .name("route-probe".into())
-            .spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    let _ = contain_panic(|| probe_pass(&prober_shared));
-                    // Sleep the probe interval in short slices so
-                    // shutdown is never blocked on a probe nap.
-                    let nap = Deadline::after(prober_shared.cfg.probe_interval);
-                    while !nap.expired() && !stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(nap.remaining().min(Duration::from_millis(20)));
-                    }
+            .spawn(move || loop {
+                let _ = contain_panic(|| probe_pass(&prober_shared));
+                let interval = prober_shared.cfg.probe_interval;
+                if stop.recv_timeout(interval) != Err(mpsc::RecvTimeoutError::Timeout) {
+                    break;
                 }
             })?;
         Ok(RouterServer {
             endpoint,
-            prober_stop,
+            prober_stop: Some(prober_stop),
             prober_thread: Some(prober_thread),
             shared,
         })
@@ -946,7 +948,7 @@ impl RouterServer {
 
     fn stop_and_join(&mut self) {
         self.endpoint.shutdown();
-        self.prober_stop.store(true, Ordering::Relaxed);
+        self.prober_stop.take();
         if let Some(t) = self.prober_thread.take() {
             let _ = t.join();
         }

@@ -254,12 +254,14 @@ impl JobTicket {
         self.rx.recv().unwrap_or(Err(JobError::WorkerGone))
     }
 
-    /// Non-blocking poll: `None` while the job is still in flight.
-    pub fn try_wait(&self) -> Option<JobResult> {
-        match self.rx.try_recv() {
+    /// Block until the job resolves or `budget` runs out: `None` when
+    /// the job is still in flight at the end of the budget (a zero
+    /// budget returns a result that was already sent).
+    pub fn wait_timeout(&self, budget: Duration) -> Option<JobResult> {
+        match self.rx.recv_timeout(budget) {
             Ok(r) => Some(r),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(JobError::WorkerGone)),
+            Err(mpsc::RecvTimeoutError::Timeout) => None,
+            Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(JobError::WorkerGone)),
         }
     }
 }

@@ -20,10 +20,10 @@ use dnacomp_seq::gen::GenomeModel;
 use dnacomp_seq::PackedSeq;
 use dnacomp_server::{
     decode_frame, frame_bytes, read_frame, request_frame, response_frame, synthetic_framework,
-    write_frame, ClientError, CompressionService, ConnConfig, ErrorCode, FaultyStream,
-    MetricsSnapshot, NetClient, NetConfig, NetServer, Priority, ProtoError, Request, Response,
-    Ring, RouterConfig, RouterMetricsSnapshot, RouterServer, ServiceConfig, ShardSpec, IO_TICK,
-    MAX_WIRE_PAYLOAD, WIRE_MAGIC, WIRE_VERSION,
+    write_frame, ClientError, CompressRequest, CompressionService, ConnConfig, ErrorCode,
+    FaultyStream, MetricsSnapshot, NetClient, NetConfig, NetServer, Priority, ProtoError, Request,
+    Response, Ring, RouterConfig, RouterMetricsSnapshot, RouterServer, ServiceConfig, ShardSpec,
+    IO_TICK, MAX_WIRE_PAYLOAD, WIRE_MAGIC, WIRE_VERSION,
 };
 use dnacomp_store::{ContentKey, SequenceStore, StoreConfig, StoreSnapshot};
 use std::io::Write as _;
@@ -543,6 +543,85 @@ fn store_gauges_follow_writes_that_skip_the_worker() {
         .unwrap();
     assert_eq!(service.shutdown().store_puts, 0, "no job ran");
     let _ = std::fs::remove_dir_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// The request deadline: a job still running gets a typed Timeout
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_job_still_running_at_the_request_deadline_gets_a_typed_timeout() {
+    let budget = Duration::from_millis(50);
+    let (service, server, addr) = start(
+        ServiceConfig {
+            workers: 1,
+            queue_capacity: 4_096,
+            ..ServiceConfig::default()
+        },
+        NetConfig {
+            request_timeout: budget,
+            ..quick_net()
+        },
+    );
+    // Price one pin job on this build, then queue enough of them to
+    // hold the only worker for at least 10x the request budget.
+    let pin_seq = GenomeModel::default().generate(200_000, 31);
+    let pin = CompressRequest::new("pin", pin_seq.clone(), ctx_for(&pin_seq));
+    let priced = Instant::now();
+    service
+        .submit(pin.clone())
+        .unwrap()
+        .wait()
+        .expect("pin job");
+    let per_pin = priced.elapsed().as_secs_f64();
+    let n = ((10.0 * budget.as_secs_f64()) / per_pin).ceil() as usize + 1;
+    let pins: Vec<_> = (0..n)
+        .map(|_| service.submit(pin.clone()).expect("queue has room"))
+        .collect();
+
+    let seq = GenomeModel::default().generate(2_000, 32);
+    let mut client = NetClient::connect(addr, Duration::from_secs(10)).unwrap();
+    let sent = Instant::now();
+    match client
+        .compress("late.fa", &seq, Priority::Normal, ctx_for(&seq))
+        .unwrap()
+    {
+        Response::Error {
+            code: ErrorCode::Timeout,
+            message,
+        } => assert_eq!(message, "job still running at the request deadline"),
+        other => panic!("expected a typed Timeout, got {other:?}"),
+    }
+    assert!(
+        sent.elapsed() >= budget,
+        "replied before the budget ran out"
+    );
+    // The reply came at the deadline, not when the worker freed up.
+    assert!(
+        pins.last().unwrap().wait_timeout(Duration::ZERO).is_none(),
+        "the pins finished before the Timeout reply"
+    );
+    // The connection serves the next request at once, and the next
+    // compress once the worker is free.
+    client.ping().unwrap();
+    for t in pins {
+        t.wait().expect("pin job");
+    }
+    let next = GenomeModel::default().generate(2_000, 33);
+    match client
+        .compress("next.fa", &next, Priority::Normal, ctx_for(&next))
+        .unwrap()
+    {
+        Response::CompressOk { original_len, .. } => assert_eq!(original_len, 2_000),
+        other => panic!("expected CompressOk after the timeout, got {other:?}"),
+    }
+    client.bye().unwrap();
+    server.shutdown();
+    let service = Arc::try_unwrap(service)
+        .map_err(|_| "handler clones alive")
+        .unwrap();
+    let snapshot = service.shutdown();
+    assert_eq!(snapshot.protocol_errors, 0);
 }
 
 // ---------------------------------------------------------------------------

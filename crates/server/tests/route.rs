@@ -663,6 +663,49 @@ fn a_replicated_put_is_compressed_once_and_every_replica_stores_its_container() 
     }
 }
 
+/// At R=1 no replica takes the container and no hint is queued, so a
+/// put costs its shard one frame, the compress, and no `Get`.
+#[test]
+fn an_unreplicated_put_fetches_no_container() {
+    const N: usize = 6;
+    let shard = Shard::start(1, "r1-nofetch");
+    let ring = Ring::new(vec![shard.spec.clone()], 64, 7).unwrap();
+    let router = RouterServer::start(
+        "127.0.0.1:0",
+        ring,
+        RouterConfig {
+            replicas: 1,
+            write_quorum: 1,
+            ..quick_router()
+        },
+    )
+    .expect("bind router");
+    let mut client = connect(router.local_addr());
+    let acked: AckedPuts = (0..N)
+        .map(|i| {
+            let seq = GenomeModel::random_only(0.5).generate(1_000 + i * 257, 500 + i as u64);
+            (put(&mut client, &format!("r1-{i}.fa"), &seq), seq)
+        })
+        .collect();
+    let frames = router.metrics_snapshot().shards[0].frames_tx;
+    assert_eq!(frames, N as u64, "one frame per put, no container fetch");
+
+    // A routed Get still serves every container.
+    for (key, seq) in &acked {
+        let blob = CompressedBlob::from_bytes(&client.get(*key).expect("get via router"))
+            .expect("served blob parses");
+        let back = compressor_for(blob.algorithm)
+            .decompress(&blob)
+            .expect("decompress");
+        assert_eq!(&back, seq, "round-trip mismatch for {key:02x?}");
+    }
+    client.bye().unwrap();
+    let snap = router.shutdown();
+    assert_eq!(snap.route_forwards, 2 * N as u64, "N puts, N gets");
+    assert_eq!(snap.quorum_failures, 0);
+    shard.teardown();
+}
+
 #[test]
 fn a_put_whose_owner_is_down_compresses_on_the_next_replica_and_hints_the_owner() {
     let hint_dir = std::env::temp_dir().join(format!(

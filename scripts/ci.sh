@@ -22,6 +22,19 @@ done
 
 step() { printf '\n==> %s\n' "$*"; }
 
+# Fail unless every row of the routed report $1 has misplaced_jobs 0:
+# each shard compressed exactly the writes whose content key the ring
+# gives it as owner.
+check_placement() {
+    local rows
+    rows=$(grep -o '"misplaced_jobs":[0-9]*' "$1" | cut -d: -f2 | tr '\n' ' ' || true)
+    echo "misplaced jobs per row: ${rows}"
+    [ -n "$rows" ] && [ -z "$(printf '%s' "$rows" | tr -d '0 ')" ] || {
+        echo "a shard compressed writes the ring does not give it (misplaced: ${rows:-missing})" >&2
+        exit 1
+    }
+}
+
 if [ "$QUICK" -eq 0 ]; then
     step "tier-1: cargo build --release"
     cargo build --release
@@ -144,21 +157,28 @@ if [ "$QUICK" -eq 0 ]; then
     }
 fi
 
-# Routed-cluster throughput gate: the bench-serve workload pushed
-# through the router at 1 and 3 shards, with clients held above one
-# shard's back-end connection budget. The headline ratio must clear
-# 1.5x (the checked-in artifact shows >= 2x; the gate leaves margin
-# for loaded CI machines). Exact accounting is asserted inside the
-# bench itself. Skipped under --quick (needs the release binary).
+# Routed-cluster gate: the bench-serve workload pushed through the
+# router at 1 and 3 shards, with clients held above one shard's
+# back-end connection budget. Two checks that hold on any host: every
+# row places each write on its ring owner (misplaced_jobs 0), and a
+# request through the router costs at most twice one sent straight to
+# the shard (hop_ratio >= 0.5, the median of 5 paired 1-client
+# replays). The 3-vs-1 speedup is printed, not gated: with shards that
+# reply as soon as their job is done it moves with the host's CPU
+# count and load. Exact accounting is asserted inside the bench
+# itself. Skipped under --quick (needs the release binary).
 if [ "$QUICK" -eq 0 ]; then
-    step "routed throughput gate: dnacomp bench-serve --route (300 s timeout)"
+    step "routed gate: dnacomp bench-serve --route (300 s timeout)"
     timeout 300 cargo run --release --quiet --bin dnacomp -- bench-serve \
         --route --out /tmp/BENCH_route_ci.json
     speedup=$(grep -o '"speedup_3_vs_1":[0-9.]*' /tmp/BENCH_route_ci.json \
         | cut -d: -f2)
-    echo "routed speedup 3 vs 1: ${speedup}x"
-    awk -v s="$speedup" 'BEGIN { exit (s >= 1.5) ? 0 : 1 }' || {
-        echo "routed speedup ${speedup}x below the 1.5x floor" >&2
+    echo "routed speedup 3 vs 1: ${speedup}x (reported, not gated)"
+    check_placement /tmp/BENCH_route_ci.json
+    hop=$(grep -o '"hop_ratio":[0-9.eE+-]*' /tmp/BENCH_route_ci.json | cut -d: -f2 || true)
+    echo "router hop ratio (routed / direct jobs/s): ${hop}"
+    awk -v h="$hop" 'BEGIN { exit (h != "" && h >= 0.5) ? 0 : 1 }' || {
+        echo "router hop ratio ${hop:-missing} below the 0.5 floor" >&2
         exit 1
     }
 fi
@@ -168,9 +188,9 @@ fi
 # must have committed on at least the 2-of-3 quorum — amplification
 # >= 2.0 with zero quorum failures — proving replication fan-out is
 # real, not bookkeeping; and the shards must have compressed each
-# write once (shard_jobs == completed), the other replicas taking the
-# holder's container. Skipped under --quick (needs the release
-# binary).
+# write once (shard_jobs == completed), on its ring owner
+# (misplaced_jobs 0), the other replicas taking the owner's container.
+# Skipped under --quick (needs the release binary).
 if [ "$QUICK" -eq 0 ]; then
     step "replicated throughput gate: bench-serve --route --replicas 3 (300 s timeout)"
     timeout 300 cargo run --release --quiet --bin dnacomp -- bench-serve \
@@ -196,6 +216,7 @@ if [ "$QUICK" -eq 0 ]; then
         echo "shard_jobs ${sjobs:-missing} differs from completed ${rcompleted}: writes compressed more than once" >&2
         exit 1
     }
+    check_placement /tmp/BENCH_route_repl.json
 fi
 
 # Store-backed framed replay: bench-serve with a store attached and a
@@ -264,7 +285,7 @@ fi
 # appends with few fsync batches. Wall-clock throughputs are reported
 # but not gated (CI boxes are poor stopwatches). The extra gate below
 # re-checks the sub-linearity ratio from the artifact, mirroring the
-# routed-throughput gate. 300 s is ~100x its observed runtime.
+# routed gate. 300 s is ~100x its observed runtime.
 step "storage engine gate: dnacomp bench-store --quick (300 s timeout)"
 if [ "$QUICK" -eq 0 ]; then
     timeout 300 cargo run --release --quiet --bin dnacomp -- bench-store \

@@ -169,7 +169,8 @@ result into a fresh store per worker count under <dir>; --section
 JSON array of sections, keeping the others); bench-serve --listen
 replays the workload over loopback TCP to one shard of --workers
 workers and writes BENCH_net.json; bench-serve --route sweeps shard
-counts behind a router and writes BENCH_route.json; bench-algos measures
+counts behind a router, prices the router hop against one shard and
+writes BENCH_route.json; bench-algos measures
 per-algorithm compress/decompress MB/s, single-thread vs
 block-parallel, plus the 2-bit packing kernels
 (--quick is the CI smoke gate: round-trip + throughput-floor asserts);
@@ -645,16 +646,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     for t in tickets {
         let _ = t.wait(); // failures are visible in the metrics
     }
-    // Persist the quarantine before shutdown: every dead letter moves
-    // to disk, so the final snapshot truthfully reports dlq_depth 0.
-    if let Some(dir) = flags.get("dlq-dir") {
-        let letters = service.dlq_drain();
-        let dlq = DlqDir::open(dir).map_err(CliError::Runtime)?;
-        for letter in &letters {
-            dlq.save(letter).map_err(CliError::Runtime)?;
-        }
-        eprintln!("persisted {} dead letter(s) to {dir}", letters.len());
-    }
+    persist_dead_letters(&service, &flags)?;
     let snapshot = service.shutdown();
     if flags.contains_key("json") {
         println!("{}", snapshot.to_json());
@@ -752,8 +744,25 @@ fn serve_listen(
     server.shutdown();
     let service = Arc::try_unwrap(service)
         .map_err(|_| CliError::Runtime("connections still alive after drain".into()))?;
+    persist_dead_letters(&service, flags)?;
     let snapshot = service.shutdown();
     println!("{}", snapshot.to_json());
+    Ok(())
+}
+
+/// Persist the quarantine before shutdown when `--dlq-dir` is given:
+/// every dead letter moves to disk, so the final snapshot truthfully
+/// reports dlq_depth 0.
+fn persist_dead_letters(service: &CompressionService, flags: &Flags) -> Result<(), CliError> {
+    let Some(dir) = flags.get("dlq-dir") else {
+        return Ok(());
+    };
+    let letters = service.dlq_drain();
+    let dlq = DlqDir::open(dir).map_err(CliError::Runtime)?;
+    for letter in &letters {
+        dlq.save(letter).map_err(CliError::Runtime)?;
+    }
+    eprintln!("persisted {} dead letter(s) to {dir}", letters.len());
     Ok(())
 }
 
@@ -1141,7 +1150,8 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), CliError> {
 
 /// `bench-serve --route`: the routed-cluster throughput sweep
 /// (BENCH_route.json). Sweeps shard counts behind a router and reports
-/// the 3-vs-1 aggregate speedup.
+/// the 3-vs-1 aggregate speedup, each row's placement check and the
+/// router hop's cost.
 fn bench_serve_route(flags: &Flags) -> Result<(), CliError> {
     let mut cfg = RouteBenchConfig::default();
     if let Some(list) = counts(flags, "shards")? {
@@ -1174,13 +1184,13 @@ fn bench_serve_route(flags: &Flags) -> Result<(), CliError> {
     let report = run_route_bench(&cfg).map_err(CliError::Runtime)?;
     if write_report(flags, &report.to_json(), None)? {
         println!(
-            "{:>6}  {:>5}  {:>13}  {:>9}  {:>8}  {:>9}  {:>5}  {:>7}  {:>10}  {:>11}",
+            "{:>6}  {:>5}  {:>13}  {:>9}  {:>8}  {:>9}  {:>5}  {:>7}  {:>10}  {:>9}  {:>11}",
             "shards", "jobs", "jobs/s(wall)", "forwards", "retries", "ejections", "R/W", "w-amp",
-            "shard jobs", "q-p95(ms)"
+            "shard jobs", "misplaced", "q-p95(ms)"
         );
         for r in &report.rows {
             println!(
-                "{:>6}  {:>5}  {:>13.1}  {:>9}  {:>8}  {:>9}  {:>2}/{:<2}  {:>7.2}  {:>10}  {:>11.2}",
+                "{:>6}  {:>5}  {:>13.1}  {:>9}  {:>8}  {:>9}  {:>2}/{:<2}  {:>7.2}  {:>10}  {:>9}  {:>11.2}",
                 r.shards,
                 r.jobs,
                 r.jobs_per_wall_sec,
@@ -1191,12 +1201,17 @@ fn bench_serve_route(flags: &Flags) -> Result<(), CliError> {
                 r.write_quorum,
                 r.write_amplification,
                 r.shard_jobs,
+                r.misplaced_jobs,
                 r.quorum_p95_ms
             );
         }
         if report.speedup_3_vs_1 > 0.0 {
             println!("speedup 3 vs 1: {:.2}x", report.speedup_3_vs_1);
         }
+        println!(
+            "hop ratio (routed / direct jobs/s): {:.2}",
+            report.hop_ratio
+        );
     }
     Ok(())
 }

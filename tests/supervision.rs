@@ -321,6 +321,75 @@ fn dlq_replay_and_drop_roundtrip() {
     service.shutdown();
 }
 
+fn ctx_for(seq: &dnacomp::seq::PackedSeq) -> Context {
+    Context {
+        ram_mb: 2048,
+        cpu_mhz: 2393,
+        bandwidth_mbps: 2.0,
+        file_bytes: seq.len() as u64,
+    }
+}
+
+/// `wait_timeout` gives up at the end of its budget while the job is
+/// in flight, and returns the result once the worker sends it.
+#[test]
+fn wait_timeout_is_none_while_the_job_waits_then_returns_its_result() {
+    let slow = GenomeModel::default().generate(300_000, 21);
+    let small = GenomeModel::default().generate(2_000, 22);
+    let service = CompressionService::start(
+        synthetic_framework(7),
+        ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    // The slow job pins the only worker; the small one queues behind it.
+    let t_slow = service
+        .submit(CompressRequest::new("slow", slow.clone(), ctx_for(&slow)))
+        .unwrap();
+    let t_small = service
+        .submit(CompressRequest::new("small", small.clone(), ctx_for(&small)))
+        .unwrap();
+    assert!(
+        t_small.wait_timeout(Duration::from_millis(5)).is_none(),
+        "resolved while the worker was pinned"
+    );
+    for t in [t_slow, t_small] {
+        match t.wait_timeout(Duration::from_secs(60)) {
+            Some(Ok(resp)) => assert!(resp.compressed_bytes > 0),
+            other => panic!("expected the job's result, got {other:?}"),
+        }
+    }
+    service.shutdown();
+}
+
+/// A worker that dies under the job resolves the ticket `WorkerGone`
+/// through `wait_timeout`, as through `wait`.
+#[test]
+fn wait_timeout_reports_a_worker_that_died_under_the_job() {
+    let seq = GenomeModel::default().generate(1_200, 99);
+    let service = CompressionService::start(
+        synthetic_framework(7),
+        ServiceConfig {
+            workers: 1,
+            faults: FaultPlan {
+                worker_kill_rate: 1.0,
+                ..FaultPlan::none()
+            },
+            quarantine_after: u32::MAX,
+            ..ServiceConfig::default()
+        },
+    );
+    let t = service
+        .submit(CompressRequest::new("victim", seq.clone(), ctx_for(&seq)))
+        .unwrap();
+    match t.wait_timeout(Duration::from_secs(30)) {
+        Some(Err(JobError::WorkerGone)) => {}
+        other => panic!("expected WorkerGone, got {other:?}"),
+    }
+    service.shutdown();
+}
+
 /// Load shedding: with the queue backed up past `shed_above`, the low
 /// lane is shed first, normal holds until 2×, and high is never shed.
 /// Shed tickets resolve immediately with a typed error.
@@ -360,7 +429,7 @@ fn load_shedding_sheds_low_lane_first_and_never_high() {
     let mut low = CompressRequest::new("low", small.clone(), ctx.clone());
     low.priority = Priority::Low;
     let t_low = service.submit(low).expect("shedding is not a submit error");
-    match t_low.try_wait() {
+    match t_low.wait_timeout(Duration::ZERO) {
         Some(Err(JobError::Shed { depth })) => assert!(depth >= 3),
         other => panic!("expected an instant Shed resolution, got {other:?}"),
     }
@@ -368,7 +437,10 @@ fn load_shedding_sheds_low_lane_first_and_never_high() {
     let t_norm = service
         .submit(CompressRequest::new("norm", small.clone(), ctx.clone()))
         .unwrap();
-    assert!(t_norm.try_wait().is_none(), "normal below 2x threshold must queue");
+    assert!(
+        t_norm.wait_timeout(Duration::ZERO).is_none(),
+        "normal below 2x threshold must queue"
+    );
     assert!(t_slow.wait().is_ok());
     for t in backlog {
         assert!(t.wait().is_ok());
@@ -493,4 +565,56 @@ fn exhausted_restart_budget_still_resolves_every_ticket() {
     assert_eq!(snapshot.worker_restarts, 1);
     assert_eq!(snapshot.jobs_crashed, snapshot.accepted);
     assert_eq!(snapshot.queue_depth, 0);
+}
+
+/// `serve --listen --dlq-dir` moves every dead letter to disk before
+/// it shuts down, as the in-process `serve` does.
+#[test]
+fn serve_listen_persists_its_dead_letters() {
+    use std::io::BufRead as _;
+    use std::process::{Command, Stdio};
+
+    let dir = std::env::temp_dir().join(format!("dnacomp-serve-dlq-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dnacomp"))
+        .args(["serve", "--listen", "127.0.0.1:0", "--workers", "1", "--panic-rate", "1.0"])
+        .args(["--quarantine-after", "1", "--serve-secs", "4", "--dlq-dir"])
+        .arg(&dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn dnacomp serve");
+    let mut stderr = std::io::BufReader::new(child.stderr.take().unwrap());
+    let addr = loop {
+        let mut line = String::new();
+        assert!(stderr.read_line(&mut line).unwrap() > 0, "serve exited before listening");
+        if let Some(addr) = line.trim().strip_prefix("listening on ") {
+            break addr.to_owned();
+        }
+    };
+
+    let seq = GenomeModel::default().generate(1_500, 7);
+    let mut client = dnacomp::server::NetClient::connect(addr.as_str(), Duration::from_secs(10))
+        .expect("connect to serve");
+    let reply = client
+        .compress("poison.fa", &seq, Priority::Normal, ctx_for(&seq))
+        .expect("a typed reply");
+    assert!(
+        matches!(reply, dnacomp::server::Response::Error { .. }),
+        "every job panics, got {reply:?}"
+    );
+    client.bye().unwrap();
+
+    let out = child.wait_with_output().expect("serve exits");
+    assert!(out.status.success(), "serve failed: {:?}", out.status);
+    let snapshot = String::from_utf8_lossy(&out.stdout);
+    assert!(snapshot.contains("\"dlq_depth\":0"), "snapshot {snapshot}");
+    let dlq = dnacomp::server::DlqDir::open(&dir).unwrap();
+    let (letters, skipped) = dlq.list().unwrap();
+    assert_eq!((letters.len(), skipped), (1, 0));
+    let key = ContentKey::of_sequence(&seq);
+    assert_eq!(letters[0].key, key.to_hex());
+    let (_, request) = dlq.load(&key).expect("the letter loads by content key");
+    assert_eq!(request.sequence, seq);
+    let _ = std::fs::remove_dir_all(&dir);
 }
