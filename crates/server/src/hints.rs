@@ -12,7 +12,7 @@
 //!
 //! The queue is **bounded**: once `cap` hints are pending across all
 //! shards, new ones are dropped (and counted by the router), and
-//! anti-entropy ([`crate::router::repair`]) converges what hinting
+//! `route repair` ([`crate::router::sweep`]) converges what hinting
 //! could not hold. The prober drains a healthy shard's hints over the
 //! checksummed `MigrateBatch` path, removing each only after the shard
 //! acknowledges it. Re-opening the directory reopens every `s<id>`

@@ -74,10 +74,7 @@ pub use proto::{
 };
 pub use queue::{JobQueue, Priority, PushError};
 pub use ring::{Ring, ShardSpec, DEFAULT_RING_SEED, DEFAULT_VNODES};
-pub use router::{
-    rebalance, rebalance_resumable, repair, RebalanceCursor, RebalanceReport, RepairReport,
-    RouterConfig, RouterServer,
-};
+pub use router::{sweep, RouterConfig, RouterServer, SweepCursor, SweepReport};
 pub use service::{
     synthetic_framework, CompressRequest, CompressResponse, CompressionService, JobError,
     JobResult, JobTicket, ServiceConfig, SubmitError,

@@ -547,7 +547,6 @@ pub struct RouterMetrics {
     pub(crate) hints_queued: Counter,
     pub(crate) hints_drained: Counter,
     pub(crate) hints_dropped: Counter,
-    pub(crate) repair_buckets_shipped: Counter,
     per_shard: Vec<ShardCounters>,
 }
 
@@ -632,7 +631,6 @@ impl RouterMetrics {
             hints_drained: self.hints_drained.get(),
             hints_dropped: self.hints_dropped.get(),
             hints_pending,
-            repair_buckets_shipped: self.repair_buckets_shipped.get(),
             shards,
         }
     }
@@ -746,10 +744,6 @@ pub struct RouterMetricsSnapshot {
     /// besides per-shard `healthy`).
     #[serde(default)]
     pub hints_pending: u64,
-    /// Differing digest buckets shipped by anti-entropy sweeps
-    /// (counter).
-    #[serde(default)]
-    pub repair_buckets_shipped: u64,
     /// Per-shard rollup, in ring slot order.
     pub shards: Vec<ShardCountersSnapshot>,
 }
@@ -792,7 +786,6 @@ mod tests {
         m.hints_queued.inc();
         m.hints_drained.inc();
         m.hints_dropped.inc();
-        m.repair_buckets_shipped.add(3);
         let (tx, rx) = m.byte_counters(0);
         tx.fetch_add(100, Ordering::Relaxed);
         rx.fetch_add(40, Ordering::Relaxed);
@@ -819,7 +812,7 @@ mod tests {
                 r#""route_retries":1,"shard_ejections":1,"shard_readmissions":1,"#,
                 r#""replica_writes":2,"quorum_failures":1,"read_repairs":1,"hints_queued":2,"#,
                 r#""hints_drained":1,"hints_dropped":1,"hints_pending":1,"#,
-                r#""repair_buckets_shipped":3,"shards":[{"shard":1,"addr":"a:1","#,
+                r#""shards":[{"shard":1,"addr":"a:1","#,
                 r#""healthy":true,"forwards":1,"retries":0,"errors":1,"frames_tx":3,"#,
                 r#""frames_rx":3,"bytes_tx":100,"bytes_rx":40,"ejections":0,"readmissions":0},"#,
                 r#"{"shard":2,"addr":"b:2","healthy":false,"forwards":2,"retries":1,"#,

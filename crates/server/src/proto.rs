@@ -291,10 +291,10 @@ pub enum Request {
         shard: u32,
     },
     /// List every content key resident in the node's store (the
-    /// rebalance enumeration primitive).
+    /// placement sweep's enumeration primitive).
     Keys,
-    /// Remove one record by content key (issued by the rebalancer
-    /// only after the destination acknowledged the migrated copy).
+    /// Remove one record by content key (issued by a pruning sweep
+    /// only after the replica set acknowledged its copies).
     Remove {
         /// 128-bit content key.
         key: [u8; 16],

@@ -49,21 +49,20 @@
 //! forwarding path, which is what turns a dead back-end from "every
 //! request times out" into "requests fail over instantly".
 //!
-//! ## Epochs, rebalance and anti-entropy
+//! ## Epochs and the placement sweep
 //!
 //! The ring's membership digest — its **epoch** — is asserted by
 //! epoch-aware peers in the `HelloEpoch` handshake. A router refuses
 //! mismatching epochs with [`ErrorCode::WrongShard`]: a stale peer
-//! cannot forward into a reshaped ring. When the shard set changes,
-//! [`rebalance`] walks every shard's resident keys over the wire and
-//! migrates misplaced records to their new owners in checksummed
-//! batches, deleting each source record only after the destination
-//! acknowledged the copy; the sweep persists a resumable cursor so a
-//! crash restarts where it stopped instead of rescanning every shard.
-//! [`repair`] is the self-healing backstop: an anti-entropy sweep
-//! that compares bucketed key digests per shard and ships only the
-//! differing buckets, so a shard restored from an empty disk
-//! converges to full replication without a manual rebalance.
+//! cannot forward into a reshaped ring. Offline, one [`sweep`] keeps
+//! every key on its whole replica set: it lists every shard's keys over
+//! the wire, ships each copy a member lacks in checksummed batches
+//! capped at one frame, and — when pruning after a membership change
+//! (`route rebalance`) — removes copies outside the set only after the
+//! batch was acknowledged. Without pruning (`route repair`) it only
+//! adds, so a shard restored from an empty disk converges back to full
+//! replication. A persisted `{epoch, last_key}` cursor lets a crashed
+//! sweep resume instead of redoing finished batches.
 
 use crate::conn::{
     err, serve, Checkout, ConnConfig, CountingStream, Endpoint, Handler, StreamPool, IO_TICK,
@@ -71,16 +70,15 @@ use crate::conn::{
 use crate::hints::HintQueue;
 use crate::metrics::{ConnStats, RouterMetrics, RouterMetricsSnapshot, ShardLabel};
 use crate::net::{ClientError, NetClient};
-use crate::proto::{ErrorCode, ProtoError, Request, Response, WIRE_VERSION};
+use crate::proto::{ErrorCode, ProtoError, Request, Response, MAX_WIRE_PAYLOAD, WIRE_VERSION};
 use crate::queue::Priority;
 use crate::ring::{Ring, ShardSpec};
 use dnacomp_algos::{compressor_for, Algorithm, CompressedBlob};
-use dnacomp_codec::checksum::{fnv1a, mix64};
 use dnacomp_core::{contain_panic, Context, Deadline};
 use dnacomp_seq::PackedSeq;
 use dnacomp_store::{ContentKey, StoreSnapshot};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -113,8 +111,8 @@ pub struct RouterConfig {
     /// acknowledged (clamped to `1..=R` per key).
     pub write_quorum: usize,
     /// Directory persisting hinted-handoff records for replicas that
-    /// missed a quorum write; `None` disables hinting (anti-entropy
-    /// repair remains the convergence path).
+    /// missed a quorum write; `None` disables hinting (`route repair`
+    /// remains the convergence path).
     pub hint_dir: Option<PathBuf>,
     /// Pending hints held before new ones are dropped (and counted).
     pub hint_cap: usize,
@@ -209,10 +207,12 @@ fn dial(shared: &RouterShared, slot: usize) -> Result<BackendClient, ClientError
 
 /// Run `f` against a pooled connection to `slot`, within `budget`.
 ///
-/// A pooled connection that fails in transport is retried once on a
-/// fresh dial before the attempt is declared failed — a shard restart
+/// A pooled connection that fails in transport is retried once, on the
+/// next checkout (a fresh dial, or a connection another thread just
+/// returned), before the attempt is declared failed — a shard restart
 /// leaves stale sockets in every pool, and one redial cleanly
-/// distinguishes "shard was restarted" from "shard is down".
+/// distinguishes "shard was restarted" from "shard is down". A fresh
+/// connection that fails is final.
 fn with_backend<T>(
     shared: &RouterShared,
     slot: usize,
@@ -221,60 +221,32 @@ fn with_backend<T>(
 ) -> Result<T, BackendError> {
     let pool = &shared.shards[slot].pool;
     let deadline = Deadline::after(budget);
-    let (mut client, reused) = match pool.checkout(deadline) {
-        None => return Err(BackendError::PoolBusy),
-        Some(Checkout::Reused(c)) => (c, true),
-        Some(Checkout::Dial) => match dial(shared, slot) {
-            Ok(c) => (c, false),
+    // The failure of a reused socket, kept while its one retry runs.
+    let mut first: Option<ClientError> = None;
+    loop {
+        let (mut client, reused) = match pool.checkout(deadline) {
+            None => return Err(first.map_or(BackendError::PoolBusy, BackendError::Transport)),
+            Some(Checkout::Reused(c)) => (c, true),
+            Some(Checkout::Dial) => match dial(shared, slot) {
+                Ok(c) => (c, false),
+                Err(e) => {
+                    pool.discard();
+                    return Err(BackendError::Transport(e));
+                }
+            },
+        };
+        match f(&mut client) {
+            Ok(v) => {
+                pool.checkin(client);
+                return Ok(v);
+            }
             Err(e) => {
                 pool.discard();
-                return Err(BackendError::Transport(e));
-            }
-        },
-    };
-    match f(&mut client) {
-        Ok(v) => {
-            pool.checkin(client);
-            Ok(v)
-        }
-        Err(first) => {
-            pool.discard();
-            if !reused {
-                return Err(BackendError::Transport(first));
-            }
-            // Stale pooled socket: one fresh dial, one more try.
-            match pool.checkout(deadline) {
-                Some(Checkout::Dial) => match dial(shared, slot) {
-                    Ok(mut fresh) => match f(&mut fresh) {
-                        Ok(v) => {
-                            pool.checkin(fresh);
-                            Ok(v)
-                        }
-                        Err(e) => {
-                            pool.discard();
-                            Err(BackendError::Transport(e))
-                        }
-                    },
-                    Err(e) => {
-                        pool.discard();
-                        Err(BackendError::Transport(e))
-                    }
-                },
-                Some(Checkout::Reused(c)) => {
-                    // Another thread returned a conn meanwhile; use it.
-                    let mut c = c;
-                    match f(&mut c) {
-                        Ok(v) => {
-                            pool.checkin(c);
-                            Ok(v)
-                        }
-                        Err(e) => {
-                            pool.discard();
-                            Err(BackendError::Transport(e))
-                        }
-                    }
+                if !reused || first.is_some() {
+                    return Err(BackendError::Transport(e));
                 }
-                None => Err(BackendError::Transport(first)),
+                // Stale pooled socket: one more checkout, one more try.
+                first = Some(e);
             }
         }
     }
@@ -498,7 +470,7 @@ fn fetch_canonical(shared: &RouterShared, key: &[u8; 16], holder: usize) -> Opti
 /// A quorum write committed but some replicas missed it: persist one
 /// handoff hint per missed replica, carrying the verified container.
 /// A replica the queue cannot take (capacity, I/O failure, no
-/// verified container) is a counted drop — anti-entropy repair is its
+/// verified container) is a counted drop — `route repair` is its
 /// convergence path.
 fn queue_hints(shared: &RouterShared, key: &[u8; 16], container: Option<&[u8]>, missed: &[usize]) {
     let Some(hints) = &shared.hints else {
@@ -926,19 +898,6 @@ impl RouterServer {
         self.shared.snapshot()
     }
 
-    /// Run one anti-entropy [`repair`] sweep over this router's ring
-    /// (dialling the shards directly, like [`rebalance`]) at the
-    /// router's configured replication factor, accounting shipped
-    /// buckets into the metrics rollup.
-    pub fn repair(&self, timeout: Duration, buckets: u32) -> Result<RepairReport, String> {
-        let report = repair(&self.shared.ring, self.shared.cfg.replicas, timeout, buckets)?;
-        self.shared
-            .metrics
-            .repair_buckets_shipped
-            .add(report.buckets_shipped);
-        Ok(report)
-    }
-
     /// Stop accepting, drain in-flight connections and join every
     /// thread.
     pub fn shutdown(mut self) -> RouterMetricsSnapshot {
@@ -961,40 +920,41 @@ impl Drop for RouterServer {
     }
 }
 
-/// Outcome of one [`rebalance`] sweep.
+/// Outcome of one [`sweep`]. Each listed key counts once, in `scanned`
+/// or in `skipped`, however many shards hold it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RebalanceReport {
-    /// Keys enumerated and processed across every shard.
+pub struct SweepReport {
+    /// Keys checked against their replica sets.
     pub scanned: u64,
-    /// Keys skipped because a resume cursor marked them done.
+    /// Keys at or before the resume cursor, left alone.
     pub skipped: u64,
-    /// Records shipped to their new owner.
-    pub moved: u64,
-    /// Shipped records the owner already held.
+    /// Copies stored by replica-set members that lacked them.
+    pub shipped: u64,
+    /// Shipped copies the member already held.
     pub deduped: u64,
-    /// Source records deleted after the owner acknowledged.
+    /// Copies outside the replica set removed (pruning sweeps only).
     pub removed: u64,
     /// Container bytes shipped over the wire.
     pub bytes: u64,
 }
 
-/// Persisted progress of a [`rebalance_resumable`] sweep: shard slots
-/// strictly below `next_slot` are fully swept; within `next_slot`,
-/// keys at or below `last_key` (in sorted key order) are done. A
-/// cursor from a different ring epoch is ignored — the plan it
-/// tracked no longer exists.
+/// Persisted progress of a [`sweep`]: every key at or before
+/// `last_key` (hex, in key order) sits on its whole replica set. A
+/// cursor from another ring epoch, or one that does not parse, is
+/// ignored — the plan it tracked no longer exists.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct RebalanceCursor {
+pub struct SweepCursor {
     /// Ring epoch the sweep was planned under.
     pub epoch: u64,
-    /// First shard slot not yet fully swept.
-    pub next_slot: usize,
-    /// Last key (hex) already processed within `next_slot`, if any.
-    pub last_key: Option<String>,
+    /// Last key (hex) of the last completed batch.
+    pub last_key: String,
 }
 
-/// Dial-on-demand connections for offline sweeps ([`rebalance`],
-/// [`repair`]): one lazily dialled plain-TCP client per shard slot.
+/// The records of one `MigrateBatch`: each key with its container.
+type Records = Vec<([u8; 16], Vec<u8>)>;
+
+/// Dial-on-demand connections for a [`sweep`]: one lazily dialled
+/// plain-TCP client per shard slot.
 struct SweepConns<'a> {
     ring: &'a Ring,
     timeout: Duration,
@@ -1026,321 +986,158 @@ impl<'a> SweepConns<'a> {
             let _ = conn.bye();
         }
     }
+
+    /// `key`'s container from the first of `held` that serves it, or
+    /// `None` when each answers `UnknownKey` (removed since listing).
+    fn fetch(&mut self, key: [u8; 16], held: &[usize]) -> Result<Option<Vec<u8>>, String> {
+        for &slot in held {
+            let id = self.ring.shards()[slot].id;
+            let reply = self.get(slot)?.call(&Request::Get { key });
+            match reply.map_err(|e| format!("fetching a record from shard {id}: {e}"))? {
+                Response::GetOk { blob } => return Ok(Some(blob)),
+                Response::Error {
+                    code: ErrorCode::UnknownKey,
+                    ..
+                } => {}
+                other => return Err(format!("unexpected get reply from shard {id}: {other:?}")),
+            }
+        }
+        Ok(None)
+    }
+
+    /// Send one `MigrateBatch` frame to `slot`, counting what it stored.
+    fn migrate(
+        &mut self,
+        slot: usize,
+        records: Records,
+        report: &mut SweepReport,
+    ) -> Result<(), String> {
+        let ring = self.ring;
+        let (stored, deduped) = self
+            .get(slot)?
+            .migrate_batch(ring.epoch(), records)
+            .map_err(|e| format!("migrating to shard {}: {e}", ring.shards()[slot].id))?;
+        report.shipped += stored;
+        report.deduped += deduped;
+        Ok(())
+    }
 }
 
-/// Migrate every misplaced record to its owner under `ring`, with
-/// `replicas` copies per key considered correctly placed. Equivalent
-/// to [`rebalance_resumable`] with no cursor.
-pub fn rebalance(
+/// `MigrateBatch` payload bytes besides the containers: the epoch, the
+/// record count and the batch checksum per frame, and per record its
+/// key and length varint (varints counted at their widest).
+const FRAME_BYTES: usize = 8 + 10 + 8;
+const RECORD_BYTES: usize = 16 + 10;
+
+/// Put every key on its whole replica set under `ring`, with
+/// `replicas` copies per key; with `prune`, also remove every copy
+/// outside the set (`route rebalance`), without it add only
+/// (`route repair`, which can never destroy a replica).
+///
+/// Every shard is listed once (`Keys`) into one sorted map from key to
+/// the slots holding it. The keys are then walked in order, at most
+/// `batch_records` at a time. A key that some member of its replica
+/// set lacks is fetched (`Get`) from the first holder that serves it
+/// and shipped to every member lacking it, in checksummed
+/// `MigrateBatch` frames that close before they would pass
+/// [`MAX_WIRE_PAYLOAD`] (a container larger than one frame is refused
+/// by its shard, and fails the sweep). Copies outside the set are
+/// removed only after every frame of the batch was acknowledged, so a
+/// crash mid-sweep can duplicate a copy but never lose one.
+///
+/// With `cursor` set, `{epoch, last_key}` is saved after every batch
+/// and the file removed on completion; a re-run skips the keys at or
+/// before `last_key`, counting them as `skipped`. Cursor writes are
+/// best-effort: losing one only costs a rescan.
+pub fn sweep(
     ring: &Ring,
     replicas: usize,
     timeout: Duration,
     batch_records: usize,
-) -> Result<RebalanceReport, String> {
-    rebalance_resumable(ring, replicas, timeout, batch_records, None)
-}
-
-/// Migrate every misplaced record to its owner under `ring`.
-///
-/// For each shard, in slot order: enumerate its resident keys in
-/// sorted order, fetch each record whose replica set (under
-/// `replicas`) does not include this shard, ship them to the key's
-/// owner in checksummed batches of at most `batch_records` records,
-/// and delete each source record **only after** the owner's typed
-/// `MigrateOk` acknowledged the batch — a crash mid-rebalance
-/// duplicates records (idempotent: the store dedups by key), it never
-/// loses one.
-///
-/// With `cursor_path` set, the sweep position is persisted after
-/// every batch and the file removed on completion; a re-run after a
-/// crash resumes from the cursor instead of rescanning every shard,
-/// counting cursor-skipped keys as `skipped` (fully-swept shards are
-/// not contacted at all). Cursor writes are best-effort: losing one
-/// only costs rescanning, never a record.
-pub fn rebalance_resumable(
-    ring: &Ring,
-    replicas: usize,
-    timeout: Duration,
-    batch_records: usize,
-    cursor_path: Option<&Path>,
-) -> Result<RebalanceReport, String> {
-    let batch_records = batch_records.max(1);
-    let mut report = RebalanceReport::default();
+    cursor: Option<&Path>,
+    prune: bool,
+) -> Result<SweepReport, String> {
     let epoch = ring.epoch();
-    let n = ring.shards().len();
     let mut conns = SweepConns::new(ring, timeout);
-
-    // Resume point, if a cursor from this epoch exists.
-    let mut start_slot = 0usize;
-    let mut resume_after: Option<[u8; 16]> = None;
-    if let Some(path) = cursor_path {
-        if let Ok(text) = std::fs::read_to_string(path) {
-            if let Ok(cur) = serde_json::from_str::<RebalanceCursor>(&text) {
-                if cur.epoch == epoch {
-                    start_slot = cur.next_slot.min(n);
-                    resume_after = cur
-                        .last_key
-                        .as_deref()
-                        .and_then(ContentKey::from_hex)
-                        .map(|k| k.0);
-                }
-            }
-        }
-    }
-    let save_cursor = |slot: usize, last: Option<[u8; 16]>| {
-        if let Some(path) = cursor_path {
-            let cur = RebalanceCursor {
-                epoch,
-                next_slot: slot,
-                last_key: last.map(|k| ContentKey(k).to_hex()),
-            };
-            if let Ok(json) = serde_json::to_string(&cur) {
-                let _ = std::fs::write(path, json);
-            }
-        }
-    };
-
-    for source in start_slot..n {
-        let mut keys = conns
-            .get(source)?
-            .keys()
-            .map_err(|e| format!("listing keys on shard {}: {e}", ring.shards()[source].id))?;
-        keys.sort_unstable();
-        let cut = if source == start_slot {
-            resume_after.take()
-        } else {
-            None
-        };
-
-        // Walk keys in sorted order, flushing misplaced ones in
-        // batches; the cursor advances to the last enumerated key of
-        // each flushed batch, so everything at or before it is done.
-        let mut pending: Vec<[u8; 16]> = Vec::new();
-        let flush = |pending: &mut Vec<[u8; 16]>,
-                         conns: &mut SweepConns<'_>,
-                         report: &mut RebalanceReport,
-                         upto: [u8; 16]|
-         -> Result<(), String> {
-            let mut by_owner: BTreeMap<usize, Vec<[u8; 16]>> = BTreeMap::new();
-            for key in pending.drain(..) {
-                by_owner
-                    .entry(ring.replica_slots(&key, replicas)[0])
-                    .or_default()
-                    .push(key);
-            }
-            for (owner, keys) in by_owner {
-                // Fetch the batch from the source.
-                let mut records = Vec::with_capacity(keys.len());
-                for &key in &keys {
-                    let got = conns
-                        .get(source)?
-                        .call(&Request::Get { key })
-                        .map_err(|e| format!("fetching record: {e}"))?;
-                    match got {
-                        Response::GetOk { blob } => {
-                            report.bytes += blob.len() as u64;
-                            records.push((key, blob));
-                        }
-                        // Deleted between enumeration and fetch: fine.
-                        Response::Error {
-                            code: ErrorCode::UnknownKey,
-                            ..
-                        } => {}
-                        other => return Err(format!("unexpected get reply: {other:?}")),
-                    }
-                }
-                if records.is_empty() {
-                    continue;
-                }
-                let batch_keys: Vec<[u8; 16]> = records.iter().map(|(k, _)| *k).collect();
-                let (stored, deduped) = conns
-                    .get(owner)?
-                    .migrate_batch(epoch, records)
-                    .map_err(|e| format!("migrating to shard {}: {e}", ring.shards()[owner].id))?;
-                report.moved += stored;
-                report.deduped += deduped;
-                // Only now is the source copy redundant.
-                for key in batch_keys {
-                    if conns
-                        .get(source)?
-                        .remove(key)
-                        .map_err(|e| format!("removing migrated record: {e}"))?
-                    {
-                        report.removed += 1;
-                    }
-                }
-            }
-            save_cursor(source, Some(upto));
-            Ok(())
-        };
-
-        let total = keys.len();
-        for (i, key) in keys.into_iter().enumerate() {
-            if let Some(cut) = cut {
-                if key <= cut {
-                    report.skipped += 1;
-                    continue;
-                }
-            }
-            report.scanned += 1;
-            if !ring.replica_slots(&key, replicas).contains(&source) {
-                pending.push(key);
-            }
-            if pending.len() >= batch_records || (i + 1 == total && !pending.is_empty()) {
-                flush(&mut pending, &mut conns, &mut report, key)?;
-            }
-        }
-        save_cursor(source + 1, None);
-    }
-    conns.finish();
-    if let Some(path) = cursor_path {
-        let _ = std::fs::remove_file(path);
-    }
-    Ok(report)
-}
-
-/// Outcome of one [`repair`] anti-entropy sweep.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RepairReport {
-    /// Resident keys enumerated across every shard.
-    pub keys_scanned: u64,
-    /// `(shard, bucket)` digest pairs compared.
-    pub buckets_checked: u64,
-    /// Digests that disagreed with the expected placement.
-    pub buckets_differing: u64,
-    /// Differing buckets that had missing keys shipped (a bucket that
-    /// differs only by *extra* copies is [`rebalance`]'s business).
-    pub buckets_shipped: u64,
-    /// Records shipped to under-replicated shards.
-    pub keys_shipped: u64,
-    /// Shipped records the target already held.
-    pub deduped: u64,
-    /// Container bytes shipped over the wire.
-    pub bytes: u64,
-}
-
-/// The digest bucket a key rolls up into.
-fn repair_bucket(key: &[u8; 16], buckets: u32) -> u32 {
-    (fnv1a(key) % buckets as u64) as u32
-}
-
-/// Order-independent per-bucket rollup of a key set: each bucket
-/// holds a count and a wrapping sum of `mix64(fnv1a(key))` — two sets
-/// agree on a bucket iff (modulo collisions far below the container
-/// checksum's error floor) they hold the same keys in it.
-fn repair_digests(keys: &BTreeSet<[u8; 16]>, buckets: u32) -> Vec<(u64, u64)> {
-    let mut out = vec![(0u64, 0u64); buckets as usize];
-    for key in keys {
-        let b = repair_bucket(key, buckets) as usize;
-        out[b].0 += 1;
-        out[b].1 = out[b].1.wrapping_add(mix64(fnv1a(key)));
-    }
-    out
-}
-
-/// Anti-entropy sweep: converge every shard toward holding every key
-/// whose replica set (under `replicas`) includes it.
-///
-/// Instead of shipping whole key listings between shards, each
-/// shard's residency is rolled up into `buckets` order-independent
-/// FNV-1a digest buckets and compared against the expected placement
-/// of the cluster-wide key union. Only differing buckets are
-/// expanded, and only the missing keys are fetched from a current
-/// holder and shipped over the checksummed `MigrateBatch` path — so a
-/// shard restored from an empty disk converges to full replication
-/// while an already-converged cluster exchanges nothing but digests.
-///
-/// The sweep is **additive**: it never removes a record (extra copies
-/// after a membership change are [`rebalance`]'s business), so repair
-/// can never destroy a replica.
-pub fn repair(
-    ring: &Ring,
-    replicas: usize,
-    timeout: Duration,
-    buckets: u32,
-) -> Result<RepairReport, String> {
-    let buckets = buckets.max(1);
-    let n = ring.shards().len();
-    let mut report = RepairReport::default();
-    let mut conns = SweepConns::new(ring, timeout);
-
-    // Enumerate residency per shard.
-    let mut resident: Vec<BTreeSet<[u8; 16]>> = Vec::with_capacity(n);
-    for slot in 0..n {
+    let mut holders: BTreeMap<[u8; 16], Vec<usize>> = BTreeMap::new();
+    for slot in 0..ring.shards().len() {
         let keys = conns
             .get(slot)?
             .keys()
             .map_err(|e| format!("listing keys on shard {}: {e}", ring.shards()[slot].id))?;
-        report.keys_scanned += keys.len() as u64;
-        resident.push(keys.into_iter().collect());
-    }
-
-    // The cluster-wide key union, each with one current holder, and
-    // the placement every shard is expected to converge to.
-    let mut holders: BTreeMap<[u8; 16], usize> = BTreeMap::new();
-    for (slot, keys) in resident.iter().enumerate() {
         for key in keys {
-            holders.entry(*key).or_insert(slot);
+            holders.entry(key).or_default().push(slot);
         }
     }
-    let mut expected: Vec<BTreeSet<[u8; 16]>> = vec![BTreeSet::new(); n];
-    for key in holders.keys() {
-        for slot in ring.replica_slots(key, replicas) {
-            expected[slot].insert(*key);
-        }
-    }
+    let after = cursor.and_then(|path| {
+        let text = std::fs::read_to_string(path).ok()?;
+        let cur: SweepCursor = serde_json::from_str(&text).ok()?;
+        let last = ContentKey::from_hex(&cur.last_key)?;
+        (cur.epoch == epoch).then_some(last.0)
+    });
+    let mut report = SweepReport::default();
+    let listed = holders.len();
+    let todo: Vec<([u8; 16], Vec<usize>)> = holders
+        .into_iter()
+        .filter(|(key, _)| after.is_none_or(|last| *key > last))
+        .collect();
+    report.skipped = (listed - todo.len()) as u64;
 
-    let epoch = ring.epoch();
-    for slot in 0..n {
-        let have = repair_digests(&resident[slot], buckets);
-        let want = repair_digests(&expected[slot], buckets);
-        for b in 0..buckets {
-            report.buckets_checked += 1;
-            if have[b as usize] == want[b as usize] {
-                continue;
-            }
-            report.buckets_differing += 1;
-            let missing: Vec<[u8; 16]> = expected[slot]
-                .iter()
-                .filter(|k| repair_bucket(k, buckets) == b && !resident[slot].contains(*k))
-                .copied()
-                .collect();
-            if missing.is_empty() {
-                continue;
-            }
-            report.buckets_shipped += 1;
-            // Fetch each missing key from a current holder, then ship
-            // the bucket to the shard in bounded checksummed batches.
-            let mut records: Vec<([u8; 16], Vec<u8>)> = Vec::with_capacity(missing.len());
-            for key in missing {
-                let holder = holders[&key];
-                let got = conns
-                    .get(holder)?
-                    .call(&Request::Get { key })
-                    .map_err(|e| format!("fetching record: {e}"))?;
-                match got {
-                    Response::GetOk { blob } => {
-                        report.bytes += blob.len() as u64;
-                        records.push((key, blob));
+    for batch in todo.chunks(batch_records.max(1)) {
+        // Per lacking member: the open frame's records and their bytes.
+        let mut frames: BTreeMap<usize, (Records, usize)> = BTreeMap::new();
+        // When pruning: each key whose set is whole once the frames
+        // land, with the slots that hold it outside the set.
+        let mut strays: Vec<([u8; 16], Vec<usize>)> = Vec::new();
+        for (key, held) in batch {
+            report.scanned += 1;
+            let set = ring.replica_slots(key, replicas);
+            let lacking: Vec<usize> = set.iter().copied().filter(|s| !held.contains(s)).collect();
+            if !lacking.is_empty() {
+                let Some(blob) = conns.fetch(*key, held)? else {
+                    continue;
+                };
+                let size = RECORD_BYTES + blob.len();
+                for slot in lacking {
+                    let (records, bytes) = frames.entry(slot).or_default();
+                    if !records.is_empty() && FRAME_BYTES + *bytes + size > MAX_WIRE_PAYLOAD {
+                        conns.migrate(slot, std::mem::take(records), &mut report)?;
+                        *bytes = 0;
                     }
-                    // Deleted between enumeration and fetch: fine.
-                    Response::Error {
-                        code: ErrorCode::UnknownKey,
-                        ..
-                    } => {}
-                    other => return Err(format!("unexpected get reply: {other:?}")),
+                    *bytes += size;
+                    report.bytes += blob.len() as u64;
+                    records.push((*key, blob.clone()));
                 }
             }
-            for chunk in records.chunks(64) {
-                let (stored, deduped) = conns
-                    .get(slot)?
-                    .migrate_batch(epoch, chunk.to_vec())
-                    .map_err(|e| format!("repairing shard {}: {e}", ring.shards()[slot].id))?;
-                report.keys_shipped += stored;
-                report.deduped += deduped;
+            let stray: Vec<usize> = held.iter().copied().filter(|s| !set.contains(s)).collect();
+            if prune && !stray.is_empty() {
+                strays.push((*key, stray));
             }
+        }
+        for (slot, (records, _)) in frames {
+            conns.migrate(slot, records, &mut report)?;
+        }
+        // Only now is every copy outside the replica set redundant.
+        for (key, slots) in &strays {
+            for &slot in slots {
+                let id = ring.shards()[slot].id;
+                let existed = conns
+                    .get(slot)?
+                    .remove(*key)
+                    .map_err(|e| format!("removing a stray copy on shard {id}: {e}"))?;
+                report.removed += u64::from(existed);
+            }
+        }
+        if let (Some(path), Some((last, _))) = (cursor, batch.last()) {
+            let last_key = ContentKey(*last).to_hex();
+            let json = serde_json::to_string(&SweepCursor { epoch, last_key })
+                .expect("cursor serialisation cannot fail");
+            let _ = std::fs::write(path, json);
         }
     }
     conns.finish();
+    if let Some(path) = cursor {
+        let _ = std::fs::remove_file(path);
+    }
     Ok(report)
 }

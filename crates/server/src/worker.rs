@@ -121,7 +121,7 @@ pub(crate) fn run(ctx: WorkerContext) {
         if ctx.config.faults.kills_worker(&job.req.file) {
             panic!("injected worker kill on {}", job.req.file);
         }
-        let result = match contain_panic(|| execute(&ctx, &mut sim, &mut breaker, &job)) {
+        let result = match contain_panic(|| execute(&ctx, &mut sim, &mut breaker, &job, key)) {
             Ok(result) => result,
             Err(message) => {
                 ctx.metrics.jobs_panicked.inc();
@@ -150,21 +150,19 @@ pub(crate) fn run(ctx: WorkerContext) {
 }
 
 /// Persist-on-complete: `put` the container the job produced — the
-/// bytes its response describes — into the attached store (no-op when
-/// the service is stateless) and count the put. Nothing is compressed
-/// here, and the store's own gauges are read only when a metrics
-/// snapshot is taken.
+/// bytes its response describes — into the attached store under the
+/// job's content `key` (no-op when the service is stateless) and count
+/// the put. Nothing is compressed or hashed here, and the store's own
+/// gauges are read only when a metrics snapshot is taken.
 fn persist(
     ctx: &WorkerContext,
-    job: &Job,
+    key: ContentKey,
     blob: &CompressedBlob,
 ) -> Result<Option<PutOutcome>, JobError> {
     let Some(store) = &ctx.config.store else {
         return Ok(None);
     };
-    let outcome = store
-        .put(&job.req.sequence, blob)
-        .map_err(JobError::Store)?;
+    let outcome = store.put_with_key(key, blob).map_err(JobError::Store)?;
     ctx.metrics.store_puts.inc();
     if outcome.deduped {
         ctx.metrics.store_dedup_hits.inc();
@@ -172,12 +170,14 @@ fn persist(
     Ok(Some(outcome))
 }
 
-/// Run one job: cached decision → compress (or full exchange).
+/// Run one job: cached decision → compress (or full exchange). `key`
+/// is the sequence's content key, hashed once by the quarantine gate.
 fn execute(
     ctx: &WorkerContext,
     sim: &mut CloudSim,
     breaker: &mut CircuitBreaker,
     job: &Job,
+    key: ContentKey,
 ) -> JobResult {
     let req = &job.req;
     // Injected job panic: inside the contained region, keyed on the
@@ -186,7 +186,7 @@ fn execute(
         panic!("injected job panic on {}", req.file);
     }
     let t0 = Instant::now();
-    let key = ContextKey::quantize(&req.context);
+    let context_key = ContextKey::quantize(&req.context);
     // Short-lock cache discipline: look up under the lock, but on a
     // miss *decide outside it*. The old code held the cache mutex
     // across `framework.decide`, serialising every concurrently-missing
@@ -195,7 +195,7 @@ fn execute(
     // cached value is a pure function of the key (decided on the key's
     // canonical context): racing fillers compute the same algorithm,
     // and whichever insert lands last overwrites an equal value.
-    let cached = lock_cache(&ctx.cache).get(&key).copied();
+    let cached = lock_cache(&ctx.cache).get(&context_key).copied();
     let (decided, cache_hit) = match cached {
         Some(alg) => {
             ctx.metrics.cache_hits.inc();
@@ -203,8 +203,8 @@ fn execute(
         }
         None => {
             ctx.metrics.cache_misses.inc();
-            let alg = ctx.framework.decide(&key.canonical());
-            lock_cache(&ctx.cache).insert(key, alg);
+            let alg = ctx.framework.decide(&context_key.canonical());
+            lock_cache(&ctx.cache).insert(context_key, alg);
             (alg, false)
         }
     };
@@ -229,7 +229,7 @@ fn execute(
             worker: ctx.slot.id,
             retries: report.retries,
             degraded_from: report.degraded_from,
-            persisted: persist(ctx, job, &shipped)?,
+            persisted: persist(ctx, key, &shipped)?,
         });
     }
     let compressed = match frame_block_size(ctx, decided, req.sequence.len()) {
@@ -267,7 +267,7 @@ fn execute(
         worker: ctx.slot.id,
         retries: 0,
         degraded_from: Vec::new(),
-        persisted: persist(ctx, job, &blob)?,
+        persisted: persist(ctx, key, &blob)?,
     })
 }
 

@@ -1,8 +1,8 @@
 //! Integration tests for the shard router: transparent forwarding
 //! (byte-identical gets via the router vs direct), epoch-checked
-//! handshakes, over-the-wire rebalance after membership changes
-//! (cursor-resumable), read-repair, and the 3-shard chaos soaks with
-//! mid-run shard kills.
+//! handshakes, the placement sweep after membership changes (pruning
+//! or additive, cursor-resumable, frame-capped), read-repair, and the
+//! 3-shard chaos soaks with mid-run shard kills.
 //!
 //! The acceptance bar: with fault-injected clients AND one shard
 //! killed and restarted mid-soak, every request gets exactly one typed
@@ -12,8 +12,8 @@
 //! fault rate zero the accounting is exact. Under replication the bar
 //! rises: with one shard killed and LEFT DOWN, every quorum-acked Put
 //! stays readable byte-identical, and after revival hinted handoff
-//! plus anti-entropy converge the shard back to zero digest drift with
-//! exact counter accounting.
+//! plus an additive sweep converge the shard back to full replication
+//! with exact counter accounting.
 
 use dnacomp_algos::{compressor_for, Algorithm, CompressedBlob};
 use dnacomp_cloud::FaultPlan;
@@ -21,9 +21,9 @@ use dnacomp_core::{Context, Deadline};
 use dnacomp_seq::gen::GenomeModel;
 use dnacomp_seq::PackedSeq;
 use dnacomp_server::{
-    rebalance_resumable, synthetic_framework, ClientError, CompressionService, ConnConfig,
-    ErrorCode, FaultyStream, NetClient, NetConfig, NetServer, Priority, RebalanceCursor, Response,
-    Ring, RouterConfig, RouterServer, ServiceConfig, ShardSpec, IO_TICK,
+    sweep, synthetic_framework, ClientError, CompressionService, ConnConfig, ErrorCode,
+    FaultyStream, NetClient, NetConfig, NetServer, Priority, Response, Ring, RouterConfig,
+    RouterServer, ServiceConfig, ShardSpec, SweepCursor, IO_TICK, MAX_WIRE_PAYLOAD,
 };
 use dnacomp_store::{ContentKey, SequenceStore, StoreConfig};
 use std::io::{Seek, SeekFrom, Write};
@@ -322,7 +322,7 @@ fn stale_epochs_and_wrong_shard_ids_are_refused_at_handshake() {
 }
 
 // ---------------------------------------------------------------------------
-// Rebalance: every key ends on its ring owner, byte-identical, none lost
+// The placement sweep: every key ends on its replica set, none lost
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -341,19 +341,18 @@ fn rebalance_moves_every_key_to_its_ring_owner_byte_identical() {
         originals.push((key, blob.to_bytes()));
     }
 
-    let report = dnacomp_server::rebalance(&ring, 1, Duration::from_secs(10), 5).unwrap();
+    let report = sweep(&ring, 1, Duration::from_secs(10), 5, None, true).unwrap();
     let misplaced = originals
         .iter()
         .filter(|(k, _)| ring.slot_for(&k.0) != 0)
         .count() as u64;
     assert!(misplaced > 0, "degenerate ring: nothing to move");
-    assert_eq!(report.moved + report.deduped, misplaced);
+    assert_eq!(report.shipped, misplaced);
+    assert_eq!(report.deduped, 0);
     assert_eq!(report.removed, misplaced);
     assert!(report.bytes > 0);
-    // The sweep visits shards in order, so records migrated to a
-    // later-visited shard are enumerated twice: once misplaced, once
-    // already home.
-    assert_eq!(report.scanned, 16 + misplaced);
+    // Every shard is listed once up front: each key counts once.
+    assert_eq!(report.scanned, 16);
 
     // Every record is on exactly its owner, byte-identical; none lost.
     for (key, bytes) in &originals {
@@ -373,8 +372,8 @@ fn rebalance_moves_every_key_to_its_ring_owner_byte_identical() {
     }
 
     // A second sweep is a no-op: the cluster converged.
-    let again = dnacomp_server::rebalance(&ring, 1, Duration::from_secs(10), 5).unwrap();
-    assert_eq!(again.moved, 0);
+    let again = sweep(&ring, 1, Duration::from_secs(10), 5, None, true).unwrap();
+    assert_eq!(again.shipped, 0);
     assert_eq!(again.removed, 0);
     assert_eq!(again.scanned, 16);
 
@@ -386,10 +385,6 @@ fn rebalance_moves_every_key_to_its_ring_owner_byte_identical() {
 // ---------------------------------------------------------------------------
 // Resumable rebalance: a persisted cursor skips finished work exactly
 // ---------------------------------------------------------------------------
-
-fn hex(key: &[u8; 16]) -> String {
-    key.iter().map(|b| format!("{b:02x}")).collect()
-}
 
 #[test]
 fn rebalance_resumes_from_a_persisted_cursor_with_exact_accounting() {
@@ -414,21 +409,20 @@ fn rebalance_resumes_from_a_persisted_cursor_with_exact_accounting() {
     keys0.sort_unstable();
     let cut = keys0[7];
 
-    // A crash left a cursor saying: slot 0 is done through `cut`.
-    let cursor = RebalanceCursor {
+    // A crash left a cursor saying: every key through `cut` is done.
+    let cursor = SweepCursor {
         epoch: ring.epoch(),
-        next_slot: 0,
-        last_key: Some(hex(&cut)),
+        last_key: ContentKey(cut).to_hex(),
     };
     std::fs::write(&cursor_path, serde_json::to_string(&cursor).unwrap()).unwrap();
 
-    let resumed =
-        rebalance_resumable(&ring, 1, Duration::from_secs(10), 5, Some(&cursor_path)).unwrap();
-    // Exactly the 8 keys at or before the cursor were skipped; the 8
-    // processed ones are scanned once on slot 0 plus once more on any
-    // destination slot they were shipped to.
+    let sweep_from_cursor =
+        || sweep(&ring, 1, Duration::from_secs(10), 5, Some(&cursor_path), true).unwrap();
+    let resumed = sweep_from_cursor();
+    // Exactly the 8 keys at or before the cursor were skipped, and the
+    // 8 after it scanned once each.
     assert_eq!(resumed.skipped, 8);
-    assert_eq!(resumed.scanned, 8 + resumed.moved + resumed.deduped);
+    assert_eq!(resumed.scanned, 8);
     assert!(
         !cursor_path.exists(),
         "cursor must be removed on completion"
@@ -447,18 +441,19 @@ fn rebalance_resumes_from_a_persisted_cursor_with_exact_accounting() {
             .expect("cursor-skipped key must still be on the source shard");
     }
 
-    // A cursor from another epoch is ignored: the full sweep runs and
-    // converges the stragglers.
-    let stale = RebalanceCursor {
+    // A cursor from another epoch is ignored, though honouring its
+    // `last_key` (past every key) would skip the whole sweep: the full
+    // sweep runs and converges the stragglers.
+    let stale = SweepCursor {
         epoch: ring.epoch() ^ 0xBAD,
-        next_slot: ring.shards().len(),
-        last_key: None,
+        last_key: "ff".repeat(16),
     };
     std::fs::write(&cursor_path, serde_json::to_string(&stale).unwrap()).unwrap();
-    let full =
-        rebalance_resumable(&ring, 1, Duration::from_secs(10), 5, Some(&cursor_path)).unwrap();
+    let full = sweep_from_cursor();
     assert_eq!(full.skipped, 0, "stale-epoch cursor must be ignored");
-    assert_eq!(full.moved + full.deduped, left_behind.len() as u64);
+    assert_eq!(full.scanned, 16);
+    assert_eq!(full.shipped, left_behind.len() as u64);
+    assert_eq!(full.deduped, 0);
     assert!(!cursor_path.exists());
 
     // Converged: every key sits on exactly its owner.
@@ -474,6 +469,116 @@ fn rebalance_resumes_from_a_persisted_cursor_with_exact_accounting() {
         }
     }
 
+    for s in shards {
+        s.teardown();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Growth at R=3: the sweep fills each new replica set before it prunes
+// ---------------------------------------------------------------------------
+
+/// 24 keys on every shard of a 3-shard R=3 cluster that then grows to
+/// 6 shards: the 6 shards, the grown ring and the keys.
+fn grown_cluster(tag: &str) -> (Vec<Shard>, Ring, Vec<[u8; 16]>) {
+    let shards: Vec<Shard> = (1..=6).map(|id| Shard::start(id, tag)).collect();
+    let mut keys = Vec::new();
+    for i in 0..24usize {
+        let seq = GenomeModel::random_only(0.5).generate(900 + i * 97, 300 + i as u64);
+        let blob = compressor_for(Algorithm::Gzip).compress(&seq).unwrap();
+        let key = ContentKey::of_sequence(&seq);
+        for shard in &shards[..3] {
+            shard.store.put_with_key(key, &blob).unwrap();
+        }
+        keys.push(key.0);
+    }
+    let ring = Ring::new(shards.iter().map(|s| s.spec.clone()).collect(), 64, 7).unwrap();
+    (shards, ring, keys)
+}
+
+/// The slots whose store holds `key`, in slot order.
+fn holders(shards: &[Shard], key: &[u8; 16]) -> Vec<usize> {
+    (0..shards.len())
+        .filter(|&slot| shards[slot].store.get(&ContentKey(*key)).is_ok())
+        .collect()
+}
+
+/// Replica-set slots of each key that the original three shards do not
+/// cover: the copies growth leaves to ship.
+fn new_members(ring: &Ring, keys: &[[u8; 16]]) -> u64 {
+    keys.iter()
+        .map(|k| ring.replica_slots(k, 3).iter().filter(|&&s| s >= 3).count() as u64)
+        .sum()
+}
+
+#[test]
+fn rebalance_after_growth_keeps_every_key_on_its_whole_replica_set() {
+    let (shards, ring, keys) = grown_cluster("grow-prune");
+    let report = sweep(&ring, 3, Duration::from_secs(10), 5, None, true).unwrap();
+    for key in &keys {
+        let mut set = ring.replica_slots(key, 3);
+        set.sort_unstable();
+        assert_eq!(holders(&shards, key), set, "{key:02x?} is not on exactly its replica set");
+    }
+    // At R=3 each copy a new member gained replaced one pruned stray.
+    let gained = new_members(&ring, &keys);
+    assert!(gained > 0, "degenerate ring: growth moved nothing");
+    assert_eq!(report.scanned, 24);
+    assert_eq!(report.shipped, gained);
+    assert_eq!(report.deduped, 0);
+    assert_eq!(report.removed, gained);
+    // Converged: a second sweep ships and removes nothing.
+    let again = sweep(&ring, 3, Duration::from_secs(10), 5, None, true).unwrap();
+    assert_eq!((again.shipped, again.removed), (0, 0));
+    for s in shards {
+        s.teardown();
+    }
+}
+
+#[test]
+fn repair_after_growth_adds_copies_and_removes_none() {
+    let (shards, ring, keys) = grown_cluster("grow-add");
+    let report = sweep(&ring, 3, Duration::from_secs(10), 5, None, false).unwrap();
+    for key in &keys {
+        let mut want = ring.replica_slots(key, 3);
+        want.extend(0..3);
+        want.sort_unstable();
+        want.dedup();
+        assert_eq!(holders(&shards, key), want, "{key:02x?}: a copy was lost or not added");
+    }
+    assert_eq!(report.scanned, 24);
+    assert_eq!(report.shipped, new_members(&ring, &keys));
+    assert_eq!(report.removed, 0);
+    for s in shards {
+        s.teardown();
+    }
+}
+
+/// 40 Raw containers of ~250 KB (10 MB) on one of two shards: those the
+/// other shard owns pass one frame together, so the sweep must split
+/// their `MigrateBatch` before the shard would refuse it.
+#[test]
+fn a_sweep_ships_containers_whose_sum_exceeds_one_frame() {
+    let shards: Vec<Shard> = (1..=2).map(|id| Shard::start(id, "frame-cap")).collect();
+    let ring = Ring::new(shards.iter().map(|s| s.spec.clone()).collect(), 64, 7).unwrap();
+    let mut keys = Vec::new();
+    for i in 0..40u8 {
+        let seq = PackedSeq::from_words(vec![i; 250_000], 1_000_000).unwrap();
+        let blob = compressor_for(Algorithm::Raw).compress(&seq).unwrap();
+        let key = ContentKey::of_sequence(&seq);
+        shards[0].store.put_with_key(key, &blob).unwrap();
+        keys.push(key.0);
+    }
+    let report = sweep(&ring, 1, Duration::from_secs(20), 64, None, true).unwrap();
+    for key in &keys {
+        assert_eq!(holders(&shards, key), vec![ring.slot_for(key)], "{key:02x?}");
+    }
+    // Everything shipped went to the one other shard, in one batch.
+    assert!(
+        report.bytes > MAX_WIRE_PAYLOAD as u64,
+        "only {} bytes shipped: the fixture fits one frame",
+        report.bytes
+    );
     for s in shards {
         s.teardown();
     }
@@ -1009,9 +1114,9 @@ fn quorum_acked_puts_survive_one_shard_down_and_self_heal() {
         converged(key, "hint drain");
     }
 
-    // Now lose part of its disk (framed records) and let anti-entropy
-    // re-converge it: only the differing digest buckets are expanded
-    // and shipped.
+    // Now lose part of its disk (framed records) and let an additive
+    // sweep re-converge it: exactly the lost copies ship, none is
+    // removed.
     let lost: Vec<[u8; 16]> = acked
         .iter()
         .map(|(k, _)| *k)
@@ -1021,25 +1126,20 @@ fn quorum_acked_puts_survive_one_shard_down_and_self_heal() {
     for key in &lost {
         assert!(shards[victim].store.remove(&ContentKey(*key)).unwrap());
     }
-    let first = router.repair(Duration::from_secs(10), 64).expect("repair sweep");
-    assert!(first.buckets_differing >= 1);
-    assert_eq!(first.buckets_shipped, first.buckets_differing);
-    assert_eq!(first.keys_shipped, lost.len() as u64);
+    let repair = || sweep(&ring, 3, Duration::from_secs(10), 64, None, false);
+    let first = repair().expect("repair sweep");
+    assert_eq!(first.shipped, lost.len() as u64);
     assert_eq!(first.deduped, 0);
+    assert_eq!(first.removed, 0);
     for key in &lost {
         converged(key, "repair");
     }
-    // Convergence proof: a second sweep finds zero differing buckets.
-    let second = router.repair(Duration::from_secs(10), 64).expect("second repair sweep");
-    assert_eq!(second.buckets_differing, 0, "cluster must converge to zero drift");
-    assert_eq!(second.keys_shipped, 0);
+    // Convergence proof: a second sweep finds nothing to ship.
+    let second = repair().expect("second repair sweep");
+    assert_eq!(second.shipped, 0, "cluster must converge to full replication");
+    assert_eq!(second.removed, 0);
 
     let snap = router.shutdown();
-    assert_eq!(
-        snap.repair_buckets_shipped,
-        first.buckets_shipped + second.buckets_shipped,
-        "repair metric must match the reports exactly"
-    );
     assert_eq!(snap.quorum_failures, 0);
     assert!(snap.shard_ejections >= 1);
     assert!(snap.shard_readmissions >= 1);

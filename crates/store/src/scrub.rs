@@ -20,7 +20,7 @@ use crate::ContentKey;
 use dnacomp_algos::CompressedBlob;
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -122,18 +122,13 @@ fn check_block(
     Ok(())
 }
 
-struct TaskShared {
-    stop: Mutex<bool>,
-    cv: Condvar,
-}
-
 /// A background thread calling [`SequenceStore::scrub_step`] on an
-/// interval until stopped. Dropping without [`ScrubTask::stop`] detaches
-/// the thread (it keeps the store's `Arc` alive until its next tick
-/// check) — stop explicitly for prompt shutdown.
+/// interval until stopped. Dropping the task stops it as promptly as
+/// [`ScrubTask::stop`] does, without waiting for the thread to exit.
 pub struct ScrubTask {
-    shared: Arc<TaskShared>,
-    handle: Option<JoinHandle<()>>,
+    /// Dropped to stop the thread: its wait wakes at once.
+    stop: mpsc::Sender<()>,
+    handle: JoinHandle<()>,
 }
 
 impl ScrubTask {
@@ -144,60 +139,22 @@ impl ScrubTask {
         interval: Duration,
         records_per_tick: usize,
     ) -> ScrubTask {
-        let shared = Arc::new(TaskShared {
-            stop: Mutex::new(false),
-            cv: Condvar::new(),
-        });
-        let thread_shared = Arc::clone(&shared);
+        let (stop, stopped) = mpsc::channel::<()>();
         let handle = std::thread::Builder::new()
             .name("store-scrub".to_owned())
-            .spawn(move || loop {
-                {
-                    let guard = thread_shared
-                        .stop
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    // wait_timeout for the interval, waking early on stop.
-                    let (guard, _timeout) = thread_shared
-                        .cv
-                        .wait_timeout(guard, interval)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    if *guard {
-                        return;
-                    }
+            .spawn(move || {
+                while stopped.recv_timeout(interval) == Err(mpsc::RecvTimeoutError::Timeout) {
+                    let _ = store.scrub_step(records_per_tick);
                 }
-                let _ = store.scrub_step(records_per_tick);
             })
             .expect("spawning scrub thread");
-        ScrubTask {
-            shared,
-            handle: Some(handle),
-        }
+        ScrubTask { stop, handle }
     }
 
     /// Stop the scrubber and join its thread.
-    pub fn stop(mut self) {
-        self.signal_stop();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-
-    fn signal_stop(&self) {
-        let mut stop = self
-            .shared
-            .stop
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *stop = true;
-        self.shared.cv.notify_all();
-    }
-}
-
-impl Drop for ScrubTask {
-    fn drop(&mut self) {
-        // Best effort: ask the thread to exit; don't block the drop.
-        self.signal_stop();
+    pub fn stop(self) {
+        drop(self.stop);
+        let _ = self.handle.join();
     }
 }
 
@@ -296,14 +253,28 @@ mod tests {
     fn scrub_task_runs_and_stops_promptly() {
         let dir = tmp_dir("task");
         let store = Arc::new(filled_store(&dir, 10));
-        let task = ScrubTask::start(Arc::clone(&store), Duration::from_millis(5), 100);
+        let start = |interval| ScrubTask::start(Arc::clone(&store), interval, 100);
+        let task = start(Duration::from_millis(5));
         std::thread::sleep(Duration::from_millis(60));
+        // The busy task, then an hour-long wait only a waking stop ends.
+        for task in [task, start(Duration::from_secs(3600))] {
+            let started = std::time::Instant::now();
+            task.stop();
+            assert!(
+                started.elapsed() < Duration::from_secs(2),
+                "stop must not wait out long intervals"
+            );
+        }
+        // Dropping a task wakes its thread too, which lets go of the store.
+        drop(start(Duration::from_secs(3600)));
         let started = std::time::Instant::now();
-        task.stop();
-        assert!(
-            started.elapsed() < Duration::from_secs(2),
-            "stop must not wait out long intervals"
-        );
+        while Arc::strong_count(&store) > 1 {
+            assert!(
+                started.elapsed() < Duration::from_secs(2),
+                "a dropped task's thread must release the store"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -127,15 +127,21 @@ timeout 300 cargo test --release -p dnacomp-server --test route -- --nocapture \
 # and LEFT DOWN. Proves the replication guarantees end-to-end: every
 # quorum-acked Put stays readable byte-identical with the shard still
 # down, quorum acks never lie (quorum_failures == 0), and after the
-# shard revives, hinted handoff plus the anti-entropy digest sweep
-# converge it back to zero drift with exact counter accounting
-# (hints drained == queued, dropped == 0, second repair finds nothing).
+# shard revives, hinted handoff plus an additive placement sweep
+# converge it back to full replication with exact counter accounting
+# (hints drained == queued, dropped == 0, the sweep ships exactly the
+# lost copies and removes none, a second sweep ships nothing). Beside
+# it run the sweep's placement tests: a pruning sweep after growth at
+# R=3 leaves every key on exactly its replica set, and containers
+# whose sum passes one frame still ship.
 # 300 s is ~50x its observed runtime.
 step "replicated chaos soak (isolated, 300 s timeout)"
 timeout 300 cargo test --release -p dnacomp-server --test route -- --nocapture \
     quorum_acked_puts_survive_one_shard_down_and_self_heal \
     read_repair_restores_a_divergent_replica \
-    rebalance_resumes_from_a_persisted_cursor_with_exact_accounting
+    rebalance_resumes_from_a_persisted_cursor_with_exact_accounting \
+    rebalance_after_growth_keeps_every_key_on_its_whole_replica_set \
+    a_sweep_ships_containers_whose_sum_exceeds_one_frame
 
 # Wire-path throughput gate: the same synthetic workload as
 # bench-serve, but every job crosses real loopback TCP. The bench

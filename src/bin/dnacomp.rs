@@ -28,9 +28,9 @@ use dnacomp::seq::gen::GenomeModel;
 use dnacomp::seq::corpus::CorpusBuilder;
 use dnacomp::seq::PackedSeq;
 use dnacomp::server::{
-    rebalance_resumable, repair, ClientError, CompressionService, DlqDir, NetClient, NetConfig,
-    NetServer, Priority, Response, Ring, RouterConfig, RouterServer, ServiceConfig, ShardSpec,
-    DEFAULT_RING_SEED, DEFAULT_VNODES,
+    sweep, ClientError, CompressionService, DlqDir, NetClient, NetConfig, NetServer, Priority,
+    Response, Ring, RouterConfig, RouterServer, ServiceConfig, ShardSpec, DEFAULT_RING_SEED,
+    DEFAULT_VNODES,
 };
 use dnacomp::store::{ContentKey, SequenceStore, StoreConfig};
 use dnacomp_bench::{
@@ -104,7 +104,7 @@ const USAGE: &str = "usage:
                           [--replicas <n>] [--cursor <path>]
                           [--batch <n>] [--timeout-ms <n>]
   dnacomp route repair --shards <addr,addr,…> [--vnodes <n>] [--seed <n>]
-                       [--replicas <n>] [--buckets <n>] [--timeout-ms <n>]
+                       [--replicas <n>] [--timeout-ms <n>]
   dnacomp client <ping|metrics|compress|get|stat> --addr <host:port>
                  [--timeout-ms <n>] [--retry <n>]
                  [--priority high|normal|low] [args…]
@@ -152,11 +152,12 @@ that commits, whose container is shipped to the rest) and ack once
 divergent copies on the way), misses on a down replica persist hints
 in --hint-dir that drain when the shard returns, health probes eject
 dead shards, and `client metrics` against the router returns the
-aggregated per-shard rollup; route rebalance migrates misplaced keys
-between shard stores in checksummed batches after a membership change
-(resumable via --cursor); route repair is the anti-entropy sweep:
-per-shard FNV-1a digest buckets are compared and only differing
-buckets ship. serve --shard-id/--epoch pin a shard's identity for
+aggregated per-shard rollup; route rebalance and route repair are one
+placement sweep that ships every key to each --replicas ring member
+lacking it, in checksummed batches capped at one frame: rebalance then
+removes the copies outside each key's replica set (after a membership
+change; resumable via --cursor), repair only adds (after a shard lost
+data). serve --shard-id/--epoch pin a shard's identity for
 epoch-checked handshakes.
 serve takes --store <dir> to persist every result; --panic-rate and
 --kill-rate inject deterministic worker faults and --dlq-dir persists
@@ -247,7 +248,7 @@ const COMMAND_FLAGS: &[(&str, &[&str])] = &[
         "route rebalance",
         &["shards", "vnodes", "seed", "replicas", "cursor", "batch", "timeout-ms"],
     ),
-    ("route repair", &["shards", "vnodes", "seed", "replicas", "buckets", "timeout-ms"]),
+    ("route repair", &["shards", "vnodes", "seed", "replicas", "timeout-ms"]),
     ("client", &["addr", "timeout-ms", "retry", "priority"]),
     (
         "bench-serve",
@@ -807,9 +808,9 @@ fn ring_from_flags(flags: &Flags) -> Result<Ring, CliError> {
 }
 
 /// `dnacomp route <serve|rebalance|repair>` — the shard router
-/// front-end, the over-the-wire key migration it needs after
-/// membership changes, and the anti-entropy sweep that re-converges
-/// replicas after a shard loses data.
+/// front-end, and the placement sweep that keeps every key on its
+/// replica set: pruning after a membership change (`rebalance`),
+/// additive after a shard loses data (`repair`).
 fn cmd_route(args: &[String]) -> Result<(), CliError> {
     let sub = args
         .first()
@@ -869,40 +870,22 @@ fn cmd_route(args: &[String]) -> Result<(), CliError> {
             println!("{}", snapshot.to_json());
             Ok(())
         }
-        "rebalance" => {
+        "rebalance" | "repair" => {
             let ring = ring_from_flags(&flags)?;
             let batch: usize = flag(&flags, "batch")?.unwrap_or(64);
             let cursor = flags.get("cursor").map(std::path::PathBuf::from);
-            let report = rebalance_resumable(&ring, replicas, timeout, batch, cursor.as_deref())
+            let prune = sub == "rebalance";
+            let report = sweep(&ring, replicas, timeout, batch, cursor.as_deref(), prune)
                 .map_err(CliError::Runtime)?;
             eprintln!(
-                "rebalance (epoch {:#x}, {replicas} replica(s)): scanned {}, skipped {} via cursor, \
-                 moved {} ({} deduped), removed {}, {} container byte(s) shipped",
+                "{sub} (epoch {:#x}, {replicas} replica(s)): scanned {}, skipped {} via cursor, \
+                 shipped {} ({} deduped), removed {}, {} container byte(s) shipped",
                 ring.epoch(),
                 report.scanned,
                 report.skipped,
-                report.moved,
+                report.shipped,
                 report.deduped,
                 report.removed,
-                report.bytes
-            );
-            Ok(())
-        }
-        "repair" => {
-            let ring = ring_from_flags(&flags)?;
-            let buckets: u32 = flag(&flags, "buckets")?.unwrap_or(256);
-            let report = repair(&ring, replicas, timeout, buckets).map_err(CliError::Runtime)?;
-            eprintln!(
-                "repair (epoch {:#x}, {replicas} replica(s)): {} key(s) scanned, \
-                 {} of {} digest bucket(s) differed, {} shipped — {} record(s) \
-                 ({} deduped), {} container byte(s)",
-                ring.epoch(),
-                report.keys_scanned,
-                report.buckets_differing,
-                report.buckets_checked,
-                report.buckets_shipped,
-                report.keys_shipped,
-                report.deduped,
                 report.bytes
             );
             Ok(())
