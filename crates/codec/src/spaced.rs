@@ -10,10 +10,13 @@
 //! whose `1` positions cover it.
 //!
 //! [`SpacedSeed`] extracts the packed care-positions of a window;
-//! [`SpacedIndex`] is the hash-chain index DNACompress sweeps with.
+//! [`SpacedIndex`] is the hash-chain index DNACompress sweeps with. Its
+//! chain heads live in the same flat k-mer table as
+//! [`crate::repeats::RepeatFinder`]'s, so a seed weighs at most 16 bases
+//! (a 32-bit key).
 
+use crate::repeats::{KmerTable, MAX_KEY_BASES, NO_POS};
 use dnacomp_seq::Base;
-use std::collections::HashMap;
 
 /// A spaced seed: a pattern of care (`1`) and don't-care (`*`/`0`)
 /// positions.
@@ -33,7 +36,7 @@ impl SpacedSeed {
 
     /// A contiguous seed of weight `w` (degenerates to a plain k-mer).
     pub fn contiguous(w: usize) -> SpacedSeed {
-        assert!((1..=31).contains(&w));
+        assert!((1..=MAX_KEY_BASES).contains(&w), "seed weight out of range");
         SpacedSeed {
             care: (0..w as u8).collect(),
             span: w,
@@ -41,7 +44,7 @@ impl SpacedSeed {
     }
 
     /// Parse a pattern of `1` (care) and `0`/`*` (don't care). Must start
-    /// and end with `1` and have weight 1..=31.
+    /// and end with `1` and have weight 1..=16.
     pub fn parse(pattern: &str) -> Option<SpacedSeed> {
         let bytes = pattern.as_bytes();
         if bytes.is_empty() || bytes[0] != b'1' || bytes[bytes.len() - 1] != b'1' {
@@ -55,7 +58,7 @@ impl SpacedSeed {
                 _ => return None,
             }
         }
-        if care.is_empty() || care.len() > 31 {
+        if care.is_empty() || care.len() > MAX_KEY_BASES {
             return None;
         }
         Some(SpacedSeed {
@@ -93,12 +96,10 @@ impl SpacedSeed {
 pub struct SpacedIndex<'a> {
     text: &'a [Base],
     seed: &'a SpacedSeed,
-    head: HashMap<u64, u32>,
+    head: KmerTable,
     prev: Vec<u32>,
     published: usize,
 }
-
-const NO_POS: u32 = u32::MAX;
 
 impl<'a> SpacedIndex<'a> {
     /// Empty index over `text`.
@@ -106,15 +107,16 @@ impl<'a> SpacedIndex<'a> {
         SpacedIndex {
             text,
             seed,
-            head: HashMap::new(),
+            head: KmerTable::new(text.len()),
             prev: vec![NO_POS; text.len()],
             published: 0,
         }
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint in bytes; the chain-head share is
+    /// modelled, as for [`crate::repeats::RepeatFinder::heap_bytes`].
     pub fn heap_bytes(&self) -> usize {
-        self.prev.capacity() * 4 + self.head.capacity() * 20
+        self.prev.capacity() * 4 + self.head.modelled_heap_bytes()
     }
 
     /// Publish all window positions `< upto`.
@@ -123,8 +125,7 @@ impl<'a> SpacedIndex<'a> {
         while self.published < limit {
             let pos = self.published;
             if let Some(key) = self.seed.key_at(self.text, pos) {
-                let old = self.head.insert(key, pos as u32).unwrap_or(NO_POS);
-                self.prev[pos] = old;
+                self.prev[pos] = self.head.replace(key, pos as u32);
             }
             self.published += 1;
         }
@@ -138,7 +139,7 @@ impl<'a> SpacedIndex<'a> {
             return Vec::new();
         };
         let mut out = Vec::new();
-        let mut cand = self.head.get(&key).copied().unwrap_or(NO_POS);
+        let mut cand = self.head.get(key).unwrap_or(NO_POS);
         while cand != NO_POS && out.len() < max {
             let c = cand as usize;
             if c < pos {
@@ -170,6 +171,10 @@ mod tests {
         assert!(SpacedSeed::parse("0110").is_none()); // must start with 1
         assert!(SpacedSeed::parse("011").is_none());
         assert!(SpacedSeed::parse("1x1").is_none());
+        // Weight 16 is the most a 32-bit key holds.
+        assert_eq!(SpacedSeed::parse(&"1".repeat(16)).unwrap().weight(), 16);
+        assert!(SpacedSeed::parse(&"1".repeat(17)).is_none());
+        assert!(SpacedSeed::parse(&format!("1{}1", "01".repeat(15))).is_none());
         let c = SpacedSeed::contiguous(11);
         assert_eq!(c.weight(), 11);
         assert_eq!(c.span(), 11);

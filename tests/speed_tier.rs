@@ -1,6 +1,6 @@
 //! Differential and compatibility suite for the speed tier.
 //!
-//! Three promises, each checked against an independent oracle:
+//! Four promises, each checked against an independent oracle:
 //!
 //! 1. **SIMD kernels are invisible** — the runtime-dispatched 2-bit
 //!    pack/unpack and match-extension kernels produce byte-identical
@@ -16,9 +16,13 @@
 //!    (hex fixtures, never regenerated) decode bit-exactly. A failure
 //!    here means the legacy decode path broke, not that the fixtures
 //!    are stale.
+//! 4. **The repeat finders are invisible** — the codecs built on them
+//!    write the same container bytes and meter the same work and RAM as
+//!    pinned digests recorded from the `HashMap`-indexed finders.
 
 use dnacomp::algos::{compressor_for, Algorithm, CompressedBlob, Compressor, Ctw, CtwLz, XmLite};
 use dnacomp::codec::arith::EntropyBackend;
+use dnacomp::codec::checksum::{fnv1a, Fnv1a};
 use dnacomp::codec::repeats::{RepeatConfig, RepeatFinder};
 use dnacomp::seq::gen::GenomeModel;
 use dnacomp::seq::{
@@ -172,6 +176,51 @@ fn both_backends_cross_decode_at_every_frame_block_size() {
         assert_eq!(fast.decompress(&v1).unwrap(), seq);
         assert_eq!(legacy.decompress(&v2).unwrap(), seq);
     }
+}
+
+/// FNV-1a digests of the container bytes and of the meter's
+/// `(work_units, peak_heap_bytes)` for every codec built on the repeat
+/// finders, on seeded `GenomeModel` inputs. Recorded before the finders'
+/// chain heads moved from `HashMap` to the flat k-mer table; a change to
+/// either index that alters a single container byte, a modelled work
+/// unit or the modelled RAM figure fails here.
+#[rustfmt::skip]
+const REPEAT_CODEC_DIGESTS: [(Algorithm, usize, u64, u64); 15] = [
+    (Algorithm::Dnax, 1_024, 0x814f_168a_9d39_3dfa, 0x24f9_39b8_b430_c7c2),
+    (Algorithm::Dnax, 8_192, 0x70b0_d16a_e82b_2a30, 0x8733_0c9b_290a_94d4),
+    (Algorithm::Dnax, 262_144, 0xed12_1e85_de4b_cc74, 0x5376_b8a0_d5b3_3601),
+    (Algorithm::GenCompress, 1_024, 0xed13_a494_788c_1cd9, 0x6f3e_260f_14f7_3b64),
+    (Algorithm::GenCompress, 8_192, 0xd4a5_cd94_7421_3e54, 0x2fff_ce99_f174_3360),
+    (Algorithm::GenCompress, 262_144, 0x47fb_9696_502b_2c7a, 0xf4e3_382d_242a_796c),
+    (Algorithm::BioCompress2, 1_024, 0x6b6b_4f89_f41a_1212, 0xd26b_79db_577d_c131),
+    (Algorithm::BioCompress2, 8_192, 0xdf4f_9908_f7f5_5df4, 0x6b56_f778_a232_0938),
+    (Algorithm::BioCompress2, 262_144, 0x19e9_57aa_2454_ce1b, 0x0de9_c7c1_63ec_1f51),
+    (Algorithm::CtwLz, 1_024, 0x5959_aad5_64f0_9f1f, 0x547e_49e9_e7c9_4d03),
+    (Algorithm::CtwLz, 8_192, 0x1b11_f7bc_ecb3_1dd5, 0xf8f2_a265_3928_c76f),
+    (Algorithm::CtwLz, 262_144, 0x8e20_26f2_c565_4894, 0x3bca_2287_8258_bcc5),
+    (Algorithm::DnaCompress, 1_024, 0x375e_25a2_029a_c258, 0x8bbf_2811_2ece_3c7b),
+    (Algorithm::DnaCompress, 8_192, 0x33e8_5dab_6b22_a1dd, 0x4f25_3d36_b776_37be),
+    (Algorithm::DnaCompress, 262_144, 0x0fda_4101_0331_d60a, 0x280f_9d9a_68c1_15b6),
+];
+
+#[test]
+fn repeat_finder_codecs_keep_their_container_bytes_and_meter() {
+    let mut wrong = Vec::new();
+    for (alg, len, want_bytes, want_meter) in REPEAT_CODEC_DIGESTS {
+        let seq = GenomeModel::default().generate(len, 23);
+        let (blob, stats) = compressor_for(alg).compress_with_stats(&seq).unwrap();
+        let bytes = fnv1a(&blob.to_bytes());
+        let mut meter = Fnv1a::new();
+        meter.update(&stats.work_units.to_le_bytes());
+        meter.update(&stats.peak_heap_bytes.to_le_bytes());
+        let meter = meter.digest();
+        if (bytes, meter) != (want_bytes, want_meter) {
+            wrong.push(format!(
+                "(Algorithm::{alg:?}, {len}, {bytes:#018x}, {meter:#018x})"
+            ));
+        }
+    }
+    assert!(wrong.is_empty(), "digests moved:\n{}", wrong.join("\n"));
 }
 
 // Generated by examples/speed_tier_fixtures.rs — seed 2024, 300 bases.
