@@ -4,7 +4,8 @@
 //! ([`Algorithm::HORIZONTAL`]):
 //!
 //! * **serial** compress/decompress wall throughput — one flat
-//!   whole-sequence blob on one thread;
+//!   whole-sequence blob on one thread, the median of
+//!   [`SERIAL_RUNS`] timed runs with the slowest and fastest beside it;
 //! * **block wall** throughput — the framed block path
 //!   ([`ParallelCompressor`]) on a real shared [`TaskPool`], as the
 //!   service runs it. On a single-core host this is bounded by the
@@ -137,10 +138,20 @@ pub struct AlgoBenchRow {
     pub compressed_bytes: usize,
     /// Frame compression ratio, bits per base.
     pub bits_per_base: f64,
-    /// Whole-sequence flat-blob compress throughput, one thread, MB/s.
+    /// Whole-sequence flat-blob compress throughput, one thread, MB/s:
+    /// the median of [`SERIAL_RUNS`] timed runs.
     pub serial_compress_mb_s: f64,
-    /// Whole-sequence flat-blob decompress throughput, MB/s.
+    /// The slowest of those compress runs, MB/s.
+    pub serial_compress_mb_s_min: f64,
+    /// The fastest of those compress runs, MB/s.
+    pub serial_compress_mb_s_max: f64,
+    /// Whole-sequence flat-blob decompress throughput, MB/s: the median
+    /// of [`SERIAL_RUNS`] timed runs.
     pub serial_decompress_mb_s: f64,
+    /// The slowest of those decompress runs, MB/s.
+    pub serial_decompress_mb_s_min: f64,
+    /// The fastest of those decompress runs, MB/s.
+    pub serial_decompress_mb_s_max: f64,
     /// Framed compress wall throughput on the real shared pool, MB/s
     /// (host-bound; see `host_cpus` in the report).
     pub block_wall_compress_mb_s: f64,
@@ -252,6 +263,17 @@ fn tier_bases(alg: Algorithm, quick: bool) -> usize {
     }
 }
 
+/// Timed runs behind each serial column. One draw on a shared host can
+/// be 2× off its own steady state, so the row reports the median and
+/// the spread, not a best case.
+pub const SERIAL_RUNS: usize = 5;
+
+/// Median, min and max of the serial runs' throughputs, MB/s.
+fn spread(mut runs: [f64; SERIAL_RUNS]) -> (f64, f64, f64) {
+    runs.sort_by(f64::total_cmp);
+    (runs[SERIAL_RUNS / 2], runs[0], runs[SERIAL_RUNS - 1])
+}
+
 /// Best-of-3 throughput of `f` over `bytes` input bytes, MB/s.
 fn best_of_3(bytes: usize, mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
@@ -358,24 +380,25 @@ fn bench_algorithm(
     let seq = GenomeModel::default().generate(bases, cfg.seed);
     let codec = compressor_for(alg);
 
-    // Serial reference: one flat whole-sequence blob. Best of 3 — the
-    // same noise discipline the kernel rows use; a single draw on a
-    // shared 1-CPU host can be 2× off its own steady state.
-    let mut serial_c = f64::INFINITY;
+    // Serial reference: one flat whole-sequence blob, timed
+    // SERIAL_RUNS times each way.
+    let mut serial_c = [0.0; SERIAL_RUNS];
     let mut blob = None;
-    for _ in 0..3 {
+    for run in &mut serial_c {
         let (b, secs) = time(|| codec.compress(&seq));
         blob = Some(b?);
-        serial_c = serial_c.min(secs);
+        *run = mb_s(bases, secs);
     }
-    let blob = blob.expect("three compress rounds ran");
-    let mut serial_d = f64::INFINITY;
+    let blob = blob.expect("the compress runs ran");
+    let mut serial_d = [0.0; SERIAL_RUNS];
     let mut serial_ok = true;
-    for _ in 0..3 {
+    for run in &mut serial_d {
         let (decoded, secs) = time(|| codec.decompress(&blob));
         serial_ok &= decoded? == seq;
-        serial_d = serial_d.min(secs);
+        *run = mb_s(bases, secs);
     }
+    let (serial_c_mb_s, serial_c_min, serial_c_max) = spread(serial_c);
+    let (serial_d_mb_s, serial_d_min, serial_d_max) = spread(serial_d);
 
     // Framed path on the real shared pool (wall numbers).
     let pc = ParallelCompressor::new(alg, block_size, Arc::clone(pool));
@@ -411,7 +434,6 @@ fn bench_algorithm(
     let lane_c_ms = makespan_ms(&c_times, cfg.lanes);
     let lane_d_ms = makespan_ms(&d_times, cfg.lanes);
     let lane_c = mb_s(bases, lane_c_ms / 1e3);
-    let serial_c_mb_s = mb_s(bases, serial_c);
     let stages = codec.stage_times(&seq);
 
     Ok(AlgoBenchRow {
@@ -421,7 +443,11 @@ fn bench_algorithm(
         compressed_bytes: frame.total_bytes(),
         bits_per_base: frame.bits_per_base(),
         serial_compress_mb_s: serial_c_mb_s,
-        serial_decompress_mb_s: mb_s(bases, serial_d),
+        serial_compress_mb_s_min: serial_c_min,
+        serial_compress_mb_s_max: serial_c_max,
+        serial_decompress_mb_s: serial_d_mb_s,
+        serial_decompress_mb_s_min: serial_d_min,
+        serial_decompress_mb_s_max: serial_d_max,
         block_wall_compress_mb_s: mb_s(bases, wall_c),
         block_wall_decompress_mb_s: mb_s(bases, wall_d),
         block_lane_compress_mb_s: lane_c,
@@ -550,6 +576,22 @@ mod tests {
         assert_eq!(report.algorithms.len(), Algorithm::HORIZONTAL.len());
         assert!(report.algorithms.iter().all(|r| r.roundtrip_ok));
         assert!(report.algorithms.iter().all(|r| r.parallel_matches_serial));
+        for r in &report.algorithms {
+            for (min, median, max) in [
+                (
+                    r.serial_compress_mb_s_min,
+                    r.serial_compress_mb_s,
+                    r.serial_compress_mb_s_max,
+                ),
+                (
+                    r.serial_decompress_mb_s_min,
+                    r.serial_decompress_mb_s,
+                    r.serial_decompress_mb_s_max,
+                ),
+            ] {
+                assert!(min <= median && median <= max, "{}", r.algorithm);
+            }
+        }
         assert!(report.kernels.pack_u64_mb_s > 0.0);
         assert!(report.kernels.pack_simd_mb_s > 0.0);
         assert!(report.kernels.prefix_simd_mb_s > 0.0);

@@ -8,7 +8,7 @@
 //! * [`KtEstimator`] — the Krichevsky–Trofimov binary estimator that CTW
 //!   mixes over its context tree.
 
-use crate::arith::{ArithDecoder, ArithEncoder, EntropyDecoder, EntropyEncoder, MAX_TOTAL};
+use crate::arith::{ArithDecoder, ArithEncoder, MAX_TOTAL};
 use crate::error::CodecError;
 
 /// Adaptive order-0 model with add-one initialisation.
@@ -161,54 +161,22 @@ impl ContextModel {
         debug_assert!(sym < 4);
         let row = &self.rows[self.ctx];
         let total = self.totals[self.ctx];
-        let lo: u32 = row[..sym].iter().sum();
-        enc.encode(lo, lo + row[sym], total);
+        // Read from the fenceposts, not summed over `row[..sym]`: that
+        // loop's trip count is the symbol, which mispredicts on DNA.
+        let cum = [0, row[0], row[0] + row[1], row[0] + row[1] + row[2], total];
+        enc.encode(cum[sym], cum[sym + 1], total);
         self.update_counts(sym);
         self.advance(sym);
     }
 
-    /// Decode one symbol and update.
+    /// Decode one symbol and update. Never fails:
+    /// [`ArithDecoder::decode4`] picks a symbol of the row on any input,
+    /// corrupt or not (a container's checksum catches the corruption).
     pub fn decode(&mut self, dec: &mut ArithDecoder<'_>) -> Result<usize, CodecError> {
-        let row = self.rows[self.ctx];
-        let total = self.totals[self.ctx];
-        let target = dec.decode_target(total);
-        let mut lo = 0u32;
-        for (sym, &f) in row.iter().enumerate() {
-            if target < lo + f {
-                dec.update(lo, lo + f, total);
-                self.update_counts(sym);
-                self.advance(sym);
-                return Ok(sym);
-            }
-            lo += f;
-        }
-        Err(CodecError::Corrupt("context model target out of range"))
-    }
-
-    /// Encode one symbol through the backend seam and update. The
-    /// `Arith` backend produces byte-identical output to
-    /// [`ContextModel::encode`]; the `Rans` backend quantizes the same
-    /// count row deterministically, so a decoder holding identical
-    /// model state rebuilds the identical table.
-    pub fn encode_with(&mut self, enc: &mut EntropyEncoder, sym: usize) {
-        debug_assert!(sym < 4);
-        let row = self.rows[self.ctx];
-        let total = self.totals[self.ctx];
-        enc.encode_row4(&row, total, sym);
+        let sym = dec.decode4(&self.rows[self.ctx], self.totals[self.ctx]);
         self.update_counts(sym);
         self.advance(sym);
-    }
-
-    /// Decode one symbol through the backend seam and update — mirror
-    /// of [`ContextModel::encode_with`]. Infallible: the decoder target
-    /// is always inside the model's own count row.
-    pub fn decode_with(&mut self, dec: &mut EntropyDecoder<'_>) -> usize {
-        let row = self.rows[self.ctx];
-        let total = self.totals[self.ctx];
-        let sym = dec.decode_row4(&row, total);
-        self.update_counts(sym);
-        self.advance(sym);
-        sym
+        Ok(sym)
     }
 
     /// Approximate heap footprint in bytes (for the RAM meter).
@@ -416,40 +384,6 @@ mod tests {
         assert!((logp - expect).abs() < 1e-12);
     }
 
-    #[test]
-    fn context_model_seam_arith_is_byte_identical_to_legacy() {
-        use crate::arith::{EntropyBackend, EntropyEncoder};
-        let symbols: Vec<usize> = (0..4000).map(|i| (i * 7 + i / 5) % 4).collect();
-        let mut legacy_model = ContextModel::new(3);
-        let mut legacy_enc = ArithEncoder::new();
-        let mut seam_model = ContextModel::new(3);
-        let mut seam_enc = EntropyEncoder::new(EntropyBackend::Arith);
-        for &s in &symbols {
-            legacy_model.encode(&mut legacy_enc, s);
-            seam_model.encode_with(&mut seam_enc, s);
-        }
-        assert_eq!(legacy_enc.finish(), seam_enc.finish());
-    }
-
-    #[test]
-    fn context_model_seam_roundtrips_on_both_backends() {
-        use crate::arith::{EntropyBackend, EntropyDecoder, EntropyEncoder};
-        let symbols: Vec<usize> = (0..4000).map(|i| (i * i + i / 3) % 4).collect();
-        for backend in [EntropyBackend::Arith, EntropyBackend::Rans] {
-            let mut em = ContextModel::new(4);
-            let mut enc = EntropyEncoder::new(backend);
-            for &s in &symbols {
-                em.encode_with(&mut enc, s);
-            }
-            let bytes = enc.finish();
-            let mut dm = ContextModel::new(4);
-            let mut dec = EntropyDecoder::new(backend, &bytes).unwrap();
-            for &s in &symbols {
-                assert_eq!(dm.decode_with(&mut dec), s, "backend {backend:?}");
-            }
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]
@@ -486,6 +420,43 @@ mod tests {
             let mut dec = ArithDecoder::new(&bytes);
             for &s in &stream {
                 prop_assert_eq!(dm.decode(&mut dec).unwrap(), s);
+            }
+        }
+
+        #[test]
+        fn context_model_writes_and_reads_the_oracles_bits_at_orders_0_to_6(
+            k in 0usize..=6,
+            stream in prop::collection::vec(0usize..4, 0..3000),
+        ) {
+            use crate::arith::oracle;
+            // The oracle codes the row as the model did before: `lo`
+            // summed over `row[..sym]`, the symbol found by a scan.
+            let mut em = ContextModel::new(k);
+            let mut enc = ArithEncoder::new();
+            let mut shadow = ContextModel::new(k);
+            let mut old = oracle::Encoder::new();
+            for &s in &stream {
+                em.encode(&mut enc, s);
+                let row = shadow.rows[shadow.ctx];
+                let lo: u32 = row[..s].iter().sum();
+                old.encode(lo, lo + row[s], shadow.totals[shadow.ctx]);
+                shadow.update_counts(s);
+                shadow.advance(s);
+            }
+            let bytes = enc.finish();
+            prop_assert_eq!(&bytes, &old.finish());
+            let mut dm = ContextModel::new(k);
+            let mut dec = ArithDecoder::new(&bytes);
+            let mut shadow = ContextModel::new(k);
+            let mut old = oracle::Decoder::new(&bytes);
+            for &s in &stream {
+                prop_assert_eq!(dm.decode(&mut dec).unwrap(), s);
+                let row = shadow.rows[shadow.ctx];
+                let cum = [0, row[0], row[0] + row[1], row[0] + row[1] + row[2], row.iter().sum()];
+                prop_assert_eq!(old.decode_cum(&cum), s);
+                shadow.update_counts(s);
+                shadow.advance(s);
+                prop_assert_eq!(dec.exhausted(), old.exhausted());
             }
         }
 

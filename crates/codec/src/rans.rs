@@ -13,7 +13,7 @@
 //! in reverse. The decoder then streams forward. Determinism contract:
 //! both sides must derive **identical** slots from identical model
 //! state, which is why the quantizers in this module are pure integer
-//! arithmetic ([`quantize4`], [`quantize_bit`]).
+//! arithmetic ([`quantize_bit`], [`FreqTable::build`]).
 //!
 //! Wire layout produced by [`RansEncoder::finish`]:
 //!
@@ -220,50 +220,6 @@ impl<'a> RansDecoder<'a> {
     pub fn is_drained(&self) -> bool {
         self.pos >= self.bytes.len() && self.states == [RANS_L, RANS_L]
     }
-}
-
-/// Quantize a 4-symbol count row to frequencies summing to exactly
-/// `1 << RANS_TABLE_BITS`, each `>= 1`, deterministically (pure integer
-/// arithmetic: encode and decode derive identical tables from identical
-/// counts).
-pub fn quantize4(counts: &[u32; 4]) -> [u32; 4] {
-    let t = 1u64 << RANS_TABLE_BITS;
-    let total: u64 = counts.iter().map(|&c| c as u64).sum::<u64>().max(1);
-    let mut q = [0u32; 4];
-    for s in 0..4 {
-        q[s] = ((counts[s] as u64 * t / total) as u32).max(1);
-    }
-    let mut sum: i64 = q.iter().map(|&v| v as i64).sum();
-    // Largest-first fix-up: adjust the biggest entry (lowest index on
-    // ties) one step at a time until the row sums exactly to the scale,
-    // never dropping any entry below 1. |sum - t| <= 4, so this is a
-    // handful of iterations at most.
-    while sum != t as i64 {
-        if sum < t as i64 {
-            let i = max_index(&q, |_| true);
-            q[i] += 1;
-            sum += 1;
-        } else {
-            let i = max_index(&q, |v| v > 1);
-            q[i] -= 1;
-            sum -= 1;
-        }
-    }
-    q
-}
-
-/// Index of the largest entry passing `keep` (lowest index wins ties).
-fn max_index(q: &[u32; 4], keep: impl Fn(u32) -> bool) -> usize {
-    let mut best = usize::MAX;
-    let mut best_v = 0u32;
-    for (i, &v) in q.iter().enumerate() {
-        if keep(v) && (best == usize::MAX || v > best_v) {
-            best = i;
-            best_v = v;
-        }
-    }
-    debug_assert!(best != usize::MAX);
-    best
 }
 
 /// Quantize `P(bit = 0) = p0_num / p_den` to a 16-bit scale, clamped to
@@ -502,23 +458,6 @@ mod tests {
             assert_eq!(dec.decode_bit(q0), bit);
         }
         assert!(dec.is_drained());
-    }
-
-    #[test]
-    fn quantize4_invariants() {
-        for counts in [
-            [0u32, 0, 0, 0],
-            [1, 1, 1, 1],
-            [1_000_000, 0, 0, 1],
-            [u32::MAX, u32::MAX, u32::MAX, u32::MAX],
-            [3, 0, 7, 0],
-        ] {
-            let q = quantize4(&counts);
-            assert_eq!(q.iter().map(|&v| v as u64).sum::<u64>(), 1 << RANS_TABLE_BITS);
-            assert!(q.iter().all(|&v| v >= 1), "{q:?}");
-            // Determinism.
-            assert_eq!(q, quantize4(&counts));
-        }
     }
 
     #[test]

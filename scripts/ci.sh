@@ -95,6 +95,13 @@ timeout 600 cargo test --release --test fuzz_codecs -- --nocapture
 step "speed-tier differentials, forced scalar (isolated, 300 s timeout)"
 DNACOMP_FORCE_SCALAR=1 timeout 300 cargo test --release --test speed_tier -- --nocapture
 
+# The codec crate's tests again in release: the arithmetic coder's
+# differential proptests against its bit-at-a-time oracle then run
+# with release arithmetic, where shifts and overflows wrap and the
+# debug assertions are off.
+step "codec tests, release arithmetic"
+cargo test --release -p dnacomp-codec
+
 # Loopback chaos soak: concurrent clients at 0/5/25 % injected network
 # faults plus malformed-frame fuzzing against the TCP front-end, and the
 # front-door contract (cap, idle close, shutdown drain) against both

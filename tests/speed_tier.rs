@@ -1,6 +1,6 @@
 //! Differential and compatibility suite for the speed tier.
 //!
-//! Four promises, each checked against an independent oracle:
+//! Five promises, each checked against an independent oracle:
 //!
 //! 1. **SIMD kernels are invisible** — the runtime-dispatched 2-bit
 //!    pack/unpack and match-extension kernels produce byte-identical
@@ -19,6 +19,9 @@
 //! 4. **The repeat finders are invisible** — the codecs built on them
 //!    write the same container bytes and meter the same work and RAM as
 //!    pinned digests recorded from the `HashMap`-indexed finders.
+//! 5. **The arithmetic coder is invisible** — every codec it codes for
+//!    writes the same container bytes and meters the same work and RAM
+//!    as pinned digests recorded from the bit-at-a-time coder.
 
 use dnacomp::algos::{compressor_for, Algorithm, CompressedBlob, Compressor, Ctw, CtwLz, XmLite};
 use dnacomp::codec::arith::EntropyBackend;
@@ -218,6 +221,60 @@ fn repeat_finder_codecs_keep_their_container_bytes_and_meter() {
             wrong.push(format!(
                 "(Algorithm::{alg:?}, {len}, {bytes:#018x}, {meter:#018x})"
             ));
+        }
+    }
+    assert!(wrong.is_empty(), "digests moved:\n{}", wrong.join("\n"));
+}
+
+/// The same two digests for every codec whose bits come from the
+/// arithmetic coder and that the table above leaves out: DNAPack-lite
+/// and DNASequitur, and XM-lite, CTW and CTW+LZ on their v1 `Arith`
+/// backend (the checked-in v1 blobs below pin only their decoding).
+/// Recorded from the bit-at-a-time coder, before renormalisation moved
+/// to one step per symbol.
+#[rustfmt::skip]
+const ARITH_CODEC_DIGESTS: [(&str, usize, u64, u64); 15] = [
+    ("DNAPack-lite", 1_024, 0x8b80_2a2c_bad5_0fbb, 0x2976_d809_f509_069b),
+    ("DNAPack-lite", 8_192, 0xea4c_7cc2_5d9f_8308, 0x3591_b513_38a2_69f8),
+    ("DNAPack-lite", 262_144, 0x21fd_4327_96d1_54c5, 0xc9e1_51f1_582b_ba3e),
+    ("DNASequitur", 1_024, 0x9f06_4279_f610_0b8d, 0x2ff5_e263_db49_dc85),
+    ("DNASequitur", 8_192, 0x2338_426c_8f8f_f4e3, 0x19bf_92e6_e306_0333),
+    ("DNASequitur", 262_144, 0x8e12_422a_3382_2297, 0x2623_f11c_f14e_2dc9),
+    ("XM-lite v1", 1_024, 0xa67e_e93e_bbd9_a0d8, 0x4556_91c8_4a25_27ba),
+    ("XM-lite v1", 8_192, 0xe16b_a884_200a_8204, 0x940a_b4d2_e1cf_81d9),
+    ("XM-lite v1", 262_144, 0xf662_1b30_82bd_d05e, 0x3027_8df9_76c2_a5bc),
+    ("CTW v1", 1_024, 0xcd23_8b5b_03cc_988a, 0xbe4e_a36d_09f8_fdab),
+    ("CTW v1", 8_192, 0x95ee_2bdb_41b8_1b07, 0x81ff_1668_3760_c53e),
+    ("CTW v1", 262_144, 0x62da_12d7_3e70_a57a, 0x055b_d910_a146_a5db),
+    ("CTW+LZ v1", 1_024, 0x4cac_97fb_9523_6569, 0xd5f9_30dc_f738_b2d2),
+    ("CTW+LZ v1", 8_192, 0x2b20_a78a_1c60_73e1, 0x4c53_b3c3_8bd5_044f),
+    ("CTW+LZ v1", 262_144, 0xf6b0_aeb0_4d61_7b52, 0xc761_f39b_a988_965e),
+];
+
+fn arith_codec(name: &str) -> Box<dyn Compressor> {
+    match name {
+        "DNAPack-lite" => compressor_for(Algorithm::DnaPackLite),
+        "DNASequitur" => compressor_for(Algorithm::DnaSequitur),
+        "XM-lite v1" => Box::new(XmLite::with_backend(EntropyBackend::Arith)),
+        "CTW v1" => Box::new(Ctw::with_backend(EntropyBackend::Arith)),
+        "CTW+LZ v1" => Box::new(CtwLz::with_backend(EntropyBackend::Arith)),
+        _ => unreachable!("{name}"),
+    }
+}
+
+#[test]
+fn arithmetic_coded_codecs_keep_their_container_bytes_and_meter() {
+    let mut wrong = Vec::new();
+    for (name, len, want_bytes, want_meter) in ARITH_CODEC_DIGESTS {
+        let seq = GenomeModel::default().generate(len, 23);
+        let (blob, stats) = arith_codec(name).compress_with_stats(&seq).unwrap();
+        let bytes = fnv1a(&blob.to_bytes());
+        let mut meter = Fnv1a::new();
+        meter.update(&stats.work_units.to_le_bytes());
+        meter.update(&stats.peak_heap_bytes.to_le_bytes());
+        let meter = meter.digest();
+        if (bytes, meter) != (want_bytes, want_meter) {
+            wrong.push(format!("({name:?}, {len}, {bytes:#018x}, {meter:#018x})"));
         }
     }
     assert!(wrong.is_empty(), "digests moved:\n{}", wrong.join("\n"));
