@@ -65,7 +65,6 @@ impl Compressor for BioCompress2 {
         let mut model = ContextModel::new(2);
         let mut lit_enc = ArithEncoder::new();
 
-        let mut i = 0usize;
         let mut lit_run = 0usize; // literals accumulated but not yet framed
         let flush_literals =
             |ctrl: &mut BitWriter, run: &mut usize| -> Result<(), CodecError> {
@@ -77,28 +76,23 @@ impl Compressor for BioCompress2 {
                 Ok(())
             };
         let mut lit_positions: Vec<usize> = Vec::new();
-        while i < bases.len() {
-            finder.advance(i);
+        finder.sweep(|stop| {
             meter.work(self.search.max_chain as u64 / 4 + 1);
-            match finder.find(i).filter(|m| m.len >= self.min_repeat) {
-                Some(m) => {
-                    flush_literals(&mut ctrl, &mut lit_run)?;
-                    ctrl.push_bit(true);
-                    ctrl.push_bit(m.kind == RepeatKind::ReverseComplement);
-                    // BioCompress codes length and *absolute position* in
-                    // Fibonacci (1-based).
-                    fib_encode(&mut ctrl, (m.len - self.min_repeat + 1) as u64)?;
-                    fib_encode(&mut ctrl, m.src as u64 + 1)?;
-                    meter.work(m.len as u64 / 8 + 2);
-                    i += m.len;
-                }
-                None => {
-                    lit_run += 1;
-                    lit_positions.push(i);
-                    i += 1;
-                }
-            }
-        }
+            let Some(m) = stop.find().filter(|m| m.len >= self.min_repeat) else {
+                lit_run += 1;
+                lit_positions.push(stop.pos());
+                return Ok(1);
+            };
+            flush_literals(&mut ctrl, &mut lit_run)?;
+            ctrl.push_bit(true);
+            ctrl.push_bit(m.kind == RepeatKind::ReverseComplement);
+            // BioCompress codes length and *absolute position* in
+            // Fibonacci (1-based).
+            fib_encode(&mut ctrl, (m.len - self.min_repeat + 1) as u64)?;
+            fib_encode(&mut ctrl, m.src as u64 + 1)?;
+            meter.work(m.len as u64 / 8 + 2);
+            Ok(m.len)
+        })?;
         flush_literals(&mut ctrl, &mut lit_run)?;
         for &p in &lit_positions {
             model.encode(&mut lit_enc, bases[p].code() as usize);

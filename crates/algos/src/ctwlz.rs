@@ -176,43 +176,38 @@ impl CtwLz {
         let mut ctrl = BitWriter::new();
         let mut lit_count = 0u64;
 
-        let mut i = 0usize;
         let mut run = 0usize; // pending literal run length
         let mut run_start = 0usize;
-        while i < bases.len() {
-            finder.advance(i);
+        finder.sweep(|stop| {
             meter.work(self.search.max_chain as u64 / 4 + 1);
-            match finder.find(i).filter(|m| m.len >= self.min_repeat) {
-                Some(m) => {
-                    if run > 0 {
-                        ctrl.push_bit(false);
-                        gamma_encode(&mut ctrl, run as u64)?;
-                        for &b in &bases[run_start..run_start + run] {
-                            lits.encode_base(&mut lit_enc, b);
-                        }
-                        lit_count += run as u64;
-                        run = 0;
-                    }
-                    ctrl.push_bit(true);
-                    ctrl.push_bit(m.kind == RepeatKind::ReverseComplement);
-                    gamma_encode(&mut ctrl, (m.len - self.min_repeat + 1) as u64)?;
-                    let delta = match m.kind {
-                        RepeatKind::Forward => (i - 1 - m.src) as u64,
-                        RepeatKind::ReverseComplement => (i - m.src) as u64,
-                    };
-                    gamma_encode(&mut ctrl, delta + 1)?;
-                    meter.work(m.len as u64 / 8 + 2);
-                    i += m.len;
+            let i = stop.pos();
+            let Some(m) = stop.find().filter(|m| m.len >= self.min_repeat) else {
+                if run == 0 {
+                    run_start = i;
                 }
-                None => {
-                    if run == 0 {
-                        run_start = i;
-                    }
-                    run += 1;
-                    i += 1;
+                run += 1;
+                return Ok(1);
+            };
+            if run > 0 {
+                ctrl.push_bit(false);
+                gamma_encode(&mut ctrl, run as u64)?;
+                for &b in &bases[run_start..run_start + run] {
+                    lits.encode_base(&mut lit_enc, b);
                 }
+                lit_count += run as u64;
+                run = 0;
             }
-        }
+            ctrl.push_bit(true);
+            ctrl.push_bit(m.kind == RepeatKind::ReverseComplement);
+            gamma_encode(&mut ctrl, (m.len - self.min_repeat + 1) as u64)?;
+            let delta = match m.kind {
+                RepeatKind::Forward => (i - 1 - m.src) as u64,
+                RepeatKind::ReverseComplement => (i - m.src) as u64,
+            };
+            gamma_encode(&mut ctrl, delta + 1)?;
+            meter.work(m.len as u64 / 8 + 2);
+            Ok(m.len)
+        })?;
         if run > 0 {
             ctrl.push_bit(false);
             gamma_encode(&mut ctrl, run as u64)?;

@@ -133,19 +133,16 @@ impl Compressor for DnaCompress {
             }
             Ok(())
         };
-        let mut i = 0usize;
-        while i < bases.len() {
+        exact.sweep(|stop| {
+            let i = stop.pos();
             spaced.advance(i);
-            exact.advance(i);
             meter.work(self.max_chain as u64 / 2 + 2);
             // Best approximate forward repeat from spaced anchors.
             let mut best: Option<Repeat> = None;
             for cand in spaced.candidates(i, self.max_chain) {
                 meter.work(2);
                 let (len, subs) = self.extend(&bases, cand, i, &mut meter);
-                if len >= self.min_repeat
-                    && best.as_ref().is_none_or(|b| len > b.len)
-                {
+                if len >= self.min_repeat && best.as_ref().is_none_or(|b| len > b.len) {
                     best = Some(Repeat {
                         src: cand,
                         len,
@@ -155,10 +152,8 @@ impl Compressor for DnaCompress {
                 }
             }
             // Complemented palindrome (reverse-complement) repeats.
-            if let Some(m) = exact.find_revcomp(i) {
-                if m.len >= self.min_repeat
-                    && best.as_ref().is_none_or(|b| m.len > b.len)
-                {
+            if let Some(m) = stop.find_revcomp() {
+                if m.len >= self.min_repeat && best.as_ref().is_none_or(|b| m.len > b.len) {
                     debug_assert_eq!(m.kind, RepeatKind::ReverseComplement);
                     best = Some(Repeat {
                         src: m.src,
@@ -168,34 +163,30 @@ impl Compressor for DnaCompress {
                     });
                 }
             }
-            match best {
-                Some(rep) => {
-                    flush(&mut w, &mut lit_run)?;
-                    w.push_bit(true);
-                    w.push_bit(rep.revcomp);
-                    gamma_encode(&mut w, (rep.len - self.min_repeat + 1) as u64)?;
-                    let delta = if rep.revcomp {
-                        (i - rep.src) as u64
-                    } else {
-                        (i - 1 - rep.src) as u64
-                    };
-                    gamma_encode(&mut w, delta + 1)?;
-                    gamma_encode(&mut w, rep.subs.len() as u64 + 1)?;
-                    let mut prev = 0u32;
-                    for &(off, base) in &rep.subs {
-                        gamma_encode(&mut w, (off - prev + 1) as u64)?;
-                        w.push_bits(base.code() as u64, 2);
-                        prev = off + 1;
-                    }
-                    meter.work(rep.len as u64 / 8 + rep.subs.len() as u64 + 2);
-                    i += rep.len;
-                }
-                None => {
-                    lit_run.push(bases[i]);
-                    i += 1;
-                }
+            let Some(rep) = best else {
+                lit_run.push(bases[i]);
+                return Ok(1);
+            };
+            flush(&mut w, &mut lit_run)?;
+            w.push_bit(true);
+            w.push_bit(rep.revcomp);
+            gamma_encode(&mut w, (rep.len - self.min_repeat + 1) as u64)?;
+            let delta = if rep.revcomp {
+                (i - rep.src) as u64
+            } else {
+                (i - 1 - rep.src) as u64
+            };
+            gamma_encode(&mut w, delta + 1)?;
+            gamma_encode(&mut w, rep.subs.len() as u64 + 1)?;
+            let mut prev = 0u32;
+            for &(off, base) in &rep.subs {
+                gamma_encode(&mut w, (off - prev + 1) as u64)?;
+                w.push_bits(base.code() as u64, 2);
+                prev = off + 1;
             }
-        }
+            meter.work(rep.len as u64 / 8 + rep.subs.len() as u64 + 2);
+            Ok(rep.len)
+        })?;
         flush(&mut w, &mut lit_run)?;
         meter.heap_snapshot(
             spaced.heap_bytes() as u64 + exact.heap_bytes() as u64 + bases.len() as u64,

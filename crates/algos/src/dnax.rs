@@ -94,28 +94,24 @@ impl Compressor for Dnax {
 
         // Parse into segments.
         let mut segments: Vec<Segment> = Vec::new();
-        let mut i = 0usize;
         let mut lit_start = 0usize;
-        while i < bases.len() {
-            finder.advance(i);
+        finder.sweep(|stop| {
             meter.work(self.search.max_chain as u64 / 4 + 1);
-            let m = finder.find(i).filter(|m| m.len >= self.min_repeat);
-            match m {
-                Some(m) => {
-                    if i > lit_start {
-                        segments.push(Segment::Literals {
-                            start: lit_start,
-                            len: i - lit_start,
-                        });
-                    }
-                    segments.push(Segment::Repeat(m));
-                    meter.work(m.len as u64 / 8);
-                    i += m.len;
-                    lit_start = i;
-                }
-                None => i += 1,
+            let i = stop.pos();
+            let Some(m) = stop.find().filter(|m| m.len >= self.min_repeat) else {
+                return Ok(1);
+            };
+            if i > lit_start {
+                segments.push(Segment::Literals {
+                    start: lit_start,
+                    len: i - lit_start,
+                });
             }
-        }
+            segments.push(Segment::Repeat(m));
+            meter.work(m.len as u64 / 8);
+            lit_start = i + m.len;
+            Ok(m.len)
+        })?;
         if bases.len() > lit_start {
             segments.push(Segment::Literals {
                 start: lit_start,

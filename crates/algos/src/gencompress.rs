@@ -26,7 +26,7 @@ use dnacomp_codec::arith::{ArithDecoder, ArithEncoder};
 use dnacomp_codec::bitio::{BitReader, BitWriter};
 use dnacomp_codec::fibonacci::{gamma_decode, gamma_encode};
 use dnacomp_codec::models::ContextModel;
-use dnacomp_codec::repeats::{RepeatConfig, RepeatFinder, RepeatKind};
+use dnacomp_codec::repeats::{RepeatConfig, RepeatFinder, RepeatKind, Stop};
 use dnacomp_codec::varint::{read_uvarint, write_uvarint};
 use dnacomp_codec::CodecError;
 use dnacomp_seq::{Base, PackedSeq};
@@ -142,46 +142,43 @@ impl GenCompress {
         (best_l, subs)
     }
 
-    /// Find the best approximate repeat at `dst`, scoring *every* chain
-    /// candidate (the "optimal prefix" search).
+    /// Find the best approximate repeat at the stop, scoring *every*
+    /// chain candidate (the "optimal prefix" search).
     fn find_approx(
         &self,
         bases: &[Base],
-        finder: &RepeatFinder<'_>,
-        dst: usize,
+        stop: &Stop<'_>,
         meter: &mut Meter,
     ) -> Option<ApproxRepeat> {
-        // Reverse-complement candidates stay exact (GenCompress-2
-        // territory otherwise).
-        let exact = finder.find(dst);
+        let dst = stop.pos();
         let mut best: Option<ApproxRepeat> = None;
         let mut best_gain: i64 = 0;
-        if let Some(m) = exact {
-            if m.kind == RepeatKind::ReverseComplement && m.len >= self.min_repeat {
-                let gain = 2 * m.len as i64 - pointer_cost_bits(m.len, dst - m.src, 0);
-                if gain > best_gain {
-                    best_gain = gain;
-                    best = Some(ApproxRepeat {
-                        src: m.src,
-                        len: m.len,
-                        kind: RepeatKind::ReverseComplement,
-                        subs: Vec::new(),
-                    });
-                }
+        // Reverse-complement candidates stay exact (GenCompress-2
+        // territory otherwise), and count only when longer than the
+        // exact forward match, which is walked only then.
+        let rc = stop.find_revcomp().filter(|r| {
+            r.len >= self.min_repeat && stop.find_forward().is_none_or(|f| r.len > f.len)
+        });
+        if let Some(m) = rc {
+            let gain = 2 * m.len as i64 - pointer_cost_bits(m.len, dst - m.src, 0);
+            if gain > best_gain {
+                best_gain = gain;
+                best = Some(ApproxRepeat {
+                    src: m.src,
+                    len: m.len,
+                    kind: RepeatKind::ReverseComplement,
+                    subs: Vec::new(),
+                });
             }
         }
         // Score every forward seed candidate by Hamming extension.
-        for cand in forward_candidates(finder, dst, self.search.max_chain) {
+        for cand in stop.forward_chain(self.search.max_chain) {
             meter.work(4);
-            if cand >= dst {
-                continue;
-            }
             let (len, subs) = self.extend_hamming(bases, cand, dst, meter);
             if len < self.min_repeat {
                 continue;
             }
-            let gain =
-                2 * len as i64 - pointer_cost_bits(len, dst - cand, subs.len());
+            let gain = 2 * len as i64 - pointer_cost_bits(len, dst - cand, subs.len());
             if gain > best_gain {
                 best_gain = gain;
                 best = Some(ApproxRepeat {
@@ -202,15 +199,6 @@ fn pointer_cost_bits(len: usize, delta: usize, subs: usize) -> i64 {
     2 + g(len) + g(delta) + g(subs) + subs as i64 * (g(len) + 2)
 }
 
-/// All forward seed candidates on the chain at `dst` (up to `max_chain`).
-fn forward_candidates(
-    finder: &RepeatFinder<'_>,
-    dst: usize,
-    max_chain: usize,
-) -> Vec<usize> {
-    finder.forward_chain(dst, max_chain)
-}
-
 impl Compressor for GenCompress {
     fn algorithm(&self) -> Algorithm {
         Algorithm::GenCompress
@@ -225,37 +213,35 @@ impl Compressor for GenCompress {
         let mut finder = RepeatFinder::new(&bases, self.search);
 
         let mut segments: Vec<Segment> = Vec::new();
-        let mut i = 0usize;
         let mut lit_start = 0usize;
         let mut scratch_peak = 0u64;
-        while i < bases.len() {
-            finder.advance(i);
+        finder.sweep(|stop| {
             // Per-position cost: hashing plus candidate enumeration.
             meter.work(self.search.max_chain as u64 / 8 + 4);
-            let m = self.find_approx(&bases, &finder, i, &mut meter);
+            let m = self.find_approx(&bases, stop, &mut meter);
             // The per-candidate scoring keeps O(max_chain) live extension
             // state — GenCompress's extra working set.
-            scratch_peak = scratch_peak
-                .max((self.search.max_chain * (self.max_mismatches * 8 + 64)) as u64);
-            match m {
-                Some(m) => {
-                    if i > lit_start {
-                        segments.push(Segment::Literals {
-                            start: lit_start,
-                            len: i - lit_start,
-                        });
-                    }
-                    // The optimal-prefix search keeps re-scoring
-                    // candidate extensions across the covered span, so
-                    // repeat-covered bases cost as much as literal ones.
-                    meter.work(m.len as u64 * 12);
-                    i += m.len;
-                    lit_start = i;
-                    segments.push(Segment::Repeat(m));
-                }
-                None => i += 1,
+            scratch_peak =
+                scratch_peak.max((self.search.max_chain * (self.max_mismatches * 8 + 64)) as u64);
+            let Some(m) = m else {
+                return Ok(1);
+            };
+            let i = stop.pos();
+            if i > lit_start {
+                segments.push(Segment::Literals {
+                    start: lit_start,
+                    len: i - lit_start,
+                });
             }
-        }
+            // The optimal-prefix search keeps re-scoring candidate
+            // extensions across the covered span, so repeat-covered bases
+            // cost as much as literal ones.
+            meter.work(m.len as u64 * 12);
+            lit_start = i + m.len;
+            let step = m.len;
+            segments.push(Segment::Repeat(m));
+            Ok(step)
+        })?;
         if bases.len() > lit_start {
             segments.push(Segment::Literals {
                 start: lit_start,

@@ -203,17 +203,15 @@ fn bench_repeat_finder(c: &mut Criterion) {
         b.iter(|| {
             let mut finder = RepeatFinder::new(&bases, RepeatConfig::default());
             let mut found = 0usize;
-            let mut i = 0usize;
-            while i < bases.len() {
-                finder.advance(i);
-                match finder.find(i) {
+            finder
+                .sweep(|stop| match stop.find() {
                     Some(m) if m.len >= 24 => {
                         found += 1;
-                        i += m.len;
+                        Ok(m.len)
                     }
-                    _ => i += 1,
-                }
-            }
+                    _ => Ok(1),
+                })
+                .unwrap();
             black_box(found)
         })
     });

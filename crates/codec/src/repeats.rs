@@ -12,10 +12,14 @@
 //! The chain heads live in `KmerTable`, one flat open-addressing table
 //! sized once for every position the finder can publish, so an insert
 //! never rehashes or reallocates. Seeds are at most 16 bases, which keeps
-//! a k-mer within the table's 32-bit key. The sweep rolls the forward
-//! k-mer and its reverse complement one base at a time, and prefetches
-//! their home slots before the next query.
+//! a k-mer within the table's 32-bit key. [`RepeatFinder::sweep`] is the
+//! only way through a text: it rolls the forward k-mer and its reverse
+//! complement one base at a time, probes the forward slot once per
+//! position, answers the caller's queries at each [`Stop`] and publishes
+//! into the slot it probed. On block-sized tables it prefetches the home
+//! slots a fixed distance ahead.
 
+use crate::error::CodecError;
 use dnacomp_seq::{common_prefix_len, prefetch_read, Base};
 
 /// Orientation of a repeat.
@@ -163,15 +167,26 @@ impl KmerTable {
         }
     }
 
+    /// The position held in slot `i`: [`NO_POS`] for a free slot, whose
+    /// low 32 bits are all ones.
+    fn head_at(&self, i: usize) -> u32 {
+        self.slots[i] as u32
+    }
+
     /// Most recent position published under `key`.
     pub(crate) fn get(&self, key: u64) -> Option<u32> {
-        let s = self.slots[self.slot(key)];
-        (s != EMPTY).then_some(s as u32)
+        let head = self.head_at(self.slot(key));
+        (head != NO_POS).then_some(head)
     }
 
     /// Make `pos` the head for `key`; returns the previous head, or
     /// [`NO_POS`] for a new key.
     pub(crate) fn replace(&mut self, key: u64, pos: u32) -> u32 {
+        self.replace_at(self.slot(key), key, pos)
+    }
+
+    /// [`KmerTable::replace`] with `key`'s slot `i` already found.
+    fn replace_at(&mut self, i: usize, key: u64, pos: u32) -> u32 {
         debug_assert!(
             key >> 32 == 0 && pos != NO_POS,
             "key or position out of range"
@@ -181,7 +196,6 @@ impl KmerTable {
         if self.len == self.map_capacity {
             self.map_capacity = hash_map_capacity(self.len + 1);
         }
-        let i = self.slot(key);
         let old = std::mem::replace(&mut self.slots[i], (key << 32) | u64::from(pos));
         if old == EMPTY {
             self.len += 1;
@@ -218,9 +232,26 @@ fn hash_map_capacity(n: usize) -> usize {
     }
 }
 
-/// Hash-chain index answering longest-match queries as a left-to-right
-/// sweep advances. The caller must call [`RepeatFinder::advance`] to
-/// publish positions into the index before querying past them.
+/// Positions the sweep rolls its second k-mer pair ahead of the one it
+/// publishes, so that pair's home slots are in cache when probed.
+const LOOKAHEAD: usize = 16;
+
+/// Smallest table, in slots, whose sweep prefetches [`LOOKAHEAD`]
+/// positions ahead: every text over 64 Ki bases, so every 262,144-base
+/// frame block. A smaller table (at most 1 MiB) stays cache-resident,
+/// where the second roll and its prefetches cost more than they hide.
+const LOOKAHEAD_MIN_SLOTS: usize = 1 << 18;
+
+/// A k-mer and its reverse complement, 2 bits a base.
+#[derive(Clone, Copy)]
+struct Kmers {
+    fwd: u64,
+    rc: u64,
+}
+
+/// Hash-chain index over one text, filled by a single left-to-right
+/// [`RepeatFinder::sweep`] that answers longest-match queries at each
+/// stop the caller steps to.
 pub struct RepeatFinder<'a> {
     text: &'a [Base],
     cfg: RepeatConfig,
@@ -228,17 +259,6 @@ pub struct RepeatFinder<'a> {
     head: KmerTable,
     /// prev[pos] = previous position with the same kmer.
     prev: Vec<u32>,
-    /// Positions `< published` are in the index.
-    published: usize,
-    /// Mask selecting the low `2*seed_len` bits of a k-mer.
-    mask: u64,
-    /// Rolling k-mer at position `published` and its reverse complement,
-    /// if that window exists. Maintained incrementally by
-    /// [`RepeatFinder::advance`] — one shift-or each per published
-    /// position instead of an O(seed_len) rebuild — and served to
-    /// queries landing exactly at `published`, which is the sweep pattern
-    /// every compressor uses (`advance(i)` then `find(i)`).
-    cur_kmer: Option<(u64, u64)>,
 }
 
 impl<'a> RepeatFinder<'a> {
@@ -253,9 +273,6 @@ impl<'a> RepeatFinder<'a> {
             cfg,
             head: KmerTable::new(text.len()),
             prev: vec![NO_POS; text.len()],
-            published: 0,
-            mask: (1u64 << (2 * cfg.seed_len)) - 1,
-            cur_kmer: None,
         }
     }
 
@@ -266,208 +283,223 @@ impl<'a> RepeatFinder<'a> {
         self.prev.capacity() * 4 + self.head.modelled_heap_bytes()
     }
 
-    fn kmer_at(&self, pos: usize) -> u64 {
-        let mut v = 0u64;
-        for b in &self.text[pos..pos + self.cfg.seed_len] {
-            v = (v << 2) | b.code() as u64;
-        }
-        v
-    }
-
-    fn revcomp_kmer(&self, mut v: u64) -> u64 {
-        // Reverse the k 2-bit groups and complement each (XOR 0b11).
-        let k = self.cfg.seed_len;
-        let mut out = 0u64;
-        for _ in 0..k {
-            out = (out << 2) | ((v & 0b11) ^ 0b11);
-            v >>= 2;
-        }
-        out
-    }
-
-    /// The k-mer anchored at `dst`: served from the rolling value when
-    /// the query lands exactly on `published` (the sweep fast path),
-    /// rebuilt in O(seed_len) otherwise.
-    fn query_kmer(&self, dst: usize) -> u64 {
-        match self.cur_kmer {
-            Some((v, _)) if dst == self.published => v,
-            _ => self.kmer_at(dst) & self.mask,
-        }
-    }
-
-    /// Reverse complement of [`RepeatFinder::query_kmer`], on the same
-    /// fast path.
-    fn query_rc(&self, dst: usize) -> u64 {
-        match self.cur_kmer {
-            Some((_, rc)) if dst == self.published => rc,
-            _ => self.revcomp_kmer(self.kmer_at(dst) & self.mask),
-        }
-    }
-
-    /// Publish all positions `< upto` into the index.
+    /// Walk the text left to right, calling `at` at each stop: position
+    /// 0 first, then wherever the step `at` returns (at least 1) leads,
+    /// until a step reaches the end of the text.
     ///
-    /// The per-position k-mer and its reverse complement are maintained
-    /// as rolling values — shift in the one new base instead of
-    /// rebuilding the window — so a full sweep costs O(n), not
-    /// O(n·seed_len). On return the home slots of the next query's
-    /// k-mers are already being fetched.
-    pub fn advance(&mut self, upto: usize) {
-        let k = self.cfg.seed_len;
-        let n = self.text.len();
-        let limit = upto.min(n.saturating_sub(k - 1));
-        while self.published < limit {
-            let pos = self.published;
-            let (kmer, rc) = self.cur_kmer.unwrap_or_else(|| {
-                let v = self.kmer_at(pos) & self.mask;
-                (v, self.revcomp_kmer(v))
-            });
-            self.prev[pos] = self.head.replace(kmer, pos as u32);
-            self.published += 1;
-            // The new base enters the forward k-mer at the low end and,
-            // complemented, the reverse complement at the high end.
-            self.cur_kmer = (pos + k < n).then(|| {
-                let code = self.text[pos + k].code() as u64;
-                let rc = (rc >> 2) | ((code ^ 0b11) << (2 * (k - 1)));
-                (((kmer << 2) | code) & self.mask, rc)
-            });
+    /// At a stop exactly the positions before it are published. Every
+    /// position with a whole k-mer probes its forward k-mer's slot once:
+    /// a stop answers its queries from the head found there, and the
+    /// position then takes that slot, unless the stop was the last one.
+    /// The positions a step skips are published in the same pass. On a
+    /// table of at least [`LOOKAHEAD_MIN_SLOTS`] slots the sweep also
+    /// prefetches the home slots of the k-mers [`LOOKAHEAD`] positions
+    /// ahead. An error from `at` ends the sweep and is returned.
+    ///
+    /// # Panics
+    /// If the finder has published a position already, or `at` returns
+    /// a step of 0.
+    pub fn sweep(
+        &mut self,
+        at: impl FnMut(&Stop<'_>) -> Result<usize, CodecError>,
+    ) -> Result<(), CodecError> {
+        assert_eq!(self.head.len, 0, "sweep walks a fresh finder");
+        if self.head.slots.len() >= LOOKAHEAD_MIN_SLOTS {
+            self.sweep_with::<true>(at)
+        } else {
+            self.sweep_with::<false>(at)
         }
-        self.published = self.published.max(upto.min(n));
-        if let Some((kmer, rc)) = self.cur_kmer {
-            self.head.prefetch(kmer);
-            if self.cfg.search_revcomp {
-                self.head.prefetch(rc);
+    }
+
+    /// The sweep, with the lookahead gate a constant so the loop for
+    /// small tables carries no lookahead code.
+    fn sweep_with<const AHEAD: bool>(
+        &mut self,
+        mut at: impl FnMut(&Stop<'_>) -> Result<usize, CodecError>,
+    ) -> Result<(), CodecError> {
+        let text = self.text;
+        let (n, k) = (text.len(), self.cfg.seed_len);
+        // Positions `< full` start a whole k-mer.
+        let full = n.saturating_sub(k - 1);
+        let mask = (1u64 << (2 * k)) - 1;
+        let rc_shift = 2 * (k - 1);
+        // The base after a pair's window enters the forward k-mer at the
+        // low end and, complemented, the reverse complement at the high
+        // end.
+        let roll = |pair: Kmers, b: &Base| {
+            let code = b.code() as u64;
+            Kmers {
+                fwd: ((pair.fwd << 2) | code) & mask,
+                rc: (pair.rc >> 2) | ((code ^ 0b11) << rc_shift),
             }
+        };
+        // Each pair starts one roll short of its first position.
+        let start = Kmers { fwd: 0, rc: 0 };
+        let mut cur = text[..n.min(k - 1)].iter().fold(start, roll);
+        let mut ahead = if AHEAD {
+            text[..n.min(k - 1 + LOOKAHEAD)].iter().fold(start, roll)
+        } else {
+            start
+        };
+        let mut stop = 0usize;
+        for pos in 0..full {
+            cur = roll(cur, &text[pos + k - 1]);
+            if AHEAD && pos + LOOKAHEAD < full {
+                ahead = roll(ahead, &text[pos + LOOKAHEAD + k - 1]);
+                self.head.prefetch(ahead.fwd);
+                if self.cfg.search_revcomp {
+                    self.head.prefetch(ahead.rc);
+                }
+            }
+            let slot = self.head.slot(cur.fwd);
+            if pos == stop {
+                let fwd = self.head.head_at(slot);
+                let rc = match self.cfg.search_revcomp {
+                    false => NO_POS,
+                    true if cur.rc == cur.fwd => fwd,
+                    true => self.head.head_at(self.head.slot(cur.rc)),
+                };
+                let view = Stop {
+                    finder: self,
+                    pos,
+                    fwd,
+                    rc,
+                };
+                stop = next_stop(pos, at(&view)?);
+                if stop >= n {
+                    return Ok(());
+                }
+            }
+            self.prev[pos] = self.head.replace_at(slot, cur.fwd, pos as u32);
         }
+        // The last `k - 1` positions have no k-mer, so no chain either.
+        while stop < n {
+            let view = Stop {
+                finder: self,
+                pos: stop,
+                fwd: NO_POS,
+                rc: NO_POS,
+            };
+            stop = next_stop(stop, at(&view)?);
+        }
+        Ok(())
+    }
+}
+
+/// The stop `step` positions after `pos`.
+fn next_stop(pos: usize, step: usize) -> usize {
+    assert_ne!(step, 0, "a sweep step must advance");
+    pos.saturating_add(step)
+}
+
+/// One stop of [`RepeatFinder::sweep`] at [`Stop::pos`]: exactly the
+/// positions before it are published, and its queries walk the chains
+/// whose heads the sweep looked up there.
+pub struct Stop<'f> {
+    finder: &'f RepeatFinder<'f>,
+    pos: usize,
+    /// Heads of the chains under the forward k-mer at `pos` and under its
+    /// reverse complement, [`NO_POS`] when empty.
+    fwd: u32,
+    rc: u32,
+}
+
+impl Stop<'_> {
+    /// The position this stop queries.
+    pub fn pos(&self) -> usize {
+        self.pos
     }
 
     /// Longest repeat (of either configured orientation) whose copy starts
-    /// at `dst`. Only returns matches of length ≥ `seed_len`.
-    pub fn find(&self, dst: usize) -> Option<RepeatMatch> {
-        let fwd = self.find_forward(dst);
-        if !self.cfg.search_revcomp {
-            return fwd;
-        }
-        let rc = self.find_revcomp(dst);
-        match (fwd, rc) {
+    /// here. Only returns matches of length ≥ `seed_len`.
+    pub fn find(&self) -> Option<RepeatMatch> {
+        match (self.find_forward(), self.find_revcomp()) {
             (Some(f), Some(r)) => Some(if r.len > f.len { r } else { f }),
             (f, r) => f.or(r),
         }
     }
 
-    /// Longest forward repeat copying to `dst`.
-    pub fn find_forward(&self, dst: usize) -> Option<RepeatMatch> {
-        let k = self.cfg.seed_len;
-        let n = self.text.len();
-        if dst + k > n {
-            return None;
-        }
-        let kmer = self.query_kmer(dst);
-        let mut cand = self.head.get(kmer)?;
+    /// Longest forward repeat copying to this stop.
+    pub fn find_forward(&self) -> Option<RepeatMatch> {
+        let (text, dst) = (self.finder.text, self.pos);
+        let k = self.finder.cfg.seed_len;
         let mut best: Option<RepeatMatch> = None;
-        let mut probes = self.cfg.max_chain;
-        while cand != NO_POS && probes > 0 {
-            let c = cand as usize;
-            if self.cfg.window > 0 && dst.saturating_sub(c) > self.cfg.window {
-                break;
+        for c in self.chain(self.fwd).take(self.finder.cfg.max_chain) {
+            // Extend through the SIMD-dispatched prefix kernel. The source
+            // window may overlap the destination (LZ-style runs): both
+            // views are read-only, and `c < dst` keeps the source slice in
+            // bounds.
+            let max_len = text.len() - dst;
+            let l = common_prefix_len(&text[c..c + max_len], &text[dst..]);
+            if l >= k && best.is_none_or(|b| l > b.len) {
+                best = Some(RepeatMatch {
+                    src: c,
+                    len: l,
+                    kind: RepeatKind::Forward,
+                });
             }
-            // A candidate at or past `dst` can surface when querying behind
-            // the published frontier; it is never a usable source (matches
-            // copy strictly from the past), so skip it — same policy as
-            // `forward_chain`.
-            if c < dst {
-                // Extend through the SIMD-dispatched prefix kernel. The
-                // source window may overlap the destination (LZ-style
-                // runs): both views are read-only, and `c < dst` keeps the
-                // source slice in bounds (`c + max_len <= n`).
-                let max_len = n - dst;
-                let l = common_prefix_len(&self.text[c..c + max_len], &self.text[dst..]);
-                if l >= k && best.is_none_or(|b| l > b.len) {
-                    best = Some(RepeatMatch {
-                        src: c,
-                        len: l,
-                        kind: RepeatKind::Forward,
-                    });
-                }
-            }
-            cand = self.prev[c];
-            probes -= 1;
         }
         best
     }
 
-    /// All published chain candidates whose seed k-mer matches the one at
-    /// `dst`, most recent first, up to `max_chain` entries. Used by
-    /// approximate matchers (GenCompress) that score every candidate
-    /// rather than just the longest exact extension.
-    pub fn forward_chain(&self, dst: usize, max_chain: usize) -> Vec<usize> {
-        let k = self.cfg.seed_len;
-        if dst + k > self.text.len() {
-            return Vec::new();
-        }
-        let kmer = self.query_kmer(dst);
-        let mut out = Vec::new();
-        let Some(mut cand) = self.head.get(kmer) else {
-            return out;
-        };
-        while cand != NO_POS && out.len() < max_chain {
-            let c = cand as usize;
-            if self.cfg.window > 0 && dst.saturating_sub(c) > self.cfg.window {
-                break;
-            }
-            if c < dst {
-                out.push(c);
-            }
-            cand = self.prev[c];
-        }
-        out
-    }
-
-    /// Longest reverse-complement repeat copying to `dst`.
-    pub fn find_revcomp(&self, dst: usize) -> Option<RepeatMatch> {
-        let k = self.cfg.seed_len;
-        let n = self.text.len();
-        if dst + k > n {
-            return None;
-        }
+    /// Longest reverse-complement repeat copying to this stop; `None`
+    /// when the finder does not search reverse complements.
+    pub fn find_revcomp(&self) -> Option<RepeatMatch> {
+        let (text, dst) = (self.finder.text, self.pos);
+        let k = self.finder.cfg.seed_len;
+        let mut best: Option<RepeatMatch> = None;
         // A reverse-complement repeat anchors where an earlier k-mer
-        // equals revcomp(text[dst..dst+k]).
-        let mut cand = self.head.get(self.query_rc(dst))?;
-        let mut best: Option<RepeatMatch> = None;
-        let mut probes = self.cfg.max_chain;
-        while cand != NO_POS && probes > 0 {
-            let c = cand as usize; // source k-mer start; src_end = c + k
+        // equals revcomp(text[dst..dst+k]); a source k-mer overlapping
+        // `dst` is skipped.
+        for c in self.chain(self.rc).take(self.finder.cfg.max_chain) {
             let src_end = c + k;
-            if src_end <= dst {
-                if self.cfg.window == 0 || dst - c <= self.cfg.window {
-                    // Extend: text[dst+l] == complement(text[src_end-1-l]).
-                    let max_len = (n - dst).min(src_end);
-                    let mut l = 0usize;
-                    while l < max_len
-                        && self.text[dst + l] == self.text[src_end - 1 - l].complement()
-                    {
-                        l += 1;
-                    }
-                    if l >= k && best.is_none_or(|b| l > b.len) {
-                        best = Some(RepeatMatch {
-                            src: src_end,
-                            len: l,
-                            kind: RepeatKind::ReverseComplement,
-                        });
-                    }
-                } else {
-                    break;
-                }
+            if src_end > dst {
+                continue;
             }
-            cand = self.prev[c];
-            probes -= 1;
+            // Extend: text[dst+l] == complement(text[src_end-1-l]).
+            let max_len = (text.len() - dst).min(src_end);
+            let mut l = 0usize;
+            while l < max_len && text[dst + l] == text[src_end - 1 - l].complement() {
+                l += 1;
+            }
+            if l >= k && best.is_none_or(|b| l > b.len) {
+                best = Some(RepeatMatch {
+                    src: src_end,
+                    len: l,
+                    kind: RepeatKind::ReverseComplement,
+                });
+            }
         }
         best
+    }
+
+    /// The forward chain's candidates, most recent first, up to `max`.
+    /// Used by approximate matchers (GenCompress) that score every
+    /// candidate rather than just the longest exact extension.
+    pub fn forward_chain(&self, max: usize) -> Vec<usize> {
+        self.chain(self.fwd).take(max).collect()
+    }
+
+    /// The positions chained from `head`, most recent first, while they
+    /// lie within the search window. All are before the stop.
+    fn chain(&self, head: u32) -> impl Iterator<Item = usize> + '_ {
+        let (window, dst) = (self.finder.cfg.window, self.pos);
+        let mut cand = head;
+        std::iter::from_fn(move || {
+            let c = cand as usize;
+            if cand == NO_POS || (window > 0 && dst - c > window) {
+                return None;
+            }
+            cand = self.finder.prev[c];
+            Some(c)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dnacomp_seq::gen::GenomeModel;
     use dnacomp_seq::PackedSeq;
     use proptest::prelude::*;
     use std::collections::HashMap;
@@ -485,13 +517,32 @@ mod tests {
         }
     }
 
+    /// Sweep `text` with stops at 0 and `dst` only, and answer `query`
+    /// at `dst`.
+    fn at_stop<T>(
+        text: &[Base],
+        cfg: RepeatConfig,
+        dst: usize,
+        query: impl FnOnce(&Stop<'_>) -> T,
+    ) -> T {
+        let mut f = RepeatFinder::new(text, cfg);
+        let (mut query, mut out) = (Some(query), None);
+        f.sweep(|s| {
+            if s.pos() < dst {
+                return Ok(dst - s.pos());
+            }
+            out = query.take().map(|q| q(s));
+            Ok(text.len())
+        })
+        .unwrap();
+        out.expect("the sweep stops at dst")
+    }
+
     #[test]
     fn finds_planted_forward_repeat() {
         // "ACGTTGCA" planted at 0 and again at 14.
         let text = bases("ACGTTGCAGGGTTTACGTTGCA");
-        let mut f = RepeatFinder::new(&text, small_cfg());
-        f.advance(14);
-        let m = f.find_forward(14).expect("repeat found");
+        let m = at_stop(&text, small_cfg(), 14, |s| s.find_forward()).expect("repeat found");
         assert_eq!(m.src, 0);
         assert_eq!(m.len, 8);
         assert_eq!(m.kind, RepeatKind::Forward);
@@ -503,9 +554,7 @@ mod tests {
     fn finds_planted_revcomp_repeat() {
         // source "AACCGG" at 0..6; its revcomp is "CCGGTT".
         let text = bases("AACCGGTTTTTTTTCCGGTT");
-        let mut f = RepeatFinder::new(&text, small_cfg());
-        f.advance(14);
-        let m = f.find_revcomp(14).expect("revcomp repeat");
+        let m = at_stop(&text, small_cfg(), 14, |s| s.find_revcomp()).expect("revcomp repeat");
         assert_eq!(m.kind, RepeatKind::ReverseComplement);
         assert_eq!(m.len, 6);
         assert_eq!(m.src, 6); // src_end = 6 → reads text[5],text[4],… complemented
@@ -517,21 +566,18 @@ mod tests {
     #[test]
     fn no_match_on_unique_text() {
         let text = bases("ACGTACTGATCGATGCTAGCTAGCATCGT");
-        let mut f = RepeatFinder::new(&text, RepeatConfig {
+        let cfg = RepeatConfig {
             seed_len: 12,
             ..small_cfg()
-        });
-        f.advance(20);
-        assert!(f.find(20).is_none());
+        };
+        assert!(at_stop(&text, cfg, 12, |s| s.find()).is_none());
     }
 
     #[test]
     fn overlap_forward_match_resolves() {
         // "AAAAAAAA…": match at dst=4 with src=0 can have len > 4 (overlap).
         let text = bases("AAAAAAAAAAAAAAAA");
-        let mut f = RepeatFinder::new(&text, small_cfg());
-        f.advance(4);
-        let m = f.find_forward(4).expect("run match");
+        let m = at_stop(&text, small_cfg(), 4, |s| s.find_forward()).expect("run match");
         assert!(m.src < 4);
         assert!(m.len >= 8, "len = {}", m.len);
         let resolved = m.resolve(&text[..4], 4).unwrap();
@@ -545,18 +591,14 @@ mod tests {
         text.extend(bases(&"T".repeat(5000)));
         text.extend(bases("ACGTTGCAGCA"));
         let dst = 11 + 5000;
-        let mut f = RepeatFinder::new(
-            &text,
-            RepeatConfig {
-                seed_len: 8,
-                max_chain: 64,
-                window: 100,
-                search_revcomp: false,
-            },
-        );
-        f.advance(dst);
+        let cfg = RepeatConfig {
+            seed_len: 8,
+            max_chain: 64,
+            window: 100,
+            search_revcomp: false,
+        };
         // The only 8-seed match source is at 0, which is outside window.
-        assert!(f.find(dst).is_none());
+        assert!(at_stop(&text, cfg, dst, |s| s.find()).is_none());
     }
 
     #[test]
@@ -577,54 +619,42 @@ mod tests {
     }
 
     #[test]
-    fn advance_is_idempotent_and_monotone() {
+    fn jumps_publish_the_positions_they_skip() {
+        // Stops at 0, 10 and 30 only: the chain at 30 runs through 26,
+        // 22 and 18, which the jumps published without stopping there.
         let text = bases(&"ACGT".repeat(50));
         let mut f = RepeatFinder::new(&text, small_cfg());
-        f.advance(10);
-        f.advance(10);
-        f.advance(5); // going backwards must not corrupt
-        f.advance(30);
-        let m = f.find_forward(30);
-        assert!(m.is_some());
-    }
-
-    #[test]
-    fn rolling_kmer_matches_rebuild_at_every_position() {
-        let text = bases(&"ACGTTGCAACGGTACCAGT".repeat(20));
-        for seed_len in [4, 16] {
-            let mut f = RepeatFinder::new(
-                &text,
-                RepeatConfig {
-                    seed_len,
-                    ..small_cfg()
-                },
-            );
-            for dst in 0..=text.len() {
-                f.advance(dst);
-                if dst + seed_len <= text.len() {
-                    let kmer = f.kmer_at(dst) & f.mask;
-                    assert_eq!(f.query_kmer(dst), kmer, "k-mer at {dst}");
-                    assert_eq!(f.query_rc(dst), f.revcomp_kmer(kmer), "revcomp at {dst}");
-                }
+        let mut stops = Vec::new();
+        f.sweep(|s| {
+            stops.push(s.pos());
+            if s.pos() == 30 {
+                assert_eq!(s.forward_chain(3), vec![26, 22, 18]);
+                assert!(s.find_forward().is_some_and(|m| m.src < 30));
+                return Ok(1000);
             }
-        }
+            Ok(10 + s.pos())
+        })
+        .unwrap();
+        assert_eq!(stops, [0, 10, 30]);
+        // The last stop publishes nothing: positions 0..30 hold the four
+        // k-mers of a period-4 text.
+        assert_eq!(f.head.len, 4);
     }
 
     #[test]
-    fn sweep_and_jump_advance_agree() {
-        // Publishing one position at a time (rolling path) must build the
-        // same index as one big jump (cold rebuild path).
-        let text = bases(&"ACGATTACAGGACGTT".repeat(25));
-        let mut swept = RepeatFinder::new(&text, small_cfg());
-        for i in 0..=300 {
-            swept.advance(i);
-        }
-        let mut jumped = RepeatFinder::new(&text, small_cfg());
-        jumped.advance(300);
-        for dst in 295..text.len().saturating_sub(4) {
-            assert_eq!(swept.find(dst), jumped.find(dst), "at {dst}");
-            assert_eq!(swept.forward_chain(dst, 8), jumped.forward_chain(dst, 8));
-        }
+    #[should_panic(expected = "sweep walks a fresh finder")]
+    fn second_sweep_rejected() {
+        let text = bases("ACGTACGTACGT");
+        let mut f = RepeatFinder::new(&text, small_cfg());
+        f.sweep(|_| Ok(1)).unwrap();
+        let _ = f.sweep(|_| Ok(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "a sweep step must advance")]
+    fn zero_step_rejected() {
+        let text = bases("ACGTACGTACGT");
+        let _ = RepeatFinder::new(&text, small_cfg()).sweep(|_| Ok(0));
     }
 
     #[test]
@@ -813,27 +843,62 @@ mod tests {
         }
     }
 
-    /// Every query the finder answers, at `dst`, against the oracle.
-    fn assert_agrees(f: &RepeatFinder<'_>, o: &MapOracle<'_>, dst: usize) {
-        assert_eq!(f.find(dst), o.find(dst), "find at {dst}");
+    /// Every query a stop answers against the oracle advanced to it.
+    fn assert_agrees(s: &Stop<'_>, o: &mut MapOracle<'_>) {
+        let dst = s.pos();
+        o.advance(dst);
+        assert_eq!(s.find(), o.find(dst), "find at {dst}");
         assert_eq!(
-            f.find_forward(dst),
+            s.find_forward(),
             o.best(dst, false),
             "find_forward at {dst}"
         );
-        assert_eq!(
-            f.find_revcomp(dst),
-            o.best(dst, true),
-            "find_revcomp at {dst}"
-        );
-        for max in [3, f.cfg.max_chain] {
+        assert_eq!(s.find_revcomp(), o.best(dst, true), "find_revcomp at {dst}");
+        for max in [3, s.finder.cfg.max_chain] {
             assert_eq!(
-                f.forward_chain(dst, max),
+                s.forward_chain(max),
                 o.forward_chain(dst, max),
                 "chain at {dst}"
             );
         }
-        assert_eq!(f.head.len, o.head.len(), "distinct k-mers at {dst}");
+        assert_eq!(s.finder.head.len, o.head.len(), "distinct k-mers at {dst}");
+    }
+
+    /// Sweep `text` with the steps `steps` (cycled), checking every stop
+    /// against the oracle; returns the stops.
+    fn sweep_against_the_oracle(text: &[Base], cfg: RepeatConfig, steps: &[usize]) -> Vec<usize> {
+        let mut f = RepeatFinder::new(text, cfg);
+        let mut o = MapOracle::new(text, cfg);
+        let mut stops = Vec::new();
+        f.sweep(|s| {
+            assert_agrees(s, &mut o);
+            stops.push(s.pos());
+            Ok(steps[(stops.len() - 1) % steps.len()])
+        })
+        .unwrap();
+        // The last stop's own position stays unpublished.
+        assert_eq!(f.head.len, o.head.len(), "distinct k-mers after the sweep");
+        stops
+    }
+
+    #[test]
+    fn lookahead_sweep_agrees_with_the_map_oracle_to_the_text_end() {
+        // Over 64 Ki bases, so the sweep prefetches ahead; the last
+        // stops fall where the lookahead has run out of k-mers.
+        let text = GenomeModel::default().generate(70_001, 7).unpack();
+        let n = text.len();
+        for seed_len in [4, 12, 16] {
+            let cfg = RepeatConfig {
+                seed_len,
+                ..small_cfg()
+            };
+            assert!(RepeatFinder::new(&text, cfg).head.slots.len() >= LOOKAHEAD_MIN_SLOTS);
+            let tail = n - (LOOKAHEAD + seed_len + 3);
+            let wanted: Vec<usize> = (0..tail).step_by(997).chain(tail..n).collect();
+            let mut steps: Vec<usize> = wanted.windows(2).map(|w| w[1] - w[0]).collect();
+            steps.push(1);
+            assert_eq!(sweep_against_the_oracle(&text, cfg, &steps), wanted);
+        }
     }
 
     proptest! {
@@ -843,7 +908,7 @@ mod tests {
             codes in prop::collection::vec(0u8..4, 0..400),
             shape in (any::<bool>(), 0usize..3, 0usize..2),
             max_chain in 1usize..48,
-            jumps in prop::collection::vec(0usize..40, 1..48),
+            steps in prop::collection::vec(1usize..40, 1..48),
         ) {
             let (two_letter, seed_pick, window_pick) = shape;
             // Two-letter texts give long chains and, on short texts,
@@ -858,26 +923,10 @@ mod tests {
                 window: [0, 48][window_pick],
                 search_revcomp: true,
             };
-            // The sweep: every position, queried where it was published.
-            let mut f = RepeatFinder::new(&text, cfg);
-            let mut o = MapOracle::new(&text, cfg);
-            for dst in 0..=text.len() {
-                f.advance(dst);
-                o.advance(dst);
-                assert_agrees(&f, &o, dst);
-            }
-            // Jumps: queries at, behind and ahead of the frontier.
-            let mut f = RepeatFinder::new(&text, cfg);
-            let mut o = MapOracle::new(&text, cfg);
-            let mut dst = 0;
-            for jump in jumps {
-                dst = (dst + jump).min(text.len());
-                f.advance(dst);
-                o.advance(dst);
-                for q in [dst.saturating_sub(5), dst, dst + 2] {
-                    assert_agrees(&f, &o, q.min(text.len()));
-                }
-            }
+            // A stop at every position, then the chosen steps.
+            let every = sweep_against_the_oracle(&text, cfg, &[1]);
+            prop_assert_eq!(every.len(), text.len());
+            sweep_against_the_oracle(&text, cfg, &steps);
         }
 
         #[test]
@@ -905,9 +954,7 @@ mod tests {
         fn found_matches_are_always_valid(s in "[ACGT]{30,300}", dst_frac in 0.3f64..0.95) {
             let text = bases(&s);
             let dst = ((text.len() as f64) * dst_frac) as usize;
-            let mut f = RepeatFinder::new(&text, small_cfg());
-            f.advance(dst);
-            if let Some(m) = f.find(dst) {
+            if let Some(m) = at_stop(&text, small_cfg(), dst, |s| s.find()) {
                 let resolved = m.resolve(&text[..dst], dst).expect("resolvable");
                 prop_assert_eq!(&resolved[..], &text[dst..dst + m.len]);
                 prop_assert!(m.len >= 4);
@@ -923,9 +970,7 @@ mod tests {
             // exactly the length a scalar bytewise loop would.
             let text = bases(&s);
             let dst = ((text.len() as f64) * dst_frac) as usize;
-            let mut f = RepeatFinder::new(&text, small_cfg());
-            f.advance(dst);
-            if let Some(m) = f.find_forward(dst) {
+            if let Some(m) = at_stop(&text, small_cfg(), dst, |s| s.find_forward()) {
                 let n = text.len();
                 let mut l = 0usize;
                 while dst + l < n && text[m.src + l] == text[dst + l] {
@@ -944,10 +989,8 @@ mod tests {
             let dst = text.len();
             let rc: Vec<Base> = text[..s.len()].iter().rev().map(|b| b.complement()).collect();
             text.extend(rc);
-            let mut f = RepeatFinder::new(&text, small_cfg());
-            f.advance(dst);
             if s.len() >= 4 {
-                let m = f.find(dst);
+                let m = at_stop(&text, small_cfg(), dst, |s| s.find());
                 prop_assert!(m.is_some());
                 let m = m.unwrap();
                 let resolved = m.resolve(&text[..dst], dst).expect("resolvable");

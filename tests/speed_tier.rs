@@ -111,22 +111,24 @@ fn match_finder_results_verify_against_the_text_itself() {
         },
     );
     let mut found = 0usize;
-    for dst in 0..text.len() {
-        finder.advance(dst);
-        if let Some(m) = finder.find(dst) {
-            assert!(m.src < dst, "match source at/after query");
-            assert_eq!(
-                &text[m.src..m.src + m.len],
-                &text[dst..dst + m.len],
-                "reported match is not a repeat (src {}, dst {dst})",
-                m.src
-            );
-            let maximal = dst + m.len == text.len()
-                || text[m.src + m.len] != text[dst + m.len];
-            assert!(maximal, "match at dst {dst} undersold by the kernel");
-            found += 1;
-        }
-    }
+    finder
+        .sweep(|stop| {
+            let dst = stop.pos();
+            if let Some(m) = stop.find() {
+                assert!(m.src < dst, "match source at/after query");
+                assert_eq!(
+                    &text[m.src..m.src + m.len],
+                    &text[dst..dst + m.len],
+                    "reported match is not a repeat (src {}, dst {dst})",
+                    m.src
+                );
+                let maximal = dst + m.len == text.len() || text[m.src + m.len] != text[dst + m.len];
+                assert!(maximal, "match at dst {dst} undersold by the kernel");
+                found += 1;
+            }
+            Ok(1)
+        })
+        .unwrap();
     assert!(found > 100, "only {found} matches on repetitive genomic text");
 }
 
